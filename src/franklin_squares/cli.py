@@ -40,23 +40,12 @@ from .formats import (
     square_to_csv,
 )
 from .search import SearchMode, SearchOptions, search_natural_franklin
-from .verify import PropertyReport, classify, verify
+from .verify import LABELS, PropertyReport, classify, verify
 
 EXIT_OK = 0
 EXIT_REQUIRE_FAILED = 1
 EXIT_MALFORMED = 2
 EXIT_PRECONDITION = 3
-
-# Flags a square can be required to carry, in report order.
-_LABELS = (
-    "natural",
-    "balanced",
-    "semi-magic",
-    "magic",
-    "pandiagonal",
-    "franklin",
-    "pandiagonal-franklin",
-)
 
 _MAX_SHOWN_FAILURES = 8
 
@@ -135,24 +124,10 @@ def _parse_target(raw: str, n: int) -> IndexTargets:
     return IndexTargets(n, line_sum)
 
 
-def _labels(report: PropertyReport) -> set[str]:
-    flags = {
-        "natural": report.natural,
-        "balanced": report.balanced,
-        "semi-magic": report.semi_magic,
-        "magic": report.magic,
-        "pandiagonal": report.pandiagonal,
-        "franklin": report.franklin,
-        "pandiagonal-franklin": report.pandiagonal_franklin,
-    }
-    return {label for label in _LABELS if flags[label]}
-
-
 def _summary(report: PropertyReport, inferred: bool) -> str:
     suffix = " (inferred)" if inferred else ""
     out = [f"order {report.order}, line sum {report.targets.line_sum}{suffix}"]
-    labels = [label for label in _LABELS if label in _labels(report)]
-    out.append("labels: " + (", ".join(labels) if labels else "(none)"))
+    out.append("labels: " + (", ".join(report.labels) or "(none)"))
     for cond in report.conditions:
         desc = f"{cond.lines_checked} line{'s' if cond.lines_checked != 1 else ''}"
         if cond.failures:
@@ -181,7 +156,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         sys.stdout.write(report_to_json(report, target_inferred=inferred) + "\n")
     else:
         sys.stdout.write(_summary(report, inferred))
-    if args.require and args.require not in _labels(report):
+    if args.require and args.require not in report.labels:
         raise _CliError(
             EXIT_REQUIRE_FAILED,
             "REQUIRE_FAILED",
@@ -445,7 +420,7 @@ def _build_parser() -> _Parser:
     )
     p_verify.add_argument(
         "--require",
-        choices=_LABELS,
+        choices=LABELS,
         help="exit 1 unless the square satisfies this property",
     )
 

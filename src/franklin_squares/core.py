@@ -3,8 +3,8 @@
 A Square is an immutable order-n grid of integers. An AuxPair bundles a
 quotient and a remainder square whose values live in 0..n-1. IndexTargets
 carries the line-sum target (m for natural squares, the auxiliary constant
-for quotient/remainder squares) together with the derived half-line and
-2x2-subsquare targets.
+for quotient/remainder squares); lines.table derives every condition's
+target from it.
 
 Cell values are plain Python integers, so arbitrarily large orders cannot
 overflow. Indices are 0-based everywhere; reports meant for humans do
@@ -58,21 +58,8 @@ class Square:
     def order(self) -> int:
         return len(self.cells)
 
-    def value(self, r: int, c: int) -> int:
-        return self.cells[r][c]
-
-    def row(self, r: int) -> tuple[int, ...]:
-        return self.cells[r]
-
-    def column(self, c: int) -> tuple[int, ...]:
-        return tuple(row[c] for row in self.cells)
-
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.cells]
-
-    def rotated_half_turn(self) -> "Square":
-        """The square rotated by 180 degrees."""
-        return Square(tuple(tuple(reversed(row)) for row in reversed(self.cells)))
 
 
 @dataclass(frozen=True)
@@ -103,13 +90,11 @@ class AuxPair:
 
 @dataclass(frozen=True)
 class IndexTargets:
-    """A line-sum target and the secondary targets derived from it.
+    """A line-sum target m for one order.
 
-    Half-lines are always compared doubled (2 x half-line sum == line_sum)
-    so odd targets such as 111 stay in integer arithmetic. The subsquare
-    target 4*line_sum/n only exists when n divides 4*line_sum; otherwise
-    the subsquare condition is structurally unsatisfiable and
-    subsquare_target() returns None.
+    The half-line and subsquare conditions compare 2*sum == m and
+    n*sum == 4*m (see lines.table), so odd targets such as 111 stay in
+    integer arithmetic.
     """
 
     order: int
@@ -126,14 +111,6 @@ class IndexTargets:
     @classmethod
     def balanced(cls, n: int) -> "IndexTargets":
         return cls(n, aux_constant(n))
-
-    def doubled_half_target(self) -> int:
-        return self.line_sum
-
-    def subsquare_target(self) -> int | None:
-        if (4 * self.line_sum) % self.order != 0:
-            return None
-        return 4 * self.line_sum // self.order
 
 
 def is_natural(sq: Square) -> bool:

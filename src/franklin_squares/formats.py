@@ -66,7 +66,7 @@ def parse_square_json(text: str) -> tuple[Square, str | None]:
         raise FormatError("JSON square must be an object")
     order = obj.get("order")
     cells = obj.get("cells")
-    if not isinstance(order, int) or order < 1:
+    if not isinstance(order, int) or isinstance(order, bool) or order < 1:
         raise FormatError("JSON square needs a positive integer 'order'")
     if not isinstance(cells, list) or len(cells) != order * order:
         raise FormatError(f"'cells' must hold exactly {order}*{order} values")

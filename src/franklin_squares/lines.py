@@ -9,12 +9,28 @@ wraparound on both axes.
 For a fixed even order and one bent family, the n shifts partition the
 grid: n lines of n cells covering each cell exactly once. The same holds
 for the n wraparound diagonals of one direction.
+
+table(n) compiles every condition a report checks into flat cell indexes
+(r*n + c) with one target rule per condition: a line passes at line sum m
+when scale*sum == mult*m.
+
+    rows, columns, diagonals, pandiagonals, bent lines   1*sum == 1*m
+    half-lines                                           2*sum == 1*m
+    2x2 subsquares                                       n*sum == 4*m
+
+Both sides stay integers, so odd or awkward targets never leave exact
+arithmetic. When mult*m % scale != 0 no integer sum can meet the rule and
+the condition is unsatisfiable at m: half-lines at odd m, subsquares when
+n does not divide 4m. This module is the only place that knows the line
+geometry and the target arithmetic; verify, search and seed search read
+the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 
 class LineFamily(Enum):
@@ -200,3 +216,81 @@ def family_lines(n: int, family: LineFamily) -> tuple[LineDescriptor, ...]:
             for c in range(n)
         )
     raise ValueError(f"unknown family: {family}")
+
+
+@dataclass(frozen=True)
+class Condition:
+    """One report section at one order: its lines and its target rule.
+
+    ``lines`` holds (family, shift, flat cell indexes) in (family, shift)
+    order; it is empty where the geometry does not exist (bent lines,
+    half-lines and subsquares at odd order). A line passes at line sum m
+    when scale*sum == mult*m. ``doubled`` marks the section a report shows
+    as a doubled comparison (2*sum against m). ``franklin`` marks the
+    sections whose passing makes a square Franklin.
+    """
+
+    name: str
+    lines: tuple[tuple[LineFamily, int, tuple[int, ...]], ...]
+    scale: int = 1
+    mult: int = 1
+    doubled: bool = False
+    franklin: bool = False
+
+    def satisfiable(self, m: int) -> bool:
+        return (self.mult * m) % self.scale == 0
+
+
+@lru_cache(maxsize=None)
+def table(n: int) -> tuple[Condition, ...]:
+    """Every condition on an order-n grid, in report order, built once."""
+    # One int object per cell index, shared by every line through it.
+    index = tuple(range(n * n))
+
+    def lines(*families: LineFamily):
+        return tuple(
+            (d.family, d.shift, tuple(index[r * n + c] for r, c in d.cells))
+            for family in families
+            for d in family_lines(n, family)
+        )
+
+    def even_lines(*families: LineFamily):
+        return lines(*families) if n % 2 == 0 else ()
+
+    F = LineFamily
+    return (
+        Condition("rows", lines(F.ROW), franklin=True),
+        Condition("columns", lines(F.COLUMN), franklin=True),
+        Condition("main_diagonal", lines(F.MAIN_DIAGONAL)),
+        Condition("cross_diagonal", lines(F.CROSS_DIAGONAL)),
+        Condition("pandiagonals", lines(F.PANDIAG_DOWNRIGHT, F.PANDIAG_DOWNLEFT)),
+        *(
+            Condition(family.value.lower(), even_lines(family), franklin=True)
+            for family in BENT_FAMILIES
+        ),
+        Condition(
+            "half_lines", even_lines(*HALF_LINE_FAMILIES),
+            scale=2, doubled=True, franklin=True,
+        ),
+        Condition(
+            "subsquares", even_lines(F.SUBSQUARE_2x2),
+            scale=n, mult=4, franklin=True,
+        ),
+    )
+
+
+def franklin_checks(n: int, m: int) -> tuple[tuple[tuple[int, ...], int], ...] | None:
+    """The lines of the Franklin conditions at line sum m, in report order,
+    as (flat cell indexes, exact plain-sum target).
+
+    None when no order-n square can be Franklin at m: a Franklin condition
+    does not exist at this order or is unsatisfiable at m.
+    """
+    conditions = [c for c in table(n) if c.franklin]
+    if not all(c.lines and c.satisfiable(m) for c in conditions):
+        return None
+    return tuple(
+        (cells, c.mult * m // c.scale)
+        for c in conditions
+        for _family, _shift, cells in c.lines
+    )

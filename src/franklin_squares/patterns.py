@@ -15,17 +15,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 from . import fixtures
 from .composition import compose, is_orthogonal
 from .core import AuxPair, IndexTargets, Square, aux_constant, is_balanced
-from .lines import (
-    BENT_FAMILIES,
-    HALF_LINE_FAMILIES,
-    LineFamily,
-    family_lines,
-)
+from .lines import franklin_checks
 from .verify import PropertyReport, verify
 
 
@@ -102,18 +96,18 @@ def expand_quotient(seed, n: int) -> Square:
     return Square(tuple(seed if r % 2 == 0 else comp for r in range(n)))
 
 
+def _alternating_row(v: int, n: int) -> tuple[int, ...]:
+    """v and its complement n-1-v alternating across n columns."""
+    return (v, n - 1 - v) * (n // 2)
+
+
 def expand_remainder(seed, n: int) -> Square:
     """Columns alternate between the seed and its complement."""
     seed = tuple(seed)
     if n < 2 or n % 2:
         raise ValueError(f"order must be even, got {n}")
     _require_permutation(seed, n)
-    return Square(
-        tuple(
-            tuple(seed[r] if c % 2 == 0 else n - 1 - seed[r] for c in range(n))
-            for r in range(n)
-        )
-    )
+    return Square(tuple(_alternating_row(v, n) for v in seed))
 
 
 def expand_block_pair(seed, n: int) -> Square:
@@ -128,7 +122,7 @@ def expand_block_pair(seed, n: int) -> Square:
             raise ValueError(f"seed value {v} outside 0..{n - 1}")
     rows = []
     for i in range(n // 2):
-        row = tuple(seed[i] if c % 2 == 0 else n - 1 - seed[i] for c in range(n))
+        row = _alternating_row(seed[i], n)
         rows.append(row)
         rows.append(row)
     return Square(tuple(rows))
@@ -257,53 +251,17 @@ def preset(name: str) -> Square | AuxPair:
     return fixtures.load(name)
 
 
-@lru_cache(maxsize=None)
-def _franklin_check_lines(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Flattened-index line list for the Franklin conditions at the
-    reduced line sum n(n-1)/2, with per-line integer targets.
-
-    Valid for orders divisible by 4 (the reduced sum is even and the
-    subsquare target 2(n-1) is exact), which is all the seed search needs.
-    """
-    mhat = aux_constant(n)
-    checks = []
-
-    def add(family: LineFamily, target: int) -> None:
-        for line in family_lines(n, family):
-            checks.append(
-                (tuple(r * n + c for r, c in line.cells), target)
-            )
-
-    add(LineFamily.ROW, mhat)
-    add(LineFamily.COLUMN, mhat)
-    for family in BENT_FAMILIES:
-        add(family, mhat)
-    for family in HALF_LINE_FAMILIES:
-        add(family, mhat // 2)
-    add(LineFamily.SUBSQUARE_2x2, 2 * (n - 1))
-    return tuple(checks)
-
-
-def _passes_franklin(flat: list[int], n: int) -> bool:
-    for cells, target in _franklin_check_lines(n):
+def _leaf_passes(seed, n: int, checks) -> bool:
+    """True when the column-alternating expansion of seed meets every
+    (flat cells, target) check line."""
+    flat = [v for s in seed for v in _alternating_row(s, n)]
+    for cells, target in checks:
         total = 0
         for i in cells:
             total += flat[i]
         if total != target:
             return False
     return True
-
-
-def _column_alternate_flat(seed, n: int) -> list[int]:
-    flat = [0] * (n * n)
-    for r, v in enumerate(seed):
-        comp = n - 1 - v
-        base = r * n
-        for c in range(0, n, 2):
-            flat[base + c] = v
-        for c in range(1, n, 2):
-            flat[base + c] = comp
-    return flat
 
 
 def _row_pair_set(qrow: tuple[int, ...], v: int, n: int) -> frozenset:
@@ -337,12 +295,13 @@ def find_remainder_seeds(
     if limit is not None and limit <= 0:
         return []
 
+    checks = franklin_checks(n, aux_constant(n))
     if pruned:
-        return _seed_search_pruned(n, quotient, limit)
-    return _seed_search_unpruned(n, quotient, limit)
+        return _seed_search_pruned(n, quotient, limit, checks)
+    return _seed_search_unpruned(n, quotient, limit, checks)
 
 
-def _seed_search_unpruned(n, quotient, limit):
+def _seed_search_unpruned(n, quotient, limit, checks):
     results = []
     for perm in itertools.permutations(range(n)):
         pairs = set()
@@ -355,8 +314,7 @@ def _seed_search_unpruned(n, quotient, limit):
             pairs |= row_pairs
         if not ok:
             continue
-        flat = _column_alternate_flat(perm, n)
-        if not _passes_franklin(flat, n):
+        if not _leaf_passes(perm, n, checks):
             continue
         results.append(perm)
         if limit is not None and len(results) >= limit:
@@ -364,7 +322,7 @@ def _seed_search_unpruned(n, quotient, limit):
     return results
 
 
-def _seed_search_pruned(n, quotient, limit):
+def _seed_search_pruned(n, quotient, limit, checks):
     """Lexicographic backtracking with exact pruning.
 
     Prunes partial seeds on (a) orthogonality to the quotient, checked
@@ -393,8 +351,7 @@ def _seed_search_pruned(n, quotient, limit):
     def dfs(r: int) -> bool:
         nonlocal prefix_sum
         if r == n:
-            flat = _column_alternate_flat(seed, n)
-            if _passes_franklin(flat, n):
+            if _leaf_passes(seed, n, checks):
                 results.append(tuple(seed))
                 if limit is not None and len(results) >= limit:
                     return True

@@ -29,7 +29,7 @@ from functools import lru_cache
 from typing import Callable
 
 from .core import IndexTargets, Square, magic_constant
-from .lines import BENT_FAMILIES, HALF_LINE_FAMILIES, LineFamily, family_lines
+from .lines import franklin_checks
 from .verify import verify
 
 
@@ -93,26 +93,16 @@ class SearchOutcome:
 def _check_tables(n: int):
     """Precomputed check lines for one order, keyed to row-major filling.
 
-    Returns (lines, complete_at, forced_line): ``lines`` is a tuple of
-    (flat cell indexes, exact target); ``complete_at[i]`` lists the lines
-    whose last filled cell is i; ``forced_line[i]`` is the shortest such
-    line, used to derive the cell value when pruning.
+    Returns (lines, complete_at, forced_line), or None when no natural
+    Franklin square of order n can exist. ``lines`` is the Franklin part
+    of the line table as (flat cell indexes, exact target);
+    ``complete_at[i]`` lists the lines whose last filled cell is i;
+    ``forced_line[i]`` is the shortest such line, used to derive the cell
+    value when pruning.
     """
-    m = magic_constant(n)
-    lines: list[tuple[tuple[int, ...], int]] = []
-
-    def add(family: LineFamily, target: int) -> None:
-        for line in family_lines(n, family):
-            lines.append((tuple(r * n + c for r, c in line.cells), target))
-
-    add(LineFamily.ROW, m)
-    add(LineFamily.COLUMN, m)
-    for fam in BENT_FAMILIES:
-        add(fam, m)
-    for fam in HALF_LINE_FAMILIES:
-        add(fam, m // 2)
-    add(LineFamily.SUBSQUARE_2x2, 2 * (n * n + 1))
-
+    lines = franklin_checks(n, magic_constant(n))
+    if lines is None:
+        return None
     complete_at: list[list[int]] = [[] for _ in range(n * n)]
     for idx, (cells, _target) in enumerate(lines):
         complete_at[max(cells)].append(idx)
@@ -124,7 +114,7 @@ def _check_tables(n: int):
         else:
             forced_line.append(None)
     return (
-        tuple(lines),
+        lines,
         tuple(tuple(ids) for ids in complete_at),
         tuple(forced_line),
     )
@@ -315,9 +305,9 @@ def search_natural_franklin(opts: SearchOptions) -> SearchOutcome:
     before it is counted; nothing is trusted from search bookkeeping.
     """
     n = opts.order
-    if magic_constant(n) % 2:
-        # A half-line would need twice an integer sum to be odd: no square
-        # exists, with no tree to walk.
+    if _check_tables(n) is None:
+        # Some Franklin target is not an integer (an odd m leaves the
+        # half-lines none): no square exists, with no tree to walk.
         return SearchOutcome(count=0, exhausted=True, witnesses=(), nodes_visited=0)
 
     parallel = (

@@ -2,24 +2,28 @@
 
 verify() produces a PropertyReport: one ConditionResult per condition
 family (rows, columns, both main diagonals, wraparound diagonals, the four
-bent families, half-lines, 2x2 subsquares) plus derived flags. Every
-failing line is reported with its actual sum, sorted by (family, shift),
-so claims about exactly which lines fail are checkable.
+bent families, half-lines, 2x2 subsquares) plus derived flags. It walks
+lines.table(n), where each condition's lines pass at line sum m when
+scale*sum == mult*m. Every failing line is reported with its actual sum,
+sorted by (family, shift), so claims about exactly which lines fail are
+checkable.
 
 Status semantics:
   PASSED / FAILED     the condition was checked line by line.
   NOT_APPLICABLE      the geometry does not exist (odd order has no bent
                       diagonals, half-lines, or aligned subsquare grid).
-  UNSATISFIABLE       the geometry exists but no square could pass: an odd
-                      target for the doubled half-line comparison, or a
-                      subsquare target 4*line_sum/n that is not an integer.
-                      Failing lines are still listed with actual sums.
+  UNSATISFIABLE       the geometry exists but no square could pass:
+                      mult*m % scale != 0, that is an odd m for the
+                      half-lines (2*sum == m) or an m with 4m not divisible
+                      by n for the subsquares (n*sum == 4m). Failing lines
+                      are still listed with actual sums.
 
-Half-lines are compared doubled (2 x half-sum == line target) so odd
-targets such as 111 never leave integer arithmetic. A square is Franklin
-when rows, columns, all four bent families, all half-lines, and all
-subsquares pass; the flag is false whenever any of those sections is not
-PASSED, including structurally unsatisfiable sections.
+Half-lines are reported as a doubled comparison (target m, "doubled"
+true); subsquares report the target 4m/n, or none when it is not an
+integer. A square is Franklin when rows, columns, all four bent families,
+all half-lines, and all subsquares pass; the flag is false whenever any
+of those sections is not PASSED, including structurally unsatisfiable
+sections.
 """
 
 from __future__ import annotations
@@ -28,12 +32,18 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .core import IndexTargets, Square, is_balanced, is_natural
-from .lines import (
-    BENT_FAMILIES,
-    HALF_LINE_FAMILIES,
-    LineDescriptor,
-    LineFamily,
-    family_lines,
+from .lines import Condition, LineDescriptor, LineFamily, table
+
+# Labels a square can carry, in report order; each names the
+# PropertyReport flag it reads, with "-" for "_".
+LABELS = (
+    "natural",
+    "balanced",
+    "semi-magic",
+    "magic",
+    "pandiagonal",
+    "franklin",
+    "pandiagonal-franklin",
 )
 
 
@@ -62,9 +72,6 @@ class ConditionResult:
     def passed(self) -> bool:
         return self.status is ConditionStatus.PASSED
 
-    def failing_shifts(self, family: LineFamily) -> tuple[int, ...]:
-        return tuple(d.shift for d, _ in self.failures if d.family is family)
-
 
 @dataclass(frozen=True)
 class PropertyReport:
@@ -87,6 +94,71 @@ class PropertyReport:
                 return result
         raise KeyError(name)
 
+    @property
+    def labels(self) -> tuple[str, ...]:
+        """The labels whose flags hold, in LABELS order."""
+        return tuple(
+            label for label in LABELS if getattr(self, label.replace("-", "_"))
+        )
+
+
+def _failures(
+    flat: list[int],
+    n: int,
+    lines: tuple[tuple[LineFamily, int, tuple[int, ...]], ...],
+    scale: int,
+    rhs: int,
+) -> tuple[tuple[LineDescriptor, int], ...]:
+    """Each line whose scale*sum differs from rhs, with its plain sum.
+    Descriptors are built only for failing lines."""
+    failures = []
+    for family, shift, cells in lines:
+        actual = 0
+        for i in cells:
+            actual += flat[i]
+        if scale * actual != rhs:
+            line = LineDescriptor(family, shift, tuple(divmod(i, n) for i in cells))
+            failures.append((line, actual))
+    return tuple(failures)
+
+
+def _evaluate(flat: list[int], n: int, cond: Condition, m: int) -> ConditionResult:
+    """One table condition at line sum m."""
+    if not cond.lines:
+        return ConditionResult(
+            condition=cond.name,
+            status=ConditionStatus.NOT_APPLICABLE,
+            target=None,
+            doubled=False,
+            lines_checked=0,
+            failures=(),
+        )
+    rhs = cond.mult * m
+    failures = _failures(flat, n, cond.lines, cond.scale, rhs)
+    exact = cond.satisfiable(m)
+    if not exact:
+        status = ConditionStatus.UNSATISFIABLE
+    elif failures:
+        status = ConditionStatus.FAILED
+    else:
+        status = ConditionStatus.PASSED
+    if cond.doubled:
+        target = rhs
+    else:
+        target = rhs // cond.scale if exact else None
+    return ConditionResult(
+        condition=cond.name,
+        status=status,
+        target=target,
+        doubled=cond.doubled,
+        lines_checked=len(cond.lines),
+        failures=failures,
+    )
+
+
+def _flat(sq: Square) -> list[int]:
+    return [v for row in sq.cells for v in row]
+
 
 def check_lines(
     sq: Square,
@@ -98,22 +170,23 @@ def check_lines(
     """Sum each line over sq; a line fails when its (optionally doubled)
     sum differs from the target."""
     n = sq.order
-    failures = []
+    flat_lines = []
     for line in lines:
         for r, c in line.cells:
             if not (0 <= r < n and 0 <= c < n):
                 raise ValueError(
                     f"line {line.family.value} #{line.shift} does not fit order {n}"
                 )
-        actual = sum(sq.cells[r][c] for r, c in line.cells)
-        compared = 2 * actual if doubled else actual
-        if compared != target:
-            failures.append((line, actual))
-    failures.sort(key=lambda f: (_FAMILY_ORDER[f[0].family], f[0].shift))
-    status = ConditionStatus.PASSED if not failures else ConditionStatus.FAILED
+        flat_lines.append(
+            (line.family, line.shift, tuple(r * n + c for r, c in line.cells))
+        )
+    failures = sorted(
+        _failures(_flat(sq), n, flat_lines, 2 if doubled else 1, target),
+        key=lambda f: (_FAMILY_ORDER[f[0].family], f[0].shift),
+    )
     return ConditionResult(
         condition=condition,
-        status=status,
+        status=ConditionStatus.FAILED if failures else ConditionStatus.PASSED,
         target=target,
         doubled=doubled,
         lines_checked=len(lines),
@@ -121,44 +194,9 @@ def check_lines(
     )
 
 
-def _not_applicable(condition: str) -> ConditionResult:
-    return ConditionResult(
-        condition=condition,
-        status=ConditionStatus.NOT_APPLICABLE,
-        target=None,
-        doubled=False,
-        lines_checked=0,
-        failures=(),
-    )
-
-
 def _subsquare_result(sq: Square, targets: IndexTargets) -> ConditionResult:
-    """Subsquares compare n * (4-cell sum) against 4 * line_sum so the
-    check stays exact when 4*line_sum/n is not an integer; in that case no
-    square can pass and the section is UNSATISFIABLE."""
-    n = sq.order
-    lines = family_lines(n, LineFamily.SUBSQUARE_2x2)
-    target = targets.subsquare_target()
-    failures = []
-    for line in lines:
-        actual = sum(sq.cells[r][c] for r, c in line.cells)
-        if n * actual != 4 * targets.line_sum:
-            failures.append((line, actual))
-    failures.sort(key=lambda f: (_FAMILY_ORDER[f[0].family], f[0].shift))
-    if target is None:
-        status = ConditionStatus.UNSATISFIABLE
-    elif failures:
-        status = ConditionStatus.FAILED
-    else:
-        status = ConditionStatus.PASSED
-    return ConditionResult(
-        condition="subsquares",
-        status=status,
-        target=target,
-        doubled=False,
-        lines_checked=len(lines),
-        failures=tuple(failures),
-    )
+    """The subsquares section of verify(sq, targets)."""
+    return _evaluate(_flat(sq), sq.order, table(sq.order)[-1], targets.line_sum)
 
 
 def verify(sq: Square, targets: IndexTargets) -> PropertyReport:
@@ -167,57 +205,9 @@ def verify(sq: Square, targets: IndexTargets) -> PropertyReport:
     if targets.order != n:
         raise ValueError(f"targets are for order {targets.order}, square is {n}")
     m = targets.line_sum
-
-    conditions: list[ConditionResult] = [
-        check_lines(sq, family_lines(n, LineFamily.ROW), m, condition="rows"),
-        check_lines(sq, family_lines(n, LineFamily.COLUMN), m, condition="columns"),
-        check_lines(
-            sq, family_lines(n, LineFamily.MAIN_DIAGONAL), m,
-            condition="main_diagonal",
-        ),
-        check_lines(
-            sq, family_lines(n, LineFamily.CROSS_DIAGONAL), m,
-            condition="cross_diagonal",
-        ),
-        check_lines(
-            sq,
-            family_lines(n, LineFamily.PANDIAG_DOWNRIGHT)
-            + family_lines(n, LineFamily.PANDIAG_DOWNLEFT),
-            m,
-            condition="pandiagonals",
-        ),
-    ]
-
-    even = n % 2 == 0
-    if even:
-        for family in BENT_FAMILIES:
-            conditions.append(
-                check_lines(
-                    sq, family_lines(n, family), m,
-                    condition=family.value.lower(),
-                )
-            )
-        half_lines = tuple(
-            line for kind in HALF_LINE_FAMILIES for line in family_lines(n, kind)
-        )
-        half = check_lines(sq, half_lines, m, doubled=True, condition="half_lines")
-        if m % 2 != 0:
-            # every doubled half-line sum is even, an odd target cannot hold
-            half = ConditionResult(
-                condition=half.condition,
-                status=ConditionStatus.UNSATISFIABLE,
-                target=half.target,
-                doubled=True,
-                lines_checked=half.lines_checked,
-                failures=half.failures,
-            )
-        conditions.append(half)
-        conditions.append(_subsquare_result(sq, targets))
-    else:
-        for family in BENT_FAMILIES:
-            conditions.append(_not_applicable(family.value.lower()))
-        conditions.append(_not_applicable("half_lines"))
-        conditions.append(_not_applicable("subsquares"))
+    flat = _flat(sq)
+    conds = table(n)
+    conditions = tuple(_evaluate(flat, n, cond, m) for cond in conds)
 
     by_name = {c.condition: c for c in conditions}
     semi_magic = by_name["rows"].passed and by_name["columns"].passed
@@ -227,16 +217,13 @@ def verify(sq: Square, targets: IndexTargets) -> PropertyReport:
         and by_name["cross_diagonal"].passed
     )
     pandiagonal = by_name["pandiagonals"].passed
-    franklin = (
-        semi_magic
-        and all(by_name[f.value.lower()].passed for f in BENT_FAMILIES)
-        and by_name["half_lines"].passed
-        and by_name["subsquares"].passed
+    franklin = all(
+        result.passed for result, cond in zip(conditions, conds) if cond.franklin
     )
     return PropertyReport(
         order=n,
         targets=targets,
-        conditions=tuple(conditions),
+        conditions=conditions,
         semi_magic=semi_magic,
         magic=magic,
         pandiagonal=pandiagonal,
@@ -273,21 +260,6 @@ def classify(sq: Square) -> ClassifyOutcome:
         targets = IndexTargets(n, sum(sq.cells[0]))
         inferred = True
     report = verify(sq, targets)
-    labels = set()
-    if report.natural:
-        labels.add("natural")
-    if report.balanced:
-        labels.add("balanced")
-    if report.semi_magic:
-        labels.add("semi-magic")
-    if report.magic:
-        labels.add("magic")
-    if report.pandiagonal:
-        labels.add("pandiagonal")
-    if report.franklin:
-        labels.add("franklin")
-    if report.pandiagonal_franklin:
-        labels.add("pandiagonal-franklin")
     return ClassifyOutcome(
-        labels=frozenset(labels), target_inferred=inferred, report=report
+        labels=frozenset(report.labels), target_inferred=inferred, report=report
     )

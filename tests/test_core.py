@@ -8,6 +8,7 @@ from franklin_squares import (
     is_balanced,
     is_natural,
     magic_constant,
+    verify,
 )
 
 
@@ -29,9 +30,9 @@ def test_aux_constant(n, expected):
 def test_square_accessors():
     sq = Square.from_rows([[1, 2], [3, 4]])
     assert sq.order == 2
-    assert sq.value(1, 0) == 3
-    assert sq.row(0) == (1, 2)
-    assert sq.column(1) == (2, 4)
+    assert sq.cells[1][0] == 3
+    assert sq.cells[0] == (1, 2)
+    assert tuple(row[1] for row in sq.cells) == (2, 4)
     assert sq.to_lists() == [[1, 2], [3, 4]]
 
 
@@ -53,9 +54,12 @@ def test_square_rejects_non_integer_cells():
 
 
 def test_rotated_half_turn():
+    def rotated(sq):
+        return Square.from_rows(row[::-1] for row in sq.cells[::-1])
+
     sq = Square.from_rows([[1, 2], [3, 4]])
-    assert sq.rotated_half_turn().cells == ((4, 3), (2, 1))
-    assert sq.rotated_half_turn().rotated_half_turn() == sq
+    assert rotated(sq).cells == ((4, 3), (2, 1))
+    assert rotated(rotated(sq)) == sq
 
 
 def test_aux_pair_rejects_order_mismatch():
@@ -75,14 +79,17 @@ def test_aux_pair_rejects_out_of_range_values():
 def test_index_targets_constructors():
     assert IndexTargets.natural(8).line_sum == 260
     assert IndexTargets.balanced(8).line_sum == 28
-    assert IndexTargets(8, 260).doubled_half_target() == 260
 
 
 def test_subsquare_target():
-    assert IndexTargets(8, 260).subsquare_target() == 130
-    assert IndexTargets(6, 111).subsquare_target() == 74
+    def target(n, m):
+        sq = Square.from_rows([[0] * n] * n)
+        return verify(sq, IndexTargets(n, m)).condition("subsquares").target
+
+    assert target(8, 260) == 130
+    assert target(6, 111) == 74
     # 4 * 16 is not divisible by 6: no integer subsquare target exists
-    assert IndexTargets(6, 16).subsquare_target() is None
+    assert target(6, 16) is None
 
 
 def test_index_targets_rejects_bad_order():

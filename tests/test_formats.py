@@ -78,6 +78,7 @@ def test_json_square_roundtrip():
         '{"order": 3, "cells": [[1, 2], [3, 4]]}',
         '{"order": 2, "cells": [[1, "x"], [3, 4]]}',
         '{"order": 2, "cells": [[1, 2], [3, 4]], "name": 7}',
+        '{"order": true, "cells": [1]}',
         "not json at all",
     ],
 )

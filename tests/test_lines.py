@@ -1,14 +1,22 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import franklin_squares
 from franklin_squares.lines import (
     BENT_FAMILIES,
     HALF_LINE_FAMILIES,
     LineFamily,
     bent_diagonal_cells,
     family_lines,
+    franklin_checks,
     half_line_cells,
     pandiagonal_cells,
     subsquare_cells,
+    table,
 )
 
 EVEN_ORDERS = (2, 4, 6, 8, 16, 24, 40)
@@ -144,3 +152,63 @@ def test_odd_order_rejected_for_even_only_families():
         bent_diagonal_cells(5, LineFamily.BENT_DOWN, 0)
     with pytest.raises(ValueError):
         half_line_cells(5, LineFamily.HALF_ROW_LEFT, 0)
+
+
+@pytest.mark.parametrize("n", (1, 3, 5) + EVEN_ORDERS)
+def test_table_holds_family_lines_as_flat_indexes(n):
+    assert table(n) is table(n)
+    built = {
+        (family, shift, cells)
+        for cond in table(n)
+        for family, shift, cells in cond.lines
+    }
+    even_only = BENT_FAMILIES + HALF_LINE_FAMILIES + (LineFamily.SUBSQUARE_2x2,)
+    families = [f for f in LineFamily if n % 2 == 0 or f not in even_only]
+    want = {
+        (d.family, d.shift, tuple(r * n + c for r, c in d.cells))
+        for family in families
+        for d in family_lines(n, family)
+    }
+    assert built == want
+
+
+def test_table_rules_and_report_order():
+    rules = {c.name: (c.scale, c.mult, c.doubled, c.franklin) for c in table(8)}
+    assert list(rules) == [
+        "rows", "columns", "main_diagonal", "cross_diagonal", "pandiagonals",
+        "bent_down", "bent_up", "bent_right", "bent_left",
+        "half_lines", "subsquares",
+    ]
+    assert rules["rows"] == (1, 1, False, True)
+    assert rules["pandiagonals"] == (1, 1, False, False)
+    assert rules["half_lines"] == (2, 1, True, True)
+    assert rules["subsquares"] == (8, 4, False, True)
+    half, sub = table(6)[-2:]
+    assert not half.satisfiable(111) and half.satisfiable(110)
+    assert not sub.satisfiable(16) and sub.satisfiable(111)
+    assert [c.name for c in table(5) if not c.lines] == [
+        "bent_down", "bent_up", "bent_right", "bent_left",
+        "half_lines", "subsquares",
+    ]
+
+
+def test_franklin_checks_targets():
+    targets = {}
+    for cells, target in franklin_checks(8, 260):
+        targets.setdefault(len(cells), set()).add(target)
+    # full lines 260, half-lines 260/2, subsquares 4*260/8
+    assert targets == {8: {260}, 4: {130}}
+    assert len(franklin_checks(8, 260)) == 8 + 8 + 4 * 8 + 4 * 8 + 64
+    assert franklin_checks(8, 28)[-1] == ((63, 56, 7, 0), 14)
+    assert franklin_checks(6, 111) is None  # odd m: no half-line target
+    assert franklin_checks(5, 65) is None  # odd order: no bent lines
+
+
+def test_importing_the_package_builds_no_table():
+    code = (
+        "import franklin_squares.cli, franklin_squares.lines as lines; "
+        "assert lines.table.cache_info().currsize == 0"
+    )
+    src = str(Path(franklin_squares.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
