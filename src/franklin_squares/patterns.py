@@ -45,25 +45,7 @@ class SeedPattern:
 
     def __post_init__(self):
         object.__setattr__(self, "seed", tuple(self.seed))
-        n = self.order
-        if self.archetype is Archetype.BLOCK_PAIR:
-            if n < 2 or n % 2:
-                raise ValueError("block-pair expansion needs an even order")
-            if len(self.seed) != n // 2:
-                raise ValueError(
-                    f"block-pair seed must have {n // 2} values, got {len(self.seed)}"
-                )
-            for v in self.seed:
-                if not 0 <= v < n:
-                    raise ValueError(f"seed value {v} outside 0..{n - 1}")
-        elif self.archetype is Archetype.FOUR_ROW_CYCLE:
-            if n % 4:
-                raise ValueError("four-row-cycle expansion needs order divisible by 4")
-            _require_permutation(self.seed, n)
-        else:
-            if n < 2 or n % 2:
-                raise ValueError("alternating expansion needs an even order")
-            _require_permutation(self.seed, n)
+        self.expand()
 
     def expand(self) -> Square:
         if self.archetype is Archetype.ROW_ALTERNATE:
@@ -90,7 +72,7 @@ def expand_quotient(seed, n: int) -> Square:
     """Rows alternate between the seed and its complement."""
     seed = tuple(seed)
     if n < 2 or n % 2:
-        raise ValueError(f"order must be even, got {n}")
+        raise ValueError("alternating expansion needs an even order")
     _require_permutation(seed, n)
     comp = tuple(n - 1 - v for v in seed)
     return Square(tuple(seed if r % 2 == 0 else comp for r in range(n)))
@@ -105,7 +87,7 @@ def expand_remainder(seed, n: int) -> Square:
     """Columns alternate between the seed and its complement."""
     seed = tuple(seed)
     if n < 2 or n % 2:
-        raise ValueError(f"order must be even, got {n}")
+        raise ValueError("alternating expansion needs an even order")
     _require_permutation(seed, n)
     return Square(tuple(_alternating_row(v, n) for v in seed))
 
@@ -114,9 +96,11 @@ def expand_block_pair(seed, n: int) -> Square:
     """Row pairs 2i, 2i+1 both alternate seed[i] with its complement."""
     seed = tuple(seed)
     if n < 2 or n % 2:
-        raise ValueError(f"order must be even, got {n}")
+        raise ValueError("block-pair expansion needs an even order")
     if len(seed) != n // 2:
-        raise ValueError(f"seed must have {n // 2} values, got {len(seed)}")
+        raise ValueError(
+            f"block-pair seed must have {n // 2} values, got {len(seed)}"
+        )
     for v in seed:
         if not 0 <= v < n:
             raise ValueError(f"seed value {v} outside 0..{n - 1}")
@@ -147,7 +131,7 @@ def expand_four_row_cycle(seed, n: int) -> Square:
     """
     seed = tuple(seed)
     if n % 4:
-        raise ValueError(f"order must be a multiple of 4, got {n}")
+        raise ValueError("four-row-cycle expansion needs order divisible by 4")
     _require_permutation(seed, n)
     a = seed
     b = tuple(n - 1 - v for v in a)

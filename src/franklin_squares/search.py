@@ -13,7 +13,13 @@ candidates — for row-major order that pins every interior cell below the
 first row via its 2x2 subsquare — and (b) bounds the current row's partial
 sum against what the remaining cells could still contribute. Both prunes
 reject only branches that a completed-line check would reject later, so
-pruned and unpruned searches accept identical squares.
+pruned and unpruned searches accept identical squares. A derived value
+accepts exactly the placements the completed-line check would; the row
+bound rejects some free candidates that the unpruned walk places and
+abandons by the end of the row, so ``nodes_visited`` can differ.
+
+The walk is one recursive call per cell. Each cell carries the lines it
+closes, so a candidate is checked against those lines only.
 
 An outcome with ``exhausted`` true and ``count`` zero is a non-existence
 proof for that order. Orders whose line sum is odd are settled without
@@ -23,9 +29,10 @@ search: a half-line would need twice a cell sum to equal an odd number.
 from __future__ import annotations
 
 import concurrent.futures
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 from .core import IndexTargets, Square, magic_constant
@@ -45,9 +52,10 @@ class SearchOptions:
 
     ``node_budget`` caps placements (a node is one accepted cell
     assignment, forced or free). ``parallel_width`` > 1 splits the tree at
-    the first cell across worker processes for COUNT/STREAM runs without a
-    budget; FIRST and budgeted runs always execute sequentially so their
-    outcome stays identical to the single-worker one. ``progress`` is
+    the first cell across worker processes (at most one per CPU and one
+    per branch) for COUNT/STREAM runs without a budget; FIRST and
+    budgeted runs always execute sequentially so their outcome stays
+    identical to the single-worker one. ``progress`` is
     called with (nodes_visited, fill_depth) every ``progress_interval``
     placements (per worker batch when parallel).
     """
@@ -91,211 +99,166 @@ class SearchOutcome:
 
 @lru_cache(maxsize=None)
 def _check_tables(n: int):
-    """Precomputed check lines for one order, keyed to row-major filling.
+    """The closing lines of each cell for row-major filling, or None when
+    no natural Franklin square of order n can exist.
 
-    Returns (lines, complete_at, forced_line), or None when no natural
-    Franklin square of order n can exist. ``lines`` is the Franklin part
-    of the line table as (flat cell indexes, exact target);
-    ``complete_at[i]`` lists the lines whose last filled cell is i;
-    ``forced_line[i]`` is the shortest such line, used to derive the cell
-    value when pruning.
+    Entry i lists the Franklin lines whose last filled cell is i, as (the
+    other cells, exact target), shortest first; with pruning the first
+    one derives the value of cell i. The sort is stable, so among lines
+    of equal length the one first in report order derives it.
     """
     lines = franklin_checks(n, magic_constant(n))
     if lines is None:
         return None
-    complete_at: list[list[int]] = [[] for _ in range(n * n)]
-    for idx, (cells, _target) in enumerate(lines):
-        complete_at[max(cells)].append(idx)
-    forced_line: list[int | None] = []
-    for i in range(n * n):
-        candidates = complete_at[i]
-        if candidates:
-            forced_line.append(min(candidates, key=lambda j: len(lines[j][0])))
-        else:
-            forced_line.append(None)
-    return (
-        lines,
-        tuple(tuple(ids) for ids in complete_at),
-        tuple(forced_line),
+    closing: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(n * n)]
+    for cells, target in lines:
+        last = max(cells)
+        closing[last].append((tuple(j for j in cells if j != last), target))
+    return tuple(
+        tuple(sorted(at, key=lambda line: len(line[0]))) for at in closing
     )
 
 
-class _Stop(Exception):
-    pass
+def _candidate_order(grid: list[int], used: list[bool], i: int, n: int) -> list[int]:
+    # Free cells sit in row 0 and column 0 (everything else is closed
+    # by a completing line). Candidates are tried structured-first:
+    # split v-1 into (block, offset) base n. The corpus squares all
+    # decompose into alternating auxiliaries, which in grid terms
+    # means rows use each block once with offsets alternating
+    # x <-> n-1-x, and the first column keeps offsets distinct while
+    # blocks alternate. Preferring such candidates finds a witness
+    # early; the order stays exhaustive, so nothing is ever skipped.
+    r, c = divmod(i, n)
+    cands = [v for v in range(1, n * n + 1) if not used[v]]
+    if r == 0:
+        row_blocks = {(grid[j] - 1) // n for j in range(c)}
+        want_off = None
+        if c >= 1:
+            want_off = n - 1 - (grid[i - 1] - 1) % n
+    else:
+        col_offsets = {(grid[k * n] - 1) % n for k in range(r)}
+        if r >= 2:
+            want_block = (grid[(r - 2) * n] - 1) // n
+        else:
+            want_block = n - 1 - (grid[0] - 1) // n
+
+    def key(v: int):
+        block, off = divmod(v - 1, n)
+        penalty = 0
+        if r == 0:
+            if block in row_blocks:
+                penalty += 2
+            if want_off is not None and off != want_off:
+                penalty += 1
+        else:
+            if off in col_offsets:
+                penalty += 2
+            if block != want_block:
+                penalty += 1
+        return (penalty, v)
+
+    cands.sort(key=key)
+    return cands
 
 
-def _run_tree(
-    n: int,
-    mode: SearchMode,
-    prune: bool,
-    node_budget: int | None,
-    first_value: int | None,
-    progress: Callable[[int, int], None] | None,
-    progress_interval: int,
-):
+def _run_tree(opts: SearchOptions, first_value: int | None = None):
     """Sequential engine. When ``first_value`` is given, only the branch
     with that value in cell 0 is explored (the parallel split unit).
 
-    Returns (count, witnesses, nodes_visited, budget_hit).
+    Returns (count, witnesses, nodes_visited, stopped), where ``stopped``
+    means the budget ran out or FIRST found its witness.
     """
+    n = opts.order
+    mode = opts.mode
+    prune = opts.prune
+    node_budget = opts.node_budget
+    progress = opts.progress
+    progress_interval = opts.progress_interval
     n2 = n * n
     m = magic_constant(n)
-    lines, complete_at, forced_line = _check_tables(n)
+    closing_at = _check_tables(n)
     natural_targets = IndexTargets.natural(n)
 
     grid = [0] * n2
+    at = grid.__getitem__
     used = [False] * (n2 + 1)
-    row_sum = [0] * n
-    state = {"nodes": 0, "count": 0, "budget_hit": False}
     witnesses: list[Square] = []
+    nodes = count = 0
 
-    def completed_ok(i: int) -> bool:
-        for idx in complete_at[i]:
-            cells, target = lines[idx]
-            total = 0
-            for j in cells:
-                total += grid[j]
-            if total != target:
-                return False
-        return True
-
-    def row_bound_ok(i: int) -> bool:
-        r, c = divmod(i, n)
-        remaining = n - 1 - c
-        if remaining == 0:
-            return True
-        gap = m - row_sum[r]
-        return remaining * 1 <= gap <= remaining * n2
-
-    def place(i: int, v: int) -> None:
-        grid[i] = v
-        used[v] = True
-        row_sum[i // n] += v
-        state["nodes"] += 1
-        if progress is not None and state["nodes"] % progress_interval == 0:
-            progress(state["nodes"], i)
-        if node_budget is not None and state["nodes"] >= node_budget:
-            state["budget_hit"] = True
-            raise _Stop
-
-    def unplace(i: int, v: int) -> None:
-        grid[i] = 0
-        used[v] = False
-        row_sum[i // n] -= v
-
-    def leaf() -> None:
-        square = Square.from_rows(
-            [grid[r * n:(r + 1) * n] for r in range(n)]
-        )
-        report = verify(square, natural_targets)
-        if not (report.franklin and report.natural):
-            return
-        state["count"] += 1
-        if mode is not SearchMode.COUNT:
-            witnesses.append(square)
-        if mode is SearchMode.FIRST:
-            raise _Stop
-
-    def descend(i: int, v: int) -> None:
-        place(i, v)
-        try:
-            if i + 1 == n2:
-                leaf()
-            else:
-                dfs(i + 1)
-        finally:
-            unplace(i, v)
-
-    def candidate_order(i: int) -> list[int]:
-        # Free cells sit in row 0 and column 0 (everything else is closed
-        # by a completing line). Candidates are tried structured-first:
-        # split v-1 into (block, offset) base n. The corpus squares all
-        # decompose into alternating auxiliaries, which in grid terms
-        # means rows use each block once with offsets alternating
-        # x <-> n-1-x, and the first column keeps offsets distinct while
-        # blocks alternate. Preferring such candidates finds a witness
-        # early; the order stays exhaustive, so nothing is ever skipped.
-        r, c = divmod(i, n)
-        cands = [v for v in range(1, n2 + 1) if not used[v]]
-        if r == 0:
-            row_blocks = {(grid[j] - 1) // n for j in range(c)}
-            want_off = None
-            if c >= 1:
-                want_off = n - 1 - (grid[i - 1] - 1) % n
+    def walk(i: int) -> bool:
+        """Place each value cell i admits and walk on; True stops the run."""
+        nonlocal nodes, count
+        closing = closing_at[i]
+        if prune and closing:
+            # The shortest closing line derives the value; it holds by
+            # construction, so only the other closing lines are checked.
+            others, target = closing[0]
+            v = target - sum(map(at, others))
+            candidates = [v] if 0 < v <= n2 and not used[v] else []
+            closing = closing[1:]
         else:
-            col_offsets = {(grid[k * n] - 1) % n for k in range(r)}
-            if r >= 2:
-                want_block = (grid[(r - 2) * n] - 1) // n
+            if i == 0 and first_value is not None:
+                candidates = [first_value]
             else:
-                want_block = n - 1 - (grid[0] - 1) // n
-
-        def key(v: int):
-            block, off = divmod(v - 1, n)
-            penalty = 0
-            if r == 0:
-                if block in row_blocks:
-                    penalty += 2
-                if want_off is not None and off != want_off:
-                    penalty += 1
-            else:
-                if off in col_offsets:
-                    penalty += 2
-                if block != want_block:
-                    penalty += 1
-            return (penalty, v)
-
-        cands.sort(key=key)
-        return cands
-
-    def dfs(i: int) -> None:
-        if prune and forced_line[i] is not None:
-            cells, target = lines[forced_line[i]]
-            v = target
-            for j in cells:
-                if j != i:
-                    v -= grid[j]
-            if v < 1 or v > n2 or used[v]:
-                return
-            if not completed_ok_with(i, v):
-                return
-            descend(i, v)
-            return
-        if i == 0 and first_value is not None:
-            candidates = [first_value] if not used[first_value] else []
-        else:
-            candidates = candidate_order(i)
+                candidates = _candidate_order(grid, used, i, n)
+            remaining = n - 1 - i % n
+            if prune and remaining:
+                # Row bound: the cells left in the row must still be able
+                # to make up the gap to m.
+                gap = m - sum(grid[i - i % n:i])
+                candidates = [
+                    v for v in candidates if remaining <= gap - v <= remaining * n2
+                ]
         for v in candidates:
-            if not completed_ok_with(i, v):
-                continue
-            if prune and not row_bound_ok_with(i, v):
-                continue
-            descend(i, v)
+            for others, target in closing:
+                if v + sum(map(at, others)) != target:
+                    break
+            else:
+                grid[i] = v
+                used[v] = True
+                nodes += 1
+                if progress is not None and nodes % progress_interval == 0:
+                    progress(nodes, i)
+                if node_budget is not None and nodes >= node_budget:
+                    return True
+                if i + 1 < n2:
+                    if walk(i + 1):
+                        return True
+                else:
+                    square = Square.from_rows(grid[r:r + n] for r in range(0, n2, n))
+                    report = verify(square, natural_targets)
+                    if report.franklin and report.natural:
+                        count += 1
+                        if mode is not SearchMode.COUNT:
+                            witnesses.append(square)
+                        if mode is SearchMode.FIRST:
+                            return True
+                # grid[i] is rewritten before any later cell reads it.
+                used[v] = False
+        return False
 
-    def completed_ok_with(i: int, v: int) -> bool:
-        grid[i] = v
-        ok = completed_ok(i)
-        grid[i] = 0
-        return ok
-
-    def row_bound_ok_with(i: int, v: int) -> bool:
-        row_sum[i // n] += v
-        ok = row_bound_ok(i)
-        row_sum[i // n] -= v
-        return ok
-
-    try:
-        dfs(0)
-    except _Stop:
-        pass
-    return state["count"], witnesses, state["nodes"], state["budget_hit"]
+    stopped = walk(0)
+    return count, witnesses, nodes, stopped
 
 
-def _branch_task(args):
-    n, mode_value, prune, first_value = args
-    count, witnesses, nodes, budget_hit = _run_tree(
-        n, SearchMode(mode_value), prune, None, first_value, None, 1 << 62
-    )
-    return count, witnesses, nodes, budget_hit
+def _runs(opts: SearchOptions, parallel: bool):
+    """Yield (count, witnesses, nodes_visited, stopped) for each part of
+    the tree, in value order of cell 0 when parallel."""
+    n = opts.order
+    if _check_tables(n) is None:
+        # Some Franklin target is not an integer (an odd m leaves the
+        # half-lines none): no square exists, with no tree to walk.
+        return
+    if not parallel:
+        yield _run_tree(opts)
+        return
+    # Under fork every worker starts at the first submit, so the width is
+    # clamped to what can run at once and to the number of branches.
+    width = min(opts.parallel_width, os.cpu_count() or 1, n * n)
+    # The progress hook stays here; workers report only when they finish.
+    branch = partial(_run_tree, replace(opts, progress=None))
+    with concurrent.futures.ProcessPoolExecutor(max_workers=width) as pool:
+        yield from pool.map(branch, range(1, n * n + 1))
 
 
 def search_natural_franklin(opts: SearchOptions) -> SearchOutcome:
@@ -304,53 +267,24 @@ def search_natural_franklin(opts: SearchOptions) -> SearchOutcome:
     Every reported witness is re-verified through the property verifier
     before it is counted; nothing is trusted from search bookkeeping.
     """
-    n = opts.order
-    if _check_tables(n) is None:
-        # Some Franklin target is not an integer (an odd m leaves the
-        # half-lines none): no square exists, with no tree to walk.
-        return SearchOutcome(count=0, exhausted=True, witnesses=(), nodes_visited=0)
-
     parallel = (
         opts.parallel_width > 1
         and opts.mode is not SearchMode.FIRST
         and opts.node_budget is None
     )
-    if not parallel:
-        count, witnesses, nodes, budget_hit = _run_tree(
-            n,
-            opts.mode,
-            opts.prune,
-            opts.node_budget,
-            None,
-            opts.progress,
-            opts.progress_interval,
-        )
-        stopped_early = budget_hit or (
-            opts.mode is SearchMode.FIRST and count > 0
-        )
-        return SearchOutcome(
-            count=count,
-            exhausted=not stopped_early,
-            witnesses=tuple(witnesses),
-            nodes_visited=nodes,
-        )
-
-    tasks = [(n, opts.mode.value, opts.prune, v) for v in range(1, n * n + 1)]
-    total_count = 0
-    total_nodes = 0
-    all_witnesses: list[Square] = []
-    with concurrent.futures.ProcessPoolExecutor(
-        max_workers=opts.parallel_width
-    ) as pool:
-        for count, witnesses, nodes, _hit in pool.map(_branch_task, tasks):
-            total_count += count
-            total_nodes += nodes
-            all_witnesses.extend(witnesses)
-            if opts.progress is not None:
-                opts.progress(total_nodes, 0)
+    count = nodes = 0
+    witnesses: list[Square] = []
+    stopped = False
+    for run_count, run_witnesses, run_nodes, run_stopped in _runs(opts, parallel):
+        count += run_count
+        nodes += run_nodes
+        witnesses.extend(run_witnesses)
+        stopped = stopped or run_stopped
+        if parallel and opts.progress is not None:
+            opts.progress(nodes, 0)
     return SearchOutcome(
-        count=total_count,
-        exhausted=True,
-        witnesses=tuple(all_witnesses),
-        nodes_visited=total_nodes,
+        count=count,
+        exhausted=not stopped,
+        witnesses=tuple(witnesses),
+        nodes_visited=nodes,
     )

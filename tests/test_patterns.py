@@ -152,18 +152,29 @@ def test_four_row_cycle_expansion_order_8_literal_cycle():
 
 
 def test_seed_pattern_validation():
-    with pytest.raises(ValueError):
-        SeedPattern(Archetype.ROW_ALTERNATE, 4, (0, 1, 2))  # wrong length
-    with pytest.raises(ValueError):
-        SeedPattern(Archetype.ROW_ALTERNATE, 4, (0, 1, 2, 2))  # not a permutation
-    with pytest.raises(ValueError):
-        SeedPattern(Archetype.ROW_ALTERNATE, 5, (0, 1, 2, 3, 4))  # odd order
-    with pytest.raises(ValueError):
-        SeedPattern(Archetype.BLOCK_PAIR, 8, (0, 6, 5))  # needs n/2 values
-    with pytest.raises(ValueError):
-        SeedPattern(Archetype.BLOCK_PAIR, 8, (0, 6, 5, 9))  # out of range
-    with pytest.raises(ValueError):
-        SeedPattern(Archetype.FOUR_ROW_CYCLE, 6, (0, 1, 2, 3, 4, 5))  # 4 | n
+    expanders = {
+        Archetype.ROW_ALTERNATE: expand_quotient,
+        Archetype.COLUMN_ALTERNATE: expand_remainder,
+        Archetype.BLOCK_PAIR: expand_block_pair,
+        Archetype.FOUR_ROW_CYCLE: expand_four_row_cycle,
+    }
+    even = "alternating expansion needs an even order"
+    bad = [
+        (Archetype.ROW_ALTERNATE, 4, (0, 1, 2), "permutation"),  # wrong length
+        (Archetype.ROW_ALTERNATE, 4, (0, 1, 2, 2), "permutation"),
+        (Archetype.ROW_ALTERNATE, 5, (0, 1, 2, 3, 4), even),
+        (Archetype.COLUMN_ALTERNATE, 5, (0, 1, 2, 3, 4), even),
+        (Archetype.BLOCK_PAIR, 7, (0, 6, 5), "block-pair expansion needs an even"),
+        (Archetype.BLOCK_PAIR, 8, (0, 6, 5), "must have 4 values, got 3"),
+        (Archetype.BLOCK_PAIR, 8, (0, 6, 5, 9), "seed value 9 outside 0..7"),
+        (Archetype.FOUR_ROW_CYCLE, 6, (0, 1, 2, 3, 4, 5), "divisible by 4"),
+    ]
+    for archetype, n, seed, message in bad:
+        with pytest.raises(ValueError, match=message) as from_pattern:
+            SeedPattern(archetype, n, seed)
+        with pytest.raises(ValueError) as from_expander:
+            expanders[archetype](seed, n)
+        assert str(from_pattern.value) == str(from_expander.value)
 
 
 def test_generate_attaches_verified_report():

@@ -1,3 +1,6 @@
+import hashlib
+import os
+
 import pytest
 
 from franklin_squares import (
@@ -8,6 +11,8 @@ from franklin_squares import (
     search_natural_franklin,
     verify,
 )
+from franklin_squares import search
+from franklin_squares.formats import square_to_csv
 
 
 def test_odd_line_sum_orders_settle_instantly():
@@ -103,3 +108,70 @@ def test_options_validation():
         SearchOptions(order=4, node_budget=0)
     with pytest.raises(ValueError):
         SearchOptions(order=4, progress_interval=0)
+
+
+def test_walk_outcomes_are_pinned():
+    # Exact outcomes of the walk: any change to the candidate order, the
+    # pruning or the budget and progress checks moves at least one.
+    first = search_natural_franklin(SearchOptions(order=8, mode=SearchMode.FIRST))
+    assert first.nodes_visited == 100
+    digest = hashlib.sha256(square_to_csv(first.witnesses[0]).encode()).hexdigest()
+    assert digest == "164b6619bff991ff7e3bc67ff11ab3e5cb412585ac11244c07d71618e6974495"
+
+    counted = search_natural_franklin(SearchOptions(order=8, node_budget=100_000))
+    assert counted.count == 88
+
+    streams = [
+        search_natural_franklin(
+            SearchOptions(
+                order=8, mode=SearchMode.STREAM, node_budget=50_000, prune=prune
+            )
+        ).witnesses
+        for prune in (True, False)
+    ]
+    assert len(streams[0]) == 40
+    assert streams[0] == streams[1]
+
+    calls = []
+    search_natural_franklin(
+        SearchOptions(
+            order=4,
+            progress=lambda nodes, depth: calls.append((nodes, depth)),
+            progress_interval=37,
+        )
+    )
+    assert calls == [
+        (37, 2), (74, 3), (111, 2), (148, 3), (185, 2), (222, 3),
+        (259, 2), (296, 3), (333, 2), (370, 3), (407, 2), (444, 3),
+    ]
+
+
+def test_worker_count_is_clamped(monkeypatch):
+    widths = []
+
+    class SerialPool:
+        """Stands in for ProcessPoolExecutor: records the width and runs
+        the branches in this process."""
+
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(search.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    outcome = search_natural_franklin(
+        SearchOptions(order=4, mode=SearchMode.STREAM, parallel_width=10_000)
+    )
+    (width,) = widths
+    assert width <= (os.cpu_count() or 1)
+    assert width <= 16
+    assert outcome == search_natural_franklin(
+        SearchOptions(order=4, mode=SearchMode.STREAM)
+    )
