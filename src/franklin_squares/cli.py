@@ -30,7 +30,7 @@ import sys
 
 from . import fixtures, patterns
 from .composition import compose, decompose
-from .core import AuxPair, IndexTargets, Square, magic_constant
+from .core import AuxPair, IndexTargets, Square
 from .formats import (
     FormatError,
     outcome_to_dict,
@@ -39,7 +39,7 @@ from .formats import (
     report_to_json,
     square_to_csv,
 )
-from .search import SearchMode, SearchOptions, search_natural_franklin
+from .search import SearchMode, SearchOptions, _check_tables, search_natural_franklin
 from .verify import LABELS, PropertyReport, classify, verify
 
 EXIT_OK = 0
@@ -320,10 +320,15 @@ def _cmd_search(args: argparse.Namespace) -> int:
     mode = SearchMode(args.mode)
     n = args.order
     # A full enumeration at order >= 8 runs for a very long time; make the
-    # caller acknowledge that.  First-witness runs and orders whose targets
-    # are unsatisfiable (odd line sum) settle quickly and need no flag.
-    feasible = n >= 1 and n % 2 == 0 and magic_constant(n) % 2 == 0
-    if mode is not SearchMode.FIRST and n >= 8 and feasible and not args.long_run:
+    # caller acknowledge that.  First-witness runs and orders the line
+    # table settles without search (no Franklin square can exist) finish
+    # quickly and need no flag.
+    if (
+        mode is not SearchMode.FIRST
+        and n >= 8
+        and not args.long_run
+        and _check_tables(n) is not None
+    ):
         raise _CliError(
             EXIT_PRECONDITION,
             "LONG_RUN_REQUIRED",

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from . import fixtures
 from .composition import compose, is_orthogonal
@@ -45,9 +46,15 @@ class SeedPattern:
 
     def __post_init__(self):
         object.__setattr__(self, "seed", tuple(self.seed))
+        # Expanding validates the seed: an invalid one raises here.
         self.expand()
 
     def expand(self) -> Square:
+        """The square the seed expands to, built once per pattern."""
+        return self._square
+
+    @cached_property
+    def _square(self) -> Square:
         if self.archetype is Archetype.ROW_ALTERNATE:
             return expand_quotient(self.seed, self.order)
         if self.archetype is Archetype.COLUMN_ALTERNATE:

@@ -18,8 +18,11 @@ accepts exactly the placements the completed-line check would; the row
 bound rejects some free candidates that the unpruned walk places and
 abandons by the end of the row, so ``nodes_visited`` can differ.
 
-The walk is one recursive call per cell. Each cell carries the lines it
-closes, so a candidate is checked against those lines only.
+Each cell carries the lines it closes, so a candidate is checked against
+those lines only. With pruning the walk recurses once per free cell (a
+cell that closes no line; 2n-5 of them at orders 4 to 40) and places the
+forced cells after it in a loop; without pruning no cell is forced, so
+it recurses once per cell.
 
 An outcome with ``exhausted`` true and ``count`` zero is a non-existence
 proof for that order. Orders whose line sum is odd are settled without
@@ -28,11 +31,11 @@ search: a half-line would need twice a cell sum to equal an odd number.
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache, partial
+from operator import itemgetter
 from typing import Callable
 
 from .core import IndexTargets, Square, magic_constant
@@ -128,37 +131,34 @@ def _candidate_order(grid: list[int], used: list[bool], i: int, n: int) -> list[
     # x <-> n-1-x, and the first column keeps offsets distinct while
     # blocks alternate. Preferring such candidates finds a witness
     # early; the order stays exhaustive, so nothing is ever skipped.
+    # A candidate's penalty is its block's plus its offset's, 0 to 3;
+    # one ascending pass fills a bucket per penalty, which gives the
+    # (penalty, v) order without a sort.
     r, c = divmod(i, n)
-    cands = [v for v in range(1, n * n + 1) if not used[v]]
     if r == 0:
         row_blocks = {(grid[j] - 1) // n for j in range(c)}
-        want_off = None
+        block_penalty = [2 if b in row_blocks else 0 for b in range(n)]
         if c >= 1:
             want_off = n - 1 - (grid[i - 1] - 1) % n
+            offset_penalty = [int(x != want_off) for x in range(n)]
+        else:
+            offset_penalty = [0] * n
     else:
         col_offsets = {(grid[k * n] - 1) % n for k in range(r)}
+        offset_penalty = [2 if x in col_offsets else 0 for x in range(n)]
         if r >= 2:
             want_block = (grid[(r - 2) * n] - 1) // n
         else:
             want_block = n - 1 - (grid[0] - 1) // n
-
-    def key(v: int):
-        block, off = divmod(v - 1, n)
-        penalty = 0
-        if r == 0:
-            if block in row_blocks:
-                penalty += 2
-            if want_off is not None and off != want_off:
-                penalty += 1
-        else:
-            if off in col_offsets:
-                penalty += 2
-            if block != want_block:
-                penalty += 1
-        return (penalty, v)
-
-    cands.sort(key=key)
-    return cands
+        block_penalty = [int(b != want_block) for b in range(n)]
+    buckets: tuple[list[int], ...] = ([], [], [], [])
+    v = 1
+    for bp in block_penalty:
+        for op in offset_penalty:
+            if not used[v]:
+                buckets[bp + op].append(v)
+            v += 1
+    return buckets[0] + buckets[1] + buckets[2] + buckets[3]
 
 
 def _run_tree(opts: SearchOptions, first_value: int | None = None):
@@ -176,42 +176,59 @@ def _run_tree(opts: SearchOptions, first_value: int | None = None):
     progress_interval = opts.progress_interval
     n2 = n * n
     m = magic_constant(n)
-    closing_at = _check_tables(n)
+    # A line's other cells are read by one itemgetter, so a line sum is
+    # sum(get(grid)). A one-cell getter would return a bare value (the
+    # order-4 half-lines have one other cell), so it reads a slice.
+    closing_at = [
+        [
+            (
+                itemgetter(*others)
+                if len(others) > 1
+                else itemgetter(slice(others[0], others[0] + 1)),
+                target,
+            )
+            for others, target in closing
+        ]
+        for closing in _check_tables(n)
+    ]
     natural_targets = IndexTargets.natural(n)
 
+    # With pruning a cell that closes a line is forced: its first closing
+    # line derives the value and the others are checked. Only the free
+    # cells recurse; each one places the run of forced cells after it in
+    # a loop. Without pruning no cell is forced and every run is empty.
+    free = [i for i in range(n2) if not (prune and closing_at[i])]
+    next_free = dict(zip(free, free[1:] + [n2]))
+    forced_at = [
+        (*closing[0], closing[1:]) if closing else None for closing in closing_at
+    ]
+
     grid = [0] * n2
-    at = grid.__getitem__
     used = [False] * (n2 + 1)
     witnesses: list[Square] = []
     nodes = count = 0
 
     def walk(i: int) -> bool:
-        """Place each value cell i admits and walk on; True stops the run."""
+        """Place each value free cell i admits, then the forced run after
+        it, and walk on; True stops the run."""
         nonlocal nodes, count
         closing = closing_at[i]
-        if prune and closing:
-            # The shortest closing line derives the value; it holds by
-            # construction, so only the other closing lines are checked.
-            others, target = closing[0]
-            v = target - sum(map(at, others))
-            candidates = [v] if 0 < v <= n2 and not used[v] else []
-            closing = closing[1:]
+        nxt = next_free[i]
+        if i == 0 and first_value is not None:
+            candidates = [first_value]
         else:
-            if i == 0 and first_value is not None:
-                candidates = [first_value]
-            else:
-                candidates = _candidate_order(grid, used, i, n)
-            remaining = n - 1 - i % n
-            if prune and remaining:
-                # Row bound: the cells left in the row must still be able
-                # to make up the gap to m.
-                gap = m - sum(grid[i - i % n:i])
-                candidates = [
-                    v for v in candidates if remaining <= gap - v <= remaining * n2
-                ]
+            candidates = _candidate_order(grid, used, i, n)
+        remaining = n - 1 - i % n
+        if prune and remaining:
+            # Row bound: the cells left in the row must still be able
+            # to make up the gap to m.
+            gap = m - sum(grid[i - i % n:i])
+            candidates = [
+                v for v in candidates if remaining <= gap - v <= remaining * n2
+            ]
         for v in candidates:
-            for others, target in closing:
-                if v + sum(map(at, others)) != target:
+            for get, target in closing:
+                if v + sum(get(grid)) != target:
                     break
             else:
                 grid[i] = v
@@ -221,19 +238,46 @@ def _run_tree(opts: SearchOptions, first_value: int | None = None):
                     progress(nodes, i)
                 if node_budget is not None and nodes >= node_budget:
                     return True
-                if i + 1 < n2:
-                    if walk(i + 1):
-                        return True
-                else:
-                    square = Square.from_rows(grid[r:r + n] for r in range(0, n2, n))
-                    report = verify(square, natural_targets)
-                    if report.franklin and report.natural:
-                        count += 1
-                        if mode is not SearchMode.COUNT:
-                            witnesses.append(square)
-                        if mode is SearchMode.FIRST:
+                # The forced run: cells i+1 .. nxt-1, each derived from
+                # its first closing line and checked against the rest.
+                j = i + 1
+                while j < nxt:
+                    get, target, checks = forced_at[j]
+                    u = target - sum(get(grid))
+                    if not 0 < u <= n2 or used[u]:
+                        break
+                    for check, total in checks:
+                        if u + sum(check(grid)) != total:
+                            break
+                    else:
+                        grid[j] = u
+                        used[u] = True
+                        nodes += 1
+                        if progress is not None and nodes % progress_interval == 0:
+                            progress(nodes, j)
+                        if node_budget is not None and nodes >= node_budget:
                             return True
-                # grid[i] is rewritten before any later cell reads it.
+                        j += 1
+                        continue
+                    break
+                else:
+                    if nxt < n2:
+                        if walk(nxt):
+                            return True
+                    else:
+                        square = Square.from_rows(
+                            grid[r:r + n] for r in range(0, n2, n)
+                        )
+                        report = verify(square, natural_targets)
+                        if report.franklin and report.natural:
+                            count += 1
+                            if mode is not SearchMode.COUNT:
+                                witnesses.append(square)
+                            if mode is SearchMode.FIRST:
+                                return True
+                # Grid cells are rewritten before any later cell reads them.
+                for k in range(i + 1, j):
+                    used[grid[k]] = False
                 used[v] = False
         return False
 
@@ -257,6 +301,10 @@ def _runs(opts: SearchOptions, parallel: bool):
     width = min(opts.parallel_width, os.cpu_count() or 1, n * n)
     # The progress hook stays here; workers report only when they finish.
     branch = partial(_run_tree, replace(opts, progress=None))
+    # Imported here: only this path needs it, and importing it (with
+    # logging) would add about 5 ms to every CLI call.
+    import concurrent.futures
+
     with concurrent.futures.ProcessPoolExecutor(max_workers=width) as pool:
         yield from pool.map(branch, range(1, n * n + 1))
 

@@ -184,6 +184,12 @@ def test_generate_attaches_verified_report():
     assert result.report.natural
     assert result.square.cells == fixtures.load_square("f8_1769").cells
     assert result.pair.quotient.cells == qp.expand().cells
+    # The expansion made when the pattern was built is the one composed;
+    # the cached square takes no part in equality or hashing.
+    assert result.pair.quotient is qp.expand()
+    assert result.pair.remainder is rp.expand()
+    twin = SeedPattern(qp.archetype, qp.order, list(qp.seed))
+    assert twin == qp and hash(twin) == hash(qp)
 
 
 def test_generate_rejects_order_mismatch():

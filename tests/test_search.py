@@ -1,7 +1,10 @@
+import concurrent.futures
 import hashlib
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from franklin_squares import (
     IndexTargets,
@@ -145,6 +148,22 @@ def test_walk_outcomes_are_pinned():
         (259, 2), (296, 3), (333, 2), (370, 3), (407, 2), (444, 3),
     ]
 
+    # At order 8 most progress calls come from cells placed by a forced
+    # run, not from the free cell that started it.
+    calls = []
+    search_natural_franklin(
+        SearchOptions(
+            order=8,
+            node_budget=100_000,
+            progress=lambda nodes, depth: calls.append((nodes, depth)),
+            progress_interval=9_973,
+        )
+    )
+    assert calls == [
+        (9973, 54), (19946, 48), (29919, 52), (39892, 55), (49865, 52),
+        (59838, 50), (69811, 48), (79784, 32), (89757, 55), (99730, 41),
+    ]
+
 
 def test_worker_count_is_clamped(monkeypatch):
     widths = []
@@ -165,7 +184,7 @@ def test_worker_count_is_clamped(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(search.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     outcome = search_natural_franklin(
         SearchOptions(order=4, mode=SearchMode.STREAM, parallel_width=10_000)
     )
@@ -175,3 +194,42 @@ def test_worker_count_is_clamped(monkeypatch):
     assert outcome == search_natural_franklin(
         SearchOptions(order=4, mode=SearchMode.STREAM)
     )
+
+
+def _reference_candidate_order(grid, used, i, n):
+    """The candidate order as a plain (penalty, v) sort."""
+    r, c = divmod(i, n)
+
+    def key(v):
+        block, off = divmod(v - 1, n)
+        if r == 0:
+            penalty = 2 * any((grid[j] - 1) // n == block for j in range(c))
+            penalty += c >= 1 and off != n - 1 - (grid[i - 1] - 1) % n
+        else:
+            penalty = 2 * any((grid[k * n] - 1) % n == off for k in range(r))
+            if r >= 2:
+                want_block = (grid[(r - 2) * n] - 1) // n
+            else:
+                want_block = n - 1 - (grid[0] - 1) // n
+            penalty += block != want_block
+        return penalty, v
+
+    return sorted((v for v in range(1, n * n + 1) if not used[v]), key=key)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_candidate_order_lists_every_unused_value_once(data):
+    # Row 0 and column 0 are the free cells; an interior cell takes the
+    # column-0 branch, as it does in the unpruned walk.
+    n = data.draw(st.sampled_from([4, 8]))
+    values = data.draw(st.permutations(range(1, n * n + 1)))
+    i = data.draw(st.integers(0, n * n - 1))
+    grid = list(values[:i]) + [0] * (n * n - i)
+    used = [False] * (n * n + 1)
+    for v in values[:i]:
+        used[v] = True
+    order = search._candidate_order(grid, used, i, n)
+    assert sorted(order) == [v for v in range(1, n * n + 1) if not used[v]]
+    assert len(set(order)) == len(order)
+    assert order == _reference_candidate_order(grid, used, i, n)
