@@ -38,6 +38,7 @@ from .formats import (
     parse_square_json,
     report_to_json,
     square_to_csv,
+    square_to_json,
 )
 from .search import SearchMode, SearchOptions, _check_tables, search_natural_franklin
 from .verify import LABELS, PropertyReport, classify, verify
@@ -244,7 +245,9 @@ def _write_pair(pair: AuxPair) -> None:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    seeded = any((args.order, args.q_seed, args.r_seed, args.archetypes))
+    seeded = any(
+        v is not None for v in (args.order, args.q_seed, args.r_seed, args.archetypes)
+    )
     if args.preset and seeded:
         raise _CliError(
             EXIT_MALFORMED, "USAGE", "--preset cannot be combined with seed options"
@@ -285,7 +288,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
                 ("--r-seed", args.r_seed),
                 ("--archetypes", args.archetypes),
             )
-            if not value
+            if value is None
         ]
         if missing:
             raise _CliError(
@@ -348,10 +351,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     outcome = search_natural_franklin(opts)
     if mode is SearchMode.STREAM:
         for witness in outcome.witnesses:
-            flat = [v for row in witness.cells for v in row]
-            sys.stdout.write(
-                json.dumps({"order": witness.order, "cells": flat}) + "\n"
-            )
+            sys.stdout.write(square_to_json(witness) + "\n")
         summary = outcome_to_dict(outcome, include_witnesses=False)
         sys.stdout.write(json.dumps(summary) + "\n")
     else:

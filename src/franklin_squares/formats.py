@@ -28,7 +28,7 @@ class FormatError(ValueError):
 
 
 def parse_square_csv(text: str) -> Square:
-    rows = []
+    rows: dict[int, list[int]] = {}  # file line number -> values
     for lineno, line in enumerate(text.split("\n"), start=1):
         if line == "":
             continue
@@ -41,16 +41,16 @@ def parse_square_csv(text: str) -> Square:
                 raise FormatError(
                     f"line {lineno}: {tok!r} is not an integer"
                 ) from None
-        rows.append(cells)
+        rows[lineno] = cells
     if not rows:
         raise FormatError("empty grid")
     n = len(rows)
-    for lineno, row in enumerate(rows, start=1):
+    for lineno, row in rows.items():
         if len(row) != n:
             raise FormatError(
                 f"ragged grid: {n} rows but line {lineno} has {len(row)} values"
             )
-    return Square.from_rows(rows)
+    return Square.from_rows(rows.values())
 
 
 def square_to_csv(sq: Square) -> str:

@@ -6,9 +6,19 @@ lines of n cells bending at the grid midline, wrapping mod n), half-rows
 and half-columns, and 2x2 subsquares anchored at every cell with
 wraparound on both axes.
 
+Each family is one cell formula in _geometry, shift s and position k along
+the line, everything mod n. The bent families fold the position at the
+midline, fold(k) = min(k, n-1-k):
+
+    BENT_DOWN   (r, c) = (s + fold(c), c)
+    BENT_UP     (r, c) = (s - fold(c), c)
+    BENT_RIGHT  (r, c) = (r, s + fold(r))
+    BENT_LEFT   (r, c) = (r, s - fold(r))
+
 For a fixed even order and one bent family, the n shifts partition the
 grid: n lines of n cells covering each cell exactly once. The same holds
-for the n wraparound diagonals of one direction.
+for the n wraparound diagonals of one direction. family_lines wraps the
+geometry in LineDescriptors; table reads it directly.
 
 table(n) compiles every condition a report checks into flat cell indexes
 (r*n + c) with one target rule per condition: a line passes at line sum m
@@ -79,105 +89,50 @@ class LineDescriptor:
             raise ValueError(f"duplicate cells in line {self.family} #{self.shift}")
 
 
-def _require_even(n: int) -> None:
-    if n < 2 or n % 2 != 0:
+def _geometry(n: int, family: LineFamily) -> list[list[tuple[int, int]]]:
+    """Every line of one family as (r, c) cells, in shift order."""
+    F = LineFamily
+    # Odd orders have no midline to bend or halve at; n <= 0 has no lines.
+    if n > 0 and n % 2 and (family in BENT_FAMILIES or family in HALF_LINE_FAMILIES):
         raise ValueError(f"even order required, got {n}")
-
-
-def row_cells(n: int, r: int) -> tuple[tuple[int, int], ...]:
-    return tuple((r, c) for c in range(n))
-
-
-def column_cells(n: int, c: int) -> tuple[tuple[int, int], ...]:
-    return tuple((r, c) for r in range(n))
-
-
-def main_diagonal_cells(n: int) -> tuple[tuple[int, int], ...]:
-    return tuple((i, i) for i in range(n))
-
-
-def cross_diagonal_cells(n: int) -> tuple[tuple[int, int], ...]:
-    return tuple((i, n - 1 - i) for i in range(n))
-
-
-def pandiagonal_cells(
-    n: int, direction: LineFamily, shift: int
-) -> tuple[tuple[int, int], ...]:
-    """Wraparound diagonal: down-right (r, (s+r) mod n) or down-left (r, (s-r) mod n).
-
-    Shift 0 down-right is the main diagonal; shift n-1 down-left is the
-    cross diagonal.
-    """
-    if direction not in (LineFamily.PANDIAG_DOWNRIGHT, LineFamily.PANDIAG_DOWNLEFT):
-        raise ValueError(f"not a wraparound-diagonal direction: {direction}")
-    if not 0 <= shift < n:
-        raise ValueError(f"shift {shift} outside 0..{n - 1}")
-    if direction is LineFamily.PANDIAG_DOWNRIGHT:
-        return tuple((r, (shift + r) % n) for r in range(n))
-    return tuple((r, (shift - r) % n) for r in range(n))
-
-
-def bent_diagonal_cells(
-    n: int, family: LineFamily, shift: int
-) -> tuple[tuple[int, int], ...]:
-    """The n cells of one bent diagonal, in column order (DOWN/UP) or row
-    order (RIGHT/LEFT).
-
-    With h = n/2 and everything mod n:
-      BENT_DOWN   (r, c): r = s + c          for c < h, r = s + n-1-c  for c >= h
-      BENT_UP     (r, c): r = s - c          for c < h, r = s - (n-1-c) for c >= h
-      BENT_RIGHT  (r, c): c = s + r          for r < h, c = s + n-1-r  for r >= h
-      BENT_LEFT   (r, c): c = s - r          for r < h, c = s - (n-1-r) for r >= h
-    """
-    _require_even(n)
-    if family not in BENT_FAMILIES:
-        raise ValueError(f"not a bent family: {family}")
-    if not 0 <= shift < n:
-        raise ValueError(f"shift {shift} outside 0..{n - 1}")
-    h = n // 2
-    s = shift
-    if family is LineFamily.BENT_DOWN:
-        return tuple(
-            ((s + c) % n if c < h else (s + n - 1 - c) % n, c) for c in range(n)
-        )
-    if family is LineFamily.BENT_UP:
-        return tuple(
-            ((s - c) % n if c < h else (s - (n - 1 - c)) % n, c) for c in range(n)
-        )
-    if family is LineFamily.BENT_RIGHT:
-        return tuple(
-            (r, (s + r) % n if r < h else (s + n - 1 - r) % n) for r in range(n)
-        )
-    return tuple(
-        (r, (s - r) % n if r < h else (s - (n - 1 - r)) % n) for r in range(n)
-    )
-
-
-def half_line_cells(
-    n: int, kind: LineFamily, index: int
-) -> tuple[tuple[int, int], ...]:
-    """Half of row `index` or column `index`; h = n/2 cells."""
-    _require_even(n)
-    if kind not in HALF_LINE_FAMILIES:
-        raise ValueError(f"not a half-line family: {kind}")
-    if not 0 <= index < n:
-        raise ValueError(f"index {index} outside 0..{n - 1}")
-    h = n // 2
-    if kind is LineFamily.HALF_ROW_LEFT:
-        return tuple((index, c) for c in range(h))
-    if kind is LineFamily.HALF_ROW_RIGHT:
-        return tuple((index, c) for c in range(h, n))
-    if kind is LineFamily.HALF_COL_UPPER:
-        return tuple((r, index) for r in range(h))
-    return tuple((r, index) for r in range(h, n))
-
-
-def subsquare_cells(n: int, r: int, c: int) -> tuple[tuple[int, int], ...]:
-    """The 2x2 block anchored at (r, c), wrapping around both axes."""
-    if not (0 <= r < n and 0 <= c < n):
-        raise ValueError(f"anchor ({r}, {c}) outside the order-{n} grid")
-    r2, c2 = (r + 1) % n, (c + 1) % n
-    return ((r, c), (r, c2), (r2, c), (r2, c2))
+    N, h = range(n), n // 2
+    fold = [min(k, n - 1 - k) for k in N]
+    match family:
+        case F.ROW:
+            return [[(s, k) for k in N] for s in N]
+        case F.COLUMN:
+            return [[(k, s) for k in N] for s in N]
+        case F.MAIN_DIAGONAL:
+            return [[(k, k) for k in N]]
+        case F.CROSS_DIAGONAL:
+            return [[(k, n - 1 - k) for k in N]]
+        case F.PANDIAG_DOWNRIGHT:
+            return [[(k, (s + k) % n) for k in N] for s in N]
+        case F.PANDIAG_DOWNLEFT:
+            return [[(k, (s - k) % n) for k in N] for s in N]
+        case F.BENT_DOWN:
+            return [[((s + fold[k]) % n, k) for k in N] for s in N]
+        case F.BENT_UP:
+            return [[((s - fold[k]) % n, k) for k in N] for s in N]
+        case F.BENT_RIGHT:
+            return [[(k, (s + fold[k]) % n) for k in N] for s in N]
+        case F.BENT_LEFT:
+            return [[(k, (s - fold[k]) % n) for k in N] for s in N]
+        case F.HALF_ROW_LEFT:
+            return [[(s, k) for k in range(h)] for s in N]
+        case F.HALF_ROW_RIGHT:
+            return [[(s, k) for k in range(h, n)] for s in N]
+        case F.HALF_COL_UPPER:
+            return [[(k, s) for k in range(h)] for s in N]
+        case F.HALF_COL_LOWER:
+            return [[(k, s) for k in range(h, n)] for s in N]
+        case F.SUBSQUARE_2x2:
+            return [
+                [(r, c), (r, (c + 1) % n), ((r + 1) % n, c), ((r + 1) % n, (c + 1) % n)]
+                for r in N
+                for c in N
+            ]
+    raise ValueError(f"unknown family: {family}")
 
 
 def family_lines(n: int, family: LineFamily) -> tuple[LineDescriptor, ...]:
@@ -186,36 +141,10 @@ def family_lines(n: int, family: LineFamily) -> tuple[LineDescriptor, ...]:
     Subsquare shifts encode the anchor as r*n + c. Main and cross
     diagonals are single-line families with shift 0.
     """
-    if family is LineFamily.ROW:
-        return tuple(LineDescriptor(family, r, row_cells(n, r)) for r in range(n))
-    if family is LineFamily.COLUMN:
-        return tuple(LineDescriptor(family, c, column_cells(n, c)) for c in range(n))
-    if family is LineFamily.MAIN_DIAGONAL:
-        return (LineDescriptor(family, 0, main_diagonal_cells(n)),)
-    if family is LineFamily.CROSS_DIAGONAL:
-        return (LineDescriptor(family, 0, cross_diagonal_cells(n)),)
-    if family in (LineFamily.PANDIAG_DOWNRIGHT, LineFamily.PANDIAG_DOWNLEFT):
-        return tuple(
-            LineDescriptor(family, s, pandiagonal_cells(n, family, s))
-            for s in range(n)
-        )
-    if family in BENT_FAMILIES:
-        return tuple(
-            LineDescriptor(family, s, bent_diagonal_cells(n, family, s))
-            for s in range(n)
-        )
-    if family in HALF_LINE_FAMILIES:
-        return tuple(
-            LineDescriptor(family, i, half_line_cells(n, family, i))
-            for i in range(n)
-        )
-    if family is LineFamily.SUBSQUARE_2x2:
-        return tuple(
-            LineDescriptor(family, r * n + c, subsquare_cells(n, r, c))
-            for r in range(n)
-            for c in range(n)
-        )
-    raise ValueError(f"unknown family: {family}")
+    return tuple(
+        LineDescriptor(family, shift, tuple(cells))
+        for shift, cells in enumerate(_geometry(n, family))
+    )
 
 
 @dataclass(frozen=True)
@@ -249,9 +178,9 @@ def table(n: int) -> tuple[Condition, ...]:
 
     def lines(*families: LineFamily):
         return tuple(
-            (d.family, d.shift, tuple(index[r * n + c] for r, c in d.cells))
+            (family, shift, tuple([index[r * n + c] for r, c in cells]))
             for family in families
-            for d in family_lines(n, family)
+            for shift, cells in enumerate(_geometry(n, family))
         )
 
     def even_lines(*families: LineFamily):

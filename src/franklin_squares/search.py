@@ -105,10 +105,11 @@ def _check_tables(n: int):
     """The closing lines of each cell for row-major filling, or None when
     no natural Franklin square of order n can exist.
 
-    Entry i lists the Franklin lines whose last filled cell is i, as (the
-    other cells, exact target), shortest first; with pruning the first
-    one derives the value of cell i. The sort is stable, so among lines
-    of equal length the one first in report order derives it.
+    Entry i lists the Franklin lines whose last filled cell is i, as (a
+    getter of the other cells, exact target), shortest first; with
+    pruning the first one derives the value of cell i. The sort is
+    stable, so among lines of equal length the one first in report order
+    derives it.
     """
     lines = franklin_checks(n, magic_constant(n))
     if lines is None:
@@ -117,8 +118,20 @@ def _check_tables(n: int):
     for cells, target in lines:
         last = max(cells)
         closing[last].append((tuple(j for j in cells if j != last), target))
+    # A line's other cells are read by one itemgetter, so a line sum is
+    # sum(get(grid)). A one-cell getter would return a bare value (the
+    # order-4 half-lines have one other cell), so it reads a slice.
     return tuple(
-        tuple(sorted(at, key=lambda line: len(line[0]))) for at in closing
+        tuple(
+            (
+                itemgetter(*others)
+                if len(others) > 1
+                else itemgetter(slice(others[0], others[0] + 1)),
+                target,
+            )
+            for others, target in sorted(at, key=lambda line: len(line[0]))
+        )
+        for at in closing
     )
 
 
@@ -176,21 +189,7 @@ def _run_tree(opts: SearchOptions, first_value: int | None = None):
     progress_interval = opts.progress_interval
     n2 = n * n
     m = magic_constant(n)
-    # A line's other cells are read by one itemgetter, so a line sum is
-    # sum(get(grid)). A one-cell getter would return a bare value (the
-    # order-4 half-lines have one other cell), so it reads a slice.
-    closing_at = [
-        [
-            (
-                itemgetter(*others)
-                if len(others) > 1
-                else itemgetter(slice(others[0], others[0] + 1)),
-                target,
-            )
-            for others, target in closing
-        ]
-        for closing in _check_tables(n)
-    ]
+    closing_at = _check_tables(n)
     natural_targets = IndexTargets.natural(n)
 
     # With pruning a cell that closes a line is forced: its first closing

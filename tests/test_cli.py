@@ -10,6 +10,8 @@ import pytest
 
 from franklin_squares import fixtures
 from franklin_squares.cli import main
+from franklin_squares.formats import outcome_to_dict, square_to_json
+from franklin_squares.search import SearchMode, SearchOptions, search_natural_franklin
 
 ERROR_LINE = re.compile(r"^error: code=[A-Z_]+ .+\n$")
 
@@ -379,6 +381,29 @@ def test_generate_rejects_preset_with_seeds(capsys):
     assert "code=USAGE" in err
 
 
+def test_generate_rejects_preset_with_order_zero(capsys):
+    code, out, err = run(
+        capsys, "generate", "--preset", "f8_1769", "--order", "0"
+    )
+    assert (code, out) == (2, "")
+    assert "code=USAGE" in err
+    assert "cannot be combined" in err
+
+
+def test_generate_order_zero_is_a_precondition(capsys):
+    code, out, err = run(
+        capsys,
+        "generate",
+        "--order", "0",
+        "--q-seed", "1",
+        "--r-seed", "1",
+        "--archetypes", "row_alternate,column_alternate",
+    )
+    assert (code, out) == (3, "")
+    assert ERROR_LINE.match(err)
+    assert "code=PRECONDITION" in err
+
+
 def test_generate_requires_full_seed_group(capsys):
     code, _, err = run(capsys, "generate", "--order", "8")
     assert code == 2
@@ -442,6 +467,21 @@ def test_search_stream_prints_summary_line(capsys):
     lines = out.strip().split("\n")
     assert len(lines) == 1
     assert json.loads(lines[0])["exhausted"] is True
+
+
+def test_search_stream_prints_witness_lines(capsys):
+    code, out, err = run(
+        capsys, "search", "--order", "8", "--mode", "stream", "--long-run",
+        "--budget", "50000",
+    )
+    assert (code, err) == (0, "")
+    outcome = search_natural_franklin(
+        SearchOptions(order=8, mode=SearchMode.STREAM, node_budget=50_000)
+    )
+    assert len(outcome.witnesses) == 40
+    want = [square_to_json(w) for w in outcome.witnesses]
+    want.append(json.dumps(outcome_to_dict(outcome, include_witnesses=False)))
+    assert out == "\n".join(want) + "\n"
 
 
 def test_search_odd_order(capsys):

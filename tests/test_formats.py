@@ -55,6 +55,9 @@ def test_parse_square_csv_rejects_malformed(text):
 def test_csv_error_reports_line_number():
     with pytest.raises(FormatError, match="line 2"):
         parse_square_csv("1,2\nx,4\n")
+    # Blank lines are skipped but still counted.
+    with pytest.raises(FormatError, match="line 3 has 1 values"):
+        parse_square_csv("1,2\n\n3\n")
 
 
 def test_json_square_roundtrip():

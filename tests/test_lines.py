@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -10,12 +11,8 @@ from franklin_squares.lines import (
     BENT_FAMILIES,
     HALF_LINE_FAMILIES,
     LineFamily,
-    bent_diagonal_cells,
     family_lines,
     franklin_checks,
-    half_line_cells,
-    pandiagonal_cells,
-    subsquare_cells,
     table,
 )
 
@@ -108,18 +105,23 @@ def test_each_cell_in_exactly_four_subsquares(n):
     assert len(counts) == n * n
 
 
+def cells(n, family, shift):
+    return family_lines(n, family)[shift].cells
+
+
 def test_subsquare_wraps_around():
-    cells = set(subsquare_cells(4, 3, 3))
-    assert cells == {(3, 3), (3, 0), (0, 3), (0, 0)}
+    assert set(cells(4, LineFamily.SUBSQUARE_2x2, 3 * 4 + 3)) == {
+        (3, 3), (3, 0), (0, 3), (0, 0),
+    }
 
 
 def test_bent_down_order_2_is_top_row():
-    assert bent_diagonal_cells(2, LineFamily.BENT_DOWN, 0) == ((0, 0), (0, 1))
+    assert cells(2, LineFamily.BENT_DOWN, 0) == ((0, 0), (0, 1))
 
 
 def test_bent_down_order_4_shape():
     # V pointing down: descends toward the vertical midline, then rises.
-    assert set(bent_diagonal_cells(4, LineFamily.BENT_DOWN, 0)) == {
+    assert set(cells(4, LineFamily.BENT_DOWN, 0)) == {
         (0, 0),
         (1, 1),
         (1, 2),
@@ -128,30 +130,88 @@ def test_bent_down_order_4_shape():
 
 
 def test_bent_shift_translates_rows():
-    base = bent_diagonal_cells(8, LineFamily.BENT_DOWN, 0)
-    shifted = bent_diagonal_cells(8, LineFamily.BENT_DOWN, 3)
+    base = cells(8, LineFamily.BENT_DOWN, 0)
+    shifted = cells(8, LineFamily.BENT_DOWN, 3)
     assert [(r + 3) % 8 for r, _ in base] == [r for r, _ in shifted]
 
 
 def test_pandiagonal_directions_differ():
-    down_right = pandiagonal_cells(4, LineFamily.PANDIAG_DOWNRIGHT, 0)
-    down_left = pandiagonal_cells(4, LineFamily.PANDIAG_DOWNLEFT, 0)
+    down_right = cells(4, LineFamily.PANDIAG_DOWNRIGHT, 0)
+    down_left = cells(4, LineFamily.PANDIAG_DOWNLEFT, 0)
     assert (1, 1) in down_right
     assert (1, 3) in down_left
 
 
 def test_half_line_cells_split_at_midline():
-    assert half_line_cells(4, LineFamily.HALF_ROW_LEFT, 1) == ((1, 0), (1, 1))
-    assert half_line_cells(4, LineFamily.HALF_ROW_RIGHT, 1) == ((1, 2), (1, 3))
-    assert half_line_cells(4, LineFamily.HALF_COL_UPPER, 2) == ((0, 2), (1, 2))
-    assert half_line_cells(4, LineFamily.HALF_COL_LOWER, 2) == ((2, 2), (3, 2))
+    assert cells(4, LineFamily.HALF_ROW_LEFT, 1) == ((1, 0), (1, 1))
+    assert cells(4, LineFamily.HALF_ROW_RIGHT, 1) == ((1, 2), (1, 3))
+    assert cells(4, LineFamily.HALF_COL_UPPER, 2) == ((0, 2), (1, 2))
+    assert cells(4, LineFamily.HALF_COL_LOWER, 2) == ((2, 2), (3, 2))
 
 
 def test_odd_order_rejected_for_even_only_families():
     with pytest.raises(ValueError):
-        bent_diagonal_cells(5, LineFamily.BENT_DOWN, 0)
+        family_lines(5, LineFamily.BENT_DOWN)
     with pytest.raises(ValueError):
-        half_line_cells(5, LineFamily.HALF_ROW_LEFT, 0)
+        family_lines(5, LineFamily.HALF_ROW_LEFT)
+
+
+# SHA-256 of the line geometry, recorded before table() and family_lines()
+# came to share one formula per family: repr of every condition's lines in
+# table(n), and per family either family_lines(n, family) as (shift, cells)
+# or the name of the error it raised.
+TABLE_DIGESTS = {
+    1: "51cfb416c4be15e4dea798ea2129d5704b33265420423cf04cd7a6c1d5b05b04",
+    2: "cb213eb489dfadc98217a64d34624b63aae36d0555efa567541b25fa3599631e",
+    3: "4ce838005e93be2290f12d46880f0ac27c3d7ecd1515504c23a36ffc2b9d787b",
+    4: "f8e05b352384b63da0683bbac47e670a8a1b62b2297c8fb35733ad0758802cb3",
+    5: "a5b78a1c6990abbd3a3a027afcde70817a5df58de682ea08a5f3a7203104bd01",
+    6: "c7d48c531e563bb19d41fda7b5fd34f925f7bd76f3f8c743f885eb699379609b",
+    7: "c91a0834c335587d72d1655f8b7449c18c18a662c93bd11b2af45d9549d8ad61",
+    8: "e330b2c78ea74f226015f5c7a07348b82cf379ae64e362f5d789a030c30a4fa3",
+    9: "f7a415a5286884be3c4ea83ddb7fe9cd8137284d0171e9c84783e253306fa6d4",
+    10: "152826cb6aa13695a8e31beb0d60e1a398fb8f309c86a339df315b12da2509ef",
+    11: "33d5140103ff66f13d13867b33200191caa2456b7976a4968660c4c9854befc0",
+    12: "ea5b2f4489cf9caddb955de9fe8d3f2abca64770b70c89d64c6e93903ca84017",
+    16: "5f8a7bf1bd8b7530c7038e1d3464bf009087e1b1497c65c8af5351c3ae0d6e3e",
+    24: "385d583e803c6d112f3f548ae9785f71fd2cdd424282c79a2d50fffbdd93de57",
+    40: "040cc4985b8c75751483b010ba779563dc977831458415d8f501b99cbd6f541a",
+}
+FAMILY_DIGESTS = {
+    0: "1629a274c45273da6325ab6958aef31a9c21799588f6748fd1c9aaf01d0c9709",
+    1: "dbb1e38d105c689cafffb5fcfeec6bcbeed4ab6ef21b7421ea20c26753706438",
+    2: "dac8fd98db5bba8baab60536ff59e2928e236fe8da235c6ad3087e13731df6cd",
+    3: "7861ea3212825171e1ab56ee02f9756b6ab62b76cb5ce7a5e54e5d351b4bbe9c",
+    4: "88e243f01f78c375cacb96dc18b765798ee247e57cc32b90e646c2c04723b913",
+    5: "09845bc08e5b402ff7076f93c4aa0913b22707135e1bc8c3c483036b6224b3d3",
+    6: "8993fc1f2003e8850be9c5efd48a0715834d4ba3592266afd810fb8eef3e4ec0",
+    7: "7be6cc2c1b25ae6aebafea737a5299b89b13ea62fc06f377aa417e7bced865ab",
+    8: "8f3d40cc8d9f2b5d5acc37e47afd7c77e36b194f70558c4b4a59256a7d0f672f",
+    9: "7e486facebe9215af8c9f83b183bcf7ccf27f9604c514d90119d841812b80b42",
+    10: "803a5e4607f1a65af55eb669bde247e4731b027444a788d666f5359747929a0a",
+    11: "43ad54b6b5cdfc3f2e71ef015788581c7132690ef653dfd65759ca671e6b3d8d",
+    12: "791fdeef72d28de89f2f3f79b29db298fc8ae277497b04296a54fe8894cac3a7",
+    16: "88524544fb329ddebfa71971d06c19a8d864a8b4a4cfd161c64de1a268a93a7c",
+    24: "940c3f7604e8f8f3adc758b8e245f0f3621418a148b14409bd63039e1d8931fc",
+    40: "6f78bb385f126abbe962133193d653c1fdb08990a534583965420d739de73d1d",
+}
+
+
+def _sha256(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n", sorted(FAMILY_DIGESTS))
+def test_geometry_is_pinned(n):
+    if n in TABLE_DIGESTS:
+        assert _sha256([c.lines for c in table(n)]) == TABLE_DIGESTS[n]
+    families = []
+    for family in LineFamily:
+        try:
+            families.append([(d.shift, d.cells) for d in family_lines(n, family)])
+        except ValueError:
+            families.append(ValueError.__name__)
+    assert _sha256(families) == FAMILY_DIGESTS[n]
 
 
 @pytest.mark.parametrize("n", (1, 3, 5) + EVEN_ORDERS)
