@@ -33,6 +33,7 @@ from .composition import compose, decompose
 from .core import AuxPair, IndexTargets, Square
 from .formats import (
     FormatError,
+    _dumps_indented,
     outcome_to_dict,
     parse_square_csv,
     parse_square_json,
@@ -248,11 +249,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     seeded = any(
         v is not None for v in (args.order, args.q_seed, args.r_seed, args.archetypes)
     )
-    if args.preset and seeded:
+    if args.preset is not None and seeded:
         raise _CliError(
             EXIT_MALFORMED, "USAGE", "--preset cannot be combined with seed options"
         )
-    if args.preset:
+    if args.preset is not None:
         try:
             obj = patterns.preset(args.preset)
         except fixtures.FixtureError:
@@ -355,7 +356,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         summary = outcome_to_dict(outcome, include_witnesses=False)
         sys.stdout.write(json.dumps(summary) + "\n")
     else:
-        sys.stdout.write(json.dumps(outcome_to_dict(outcome), indent=2) + "\n")
+        sys.stdout.write(_dumps_indented(outcome_to_dict(outcome)) + "\n")
     return EXIT_OK
 
 

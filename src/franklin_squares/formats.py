@@ -6,12 +6,17 @@ canonical file and emitting it again is byte-identical.
 
 JSON squares are {"order": n, "cells": [row-major ints], "name"?: str}.
 Reports serialize a PropertyReport with a schema_version field and a fixed
-key order; failures are already sorted by (family, shift).
+key order; failures are already sorted by (family, shift). Their text is
+``json.dumps(report_to_dict(...), indent=2)`` byte for byte, written by
+``_dumps_indented``: given ``indent``, CPython's ``json`` runs its
+pure-Python encoder, about two thirds of a pass over the fixture corpus.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING
 
 from .core import Square
@@ -128,7 +133,49 @@ def report_to_dict(
 
 
 def report_to_json(report: PropertyReport, target_inferred: bool = False) -> str:
-    return json.dumps(report_to_dict(report, target_inferred), indent=2)
+    return _dumps_indented(report_to_dict(report, target_inferred))
+
+
+def _dumps_indented(obj) -> str:
+    """``json.dumps(obj, indent=2)``, the same text from C-level joins."""
+    out: list[str] = []
+    try:
+        _write(obj, out, "\n")
+    except (TypeError, RecursionError):  # a type or depth left to json
+        return json.dumps(obj, indent=2)
+    return "".join(out)
+
+
+def _write(obj, out: list[str], nl: str) -> None:
+    # nl is a newline plus obj's indent. Exact types keep bools off int paths.
+    kind = type(obj)
+    if kind is str or kind is int:
+        out.append(_quote(obj) if kind is str else str(obj))
+    elif obj is None or kind is bool:
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif kind is not list and kind is not dict:
+        raise TypeError(kind)
+    else:
+        inner, brackets = nl + "  ", "[]" if kind is list else "{}"
+        sep, head = "," + inner, brackets[0] + inner
+        if kind is dict:
+            for key, value in obj.items():  # _quote raises on a non-str key
+                out.append(head + _quote(key) + ": ")
+                _write(value, out, inner)
+                head = sep
+        elif set(map(type, obj)) == {int}:
+            out.append(head + sep.join(map(str, obj)))
+        elif (set(map(type, obj)) == {list} and len(set(map(len, obj))) == 1
+              and set(map(type, chain.from_iterable(obj))) == {int}):
+            # Equal-length int rows, such as failure cells: one %d template.
+            row = f"[{inner}  " + (sep + "  ").join(["%d"] * len(obj[0])) + f"{inner}]"
+            out.append(head + sep.join(map(row.__mod__, map(tuple, obj))))
+        else:
+            for value in obj:
+                out.append(head)
+                _write(value, out, inner)
+                head = sep
+        out.append(nl + brackets[1] if obj else brackets)
 
 
 def outcome_to_dict(

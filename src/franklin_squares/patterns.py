@@ -36,6 +36,13 @@ def _require_permutation(seed: tuple[int, ...], n: int) -> None:
         raise ValueError(f"seed must be a permutation of 0..{n - 1}: {list(seed)}")
 
 
+def _require_even(n: int, kind: str) -> None:
+    if n % 2:
+        raise ValueError(f"{kind} expansion needs an even order")
+    if n < 2:
+        raise ValueError(f"{kind} expansion needs an order of at least 2, got {n}")
+
+
 @dataclass(frozen=True)
 class SeedPattern:
     """An archetype tag plus the seed vector that expands under it."""
@@ -78,8 +85,7 @@ def canonical_row_seed(n: int) -> tuple[int, ...]:
 def expand_quotient(seed, n: int) -> Square:
     """Rows alternate between the seed and its complement."""
     seed = tuple(seed)
-    if n < 2 or n % 2:
-        raise ValueError("alternating expansion needs an even order")
+    _require_even(n, "alternating")
     _require_permutation(seed, n)
     comp = tuple(n - 1 - v for v in seed)
     return Square(tuple(seed if r % 2 == 0 else comp for r in range(n)))
@@ -93,8 +99,7 @@ def _alternating_row(v: int, n: int) -> tuple[int, ...]:
 def expand_remainder(seed, n: int) -> Square:
     """Columns alternate between the seed and its complement."""
     seed = tuple(seed)
-    if n < 2 or n % 2:
-        raise ValueError("alternating expansion needs an even order")
+    _require_even(n, "alternating")
     _require_permutation(seed, n)
     return Square(tuple(_alternating_row(v, n) for v in seed))
 
@@ -102,8 +107,7 @@ def expand_remainder(seed, n: int) -> Square:
 def expand_block_pair(seed, n: int) -> Square:
     """Row pairs 2i, 2i+1 both alternate seed[i] with its complement."""
     seed = tuple(seed)
-    if n < 2 or n % 2:
-        raise ValueError("block-pair expansion needs an even order")
+    _require_even(n, "block-pair")
     if len(seed) != n // 2:
         raise ValueError(
             f"block-pair seed must have {n // 2} values, got {len(seed)}"

@@ -8,9 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from franklin_squares import fixtures
+from franklin_squares import classify, fixtures
 from franklin_squares.cli import main
-from franklin_squares.formats import outcome_to_dict, square_to_json
+from franklin_squares.formats import outcome_to_dict, report_to_dict, square_to_json
 from franklin_squares.search import SearchMode, SearchOptions, search_natural_franklin
 
 ERROR_LINE = re.compile(r"^error: code=[A-Z_]+ .+\n$")
@@ -345,6 +345,18 @@ def test_generate_seeded_with_report(capsys, tmp_path):
     assert report["flags"]["franklin"] is True
 
 
+def test_generate_report_file_bytes(capsys, tmp_path):
+    # The stdlib encoder is the reference for the report file's bytes.
+    report_path = tmp_path / "report.json"
+    code, _, _ = run(
+        capsys, "generate", "--preset", "f8_1769", "--report", str(report_path)
+    )
+    assert code == 0
+    report = classify(fixtures.load_square("f8_1769")).report
+    want = json.dumps(report_to_dict(report), indent=2) + "\n"
+    assert report_path.read_text() == want
+
+
 def test_generate_pair_preset(capsys):
     code, out, _ = run(capsys, "generate", "--preset", "q24_r24")
     assert code == 0
@@ -404,6 +416,22 @@ def test_generate_order_zero_is_a_precondition(capsys):
     assert "code=PRECONDITION" in err
 
 
+def test_generate_empty_preset_with_seeds_is_usage(capsys):
+    code, out, err = run(capsys, "generate", "--preset", "", "--order", "8")
+    assert (code, out) == (2, "")
+    assert ERROR_LINE.match(err)
+    assert "code=USAGE" in err
+    assert "--preset cannot be combined with seed options" in err
+
+
+def test_generate_empty_preset_is_unknown(capsys):
+    code, out, err = run(capsys, "generate", "--preset", "")
+    assert (code, out) == (3, "")
+    assert ERROR_LINE.match(err)
+    assert "code=UNKNOWN_NAME" in err
+    assert "unknown preset ''" in err
+
+
 def test_generate_requires_full_seed_group(capsys):
     code, _, err = run(capsys, "generate", "--order", "8")
     assert code == 2
@@ -434,6 +462,19 @@ def test_search_order_4_count(capsys):
         "nodes_visited": 480,
         "witnesses": [],
     }
+
+
+@pytest.mark.parametrize(
+    "order, mode", [(4, SearchMode.COUNT), (8, SearchMode.FIRST)]
+)
+def test_search_json_bytes(capsys, order, mode):
+    # The stdlib encoder is the reference for the indented outcome bytes.
+    code, out, err = run(
+        capsys, "search", "--order", str(order), "--mode", mode.value
+    )
+    assert (code, err) == (0, "")
+    outcome = search_natural_franklin(SearchOptions(order=order, mode=mode))
+    assert out == json.dumps(outcome_to_dict(outcome), indent=2) + "\n"
 
 
 def test_search_order_8_needs_long_run_flag(capsys):

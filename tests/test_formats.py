@@ -1,11 +1,16 @@
+import enum
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from franklin_squares import IndexTargets, Square, classify, verify
 from franklin_squares import fixtures
 from franklin_squares.formats import (
     FormatError,
+    _dumps_indented,
     outcome_to_dict,
     parse_square_csv,
     parse_square_json,
@@ -149,3 +154,102 @@ def test_outcome_dict_with_and_without_witnesses():
     assert "witnesses" not in trimmed
     assert trimmed["nodes_visited"] == 7
     json.dumps(full)
+
+
+# Text the encoder must escape: quotes, backslashes, control characters,
+# non-ASCII (two-byte, astral, line separator) and lone surrogates.
+_texts = st.text(
+    st.one_of(
+        st.sampled_from('"\\/\x00\x08\x1f\x7f\u00e9\u2028\U0001d11e\ud800'),
+        st.characters(),
+    ),
+    max_size=8,
+)
+_ints = st.one_of(
+    st.integers(-1000, 1000),
+    st.integers(min_value=2**64),
+    st.integers(max_value=-(2**64)),
+)
+_int_rows = st.integers(0, 4).flatmap(
+    lambda k: st.lists(st.lists(_ints, min_size=k, max_size=k), max_size=4)
+)
+_json_values = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        _ints,
+        _texts,
+        st.lists(_ints, max_size=5),
+        st.lists(st.one_of(_ints, st.booleans(), st.none()), max_size=5),
+        _int_rows,
+        st.lists(st.lists(_ints, max_size=3), max_size=4),  # mostly ragged
+        st.lists(st.lists(st.one_of(_ints, st.booleans()), min_size=2, max_size=2)),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(_texts, inner, max_size=4)
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+def test_indented_writer_matches_stdlib(value):
+    assert _dumps_indented(value) == json.dumps(value, indent=2)
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        1.5,
+        float("nan"),
+        (1, 2),
+        [[1, 2], (3, 4)],
+        {"a": [0.5, 2]},
+        {1: "int key", None: "null key"},
+        {"k": {True: [1]}},
+        _Level.LOW,
+        [_Level.LOW, 2],
+        [[_Level.LOW, 2], [3, 4]],
+        [[[]], [[1]], {}],
+    ],
+)
+def test_indented_writer_hands_other_values_to_stdlib(value):
+    assert _dumps_indented(value) == json.dumps(value, indent=2)
+
+
+def test_indented_writer_raises_as_stdlib_does():
+    loop: list = []
+    loop.append(loop)
+    with pytest.raises(ValueError, match="Circular reference"):
+        _dumps_indented({"a": loop})
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        _dumps_indented([1, object()])
+
+
+def test_indented_writer_matches_stdlib_on_fixture_reports():
+    root = fixtures.data_dir()
+    count = 0
+    for name in fixtures.names():
+        for filename in fixtures.entry(name).files:
+            out = classify(parse_square_csv((root / filename).read_text()))
+            obj = report_to_dict(out.report, out.target_inferred)
+            # Line lists: pytest's diff of two long strings is very slow.
+            got = _dumps_indented(obj).split("\n")
+            assert got == json.dumps(obj, indent=2).split("\n"), filename
+            count += 1
+    assert count == 32
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.permutations(range(1, n * n + 1))))
+def test_indented_writer_matches_stdlib_on_random_reports(values):
+    n = math.isqrt(len(values))
+    square = Square.from_rows([values[r * n:(r + 1) * n] for r in range(n)])
+    obj = report_to_dict(verify(square, IndexTargets.natural(n)))
+    got = _dumps_indented(obj).split("\n")
+    assert got == json.dumps(obj, indent=2).split("\n")

@@ -266,8 +266,9 @@ def test_franklin_checks_targets():
 
 def test_importing_the_package_builds_no_table():
     code = (
-        "import franklin_squares.cli, franklin_squares.lines as lines; "
-        "assert lines.table.cache_info().currsize == 0"
+        "import sys, franklin_squares.cli, franklin_squares.lines as lines; "
+        "assert lines.table.cache_info().currsize == 0; "
+        "assert 'concurrent.futures' not in sys.modules"
     )
     src = str(Path(franklin_squares.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=src)

@@ -168,6 +168,11 @@ def test_seed_pattern_validation():
         (Archetype.BLOCK_PAIR, 8, (0, 6, 5), "must have 4 values, got 3"),
         (Archetype.BLOCK_PAIR, 8, (0, 6, 5, 9), "seed value 9 outside 0..7"),
         (Archetype.FOUR_ROW_CYCLE, 6, (0, 1, 2, 3, 4, 5), "divisible by 4"),
+        (Archetype.ROW_ALTERNATE, 0, (), "an order of at least 2, got 0"),
+        (Archetype.COLUMN_ALTERNATE, 0, (), "an order of at least 2, got 0"),
+        (Archetype.COLUMN_ALTERNATE, -4, (0, 1), "an order of at least 2, got -4"),
+        (Archetype.BLOCK_PAIR, 0, (), "block-pair expansion needs an order of at"),
+        (Archetype.BLOCK_PAIR, -4, (0, 1), "at least 2, got -4"),
     ]
     for archetype, n, seed, message in bad:
         with pytest.raises(ValueError, match=message) as from_pattern:
