@@ -8,6 +8,19 @@ seeds finds new ones.
 
 Row/column indexing matches the rest of the package (0-based, row-major).
 ``complement`` below always means the value map v -> n-1-v.
+
+Each archetype is one cell rule in _expand: cell (r, c) is seed[i], or its
+complement n-1-seed[i] when flip is 1, with
+
+    ROW_ALTERNATE     (i, flip) = (c, r % 2)
+    COLUMN_ALTERNATE  (i, flip) = (r, c % 2)
+    BLOCK_PAIR        (i, flip) = (r // 2, c % 2)
+    FOUR_ROW_CYCLE    (i, flip) = (c ^ (p >= n/4), p % (n/4) % 2),  p = r % (n/2)
+
+c ^ 1 swaps adjacent columns, so the four-row cycle runs through the seed
+A, its complement B, the adjacent-pair swap C of A and its complement D:
+each half of the grid is n/4 rows alternating A, B then n/4 rows
+alternating C, D.
 """
 
 from __future__ import annotations
@@ -15,7 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 
 from . import fixtures
 from .composition import compose, is_orthogonal
@@ -31,16 +44,51 @@ class Archetype(Enum):
     FOUR_ROW_CYCLE = "four_row_cycle"
 
 
-def _require_permutation(seed: tuple[int, ...], n: int) -> None:
-    if sorted(seed) != list(range(n)):
+def _expand(archetype: Archetype, seed, n: int) -> Square:
+    """The square ``seed`` expands to under ``archetype``.
+
+    Raises ValueError when the order or the seed does not fit the archetype.
+    """
+    seed = tuple(seed)
+    A = Archetype
+    if archetype is A.FOUR_ROW_CYCLE:
+        kind, least = "four-row-cycle", 4
+        if n % 4:
+            raise ValueError("four-row-cycle expansion needs order divisible by 4")
+    else:
+        kind = "block-pair" if archetype is A.BLOCK_PAIR else "alternating"
+        least = 2
+        if n % 2:
+            raise ValueError(f"{kind} expansion needs an even order")
+    if n < least:
+        raise ValueError(
+            f"{kind} expansion needs an order of at least {least}, got {n}"
+        )
+    if archetype is A.BLOCK_PAIR:
+        if len(seed) != n // 2:
+            raise ValueError(
+                f"block-pair seed must have {n // 2} values, got {len(seed)}"
+            )
+        for v in seed:
+            if not 0 <= v < n:
+                raise ValueError(f"seed value {v} outside 0..{n - 1}")
+    elif sorted(seed) != list(range(n)):
         raise ValueError(f"seed must be a permutation of 0..{n - 1}: {list(seed)}")
 
-
-def _require_even(n: int, kind: str) -> None:
-    if n % 2:
-        raise ValueError(f"{kind} expansion needs an even order")
-    if n < 2:
-        raise ValueError(f"{kind} expansion needs an order of at least 2, got {n}")
+    # value[flip][i]: the seed, then its complement
+    value = (seed, tuple(n - 1 - v for v in seed))
+    N = range(n)
+    match archetype:
+        case A.ROW_ALTERNATE:
+            rows = [[value[r % 2][c] for c in N] for r in N]
+        case A.COLUMN_ALTERNATE:
+            rows = [[value[c % 2][r] for c in N] for r in N]
+        case A.BLOCK_PAIR:
+            rows = [[value[c % 2][r // 2] for c in N] for r in N]
+        case A.FOUR_ROW_CYCLE:
+            q, ps = n // 4, [r % (n // 2) for r in N]
+            rows = [[value[p % q % 2][c ^ (p >= q)] for c in N] for p in ps]
+    return Square.from_rows(rows)
 
 
 @dataclass(frozen=True)
@@ -62,13 +110,7 @@ class SeedPattern:
 
     @cached_property
     def _square(self) -> Square:
-        if self.archetype is Archetype.ROW_ALTERNATE:
-            return expand_quotient(self.seed, self.order)
-        if self.archetype is Archetype.COLUMN_ALTERNATE:
-            return expand_remainder(self.seed, self.order)
-        if self.archetype is Archetype.BLOCK_PAIR:
-            return expand_block_pair(self.seed, self.order)
-        return expand_four_row_cycle(self.seed, self.order)
+        return _expand(self.archetype, self.seed, self.order)
 
 
 def canonical_row_seed(n: int) -> tuple[int, ...]:
@@ -82,82 +124,11 @@ def canonical_row_seed(n: int) -> tuple[int, ...]:
     return tuple((j + 3 * n // 4) % n for j in range(n))
 
 
-def expand_quotient(seed, n: int) -> Square:
-    """Rows alternate between the seed and its complement."""
-    seed = tuple(seed)
-    _require_even(n, "alternating")
-    _require_permutation(seed, n)
-    comp = tuple(n - 1 - v for v in seed)
-    return Square(tuple(seed if r % 2 == 0 else comp for r in range(n)))
-
-
-def _alternating_row(v: int, n: int) -> tuple[int, ...]:
-    """v and its complement n-1-v alternating across n columns."""
-    return (v, n - 1 - v) * (n // 2)
-
-
-def expand_remainder(seed, n: int) -> Square:
-    """Columns alternate between the seed and its complement."""
-    seed = tuple(seed)
-    _require_even(n, "alternating")
-    _require_permutation(seed, n)
-    return Square(tuple(_alternating_row(v, n) for v in seed))
-
-
-def expand_block_pair(seed, n: int) -> Square:
-    """Row pairs 2i, 2i+1 both alternate seed[i] with its complement."""
-    seed = tuple(seed)
-    _require_even(n, "block-pair")
-    if len(seed) != n // 2:
-        raise ValueError(
-            f"block-pair seed must have {n // 2} values, got {len(seed)}"
-        )
-    for v in seed:
-        if not 0 <= v < n:
-            raise ValueError(f"seed value {v} outside 0..{n - 1}")
-    rows = []
-    for i in range(n // 2):
-        row = _alternating_row(seed[i], n)
-        rows.append(row)
-        rows.append(row)
-    return Square(tuple(rows))
-
-
-def _pair_swap(vec: tuple[int, ...]) -> tuple[int, ...]:
-    out = list(vec)
-    for j in range(0, len(out), 2):
-        out[j], out[j + 1] = out[j + 1], out[j]
-    return tuple(out)
-
-
-def expand_four_row_cycle(seed, n: int) -> Square:
-    """Rows cycle through the seed, its complement, its adjacent-pair
-    swap, and the complement of that swap.
-
-    The four derived rows fill a block of n/2 rows — the first half of the
-    block alternates seed/complement, the second half alternates
-    swap/complement-of-swap — and the block repeats. For n = 8 this is the
-    plain A,B,C,D,A,B,C,D cycle; larger orders repeat each alternating
-    pair to fill the longer block.
-    """
-    seed = tuple(seed)
-    if n % 4:
-        raise ValueError("four-row-cycle expansion needs order divisible by 4")
-    _require_permutation(seed, n)
-    a = seed
-    b = tuple(n - 1 - v for v in a)
-    c = _pair_swap(a)
-    d = tuple(n - 1 - v for v in c)
-    quarter = n // 4
-    rows = []
-    for r in range(n):
-        p = r % (n // 2)
-        if p < quarter:
-            rows.append(a if p % 2 == 0 else b)
-        else:
-            p -= quarter
-            rows.append(c if p % 2 == 0 else d)
-    return Square(tuple(rows))
+# The archetypes under the names callers use; each is called as (seed, n).
+expand_quotient = partial(_expand, Archetype.ROW_ALTERNATE)
+expand_remainder = partial(_expand, Archetype.COLUMN_ALTERNATE)
+expand_block_pair = partial(_expand, Archetype.BLOCK_PAIR)
+expand_four_row_cycle = partial(_expand, Archetype.FOUR_ROW_CYCLE)
 
 
 @dataclass(frozen=True)
@@ -246,10 +217,10 @@ def preset(name: str) -> Square | AuxPair:
     return fixtures.load(name)
 
 
-def _leaf_passes(seed, n: int, checks) -> bool:
-    """True when the column-alternating expansion of seed meets every
-    (flat cells, target) check line."""
-    flat = [v for s in seed for v in _alternating_row(s, n)]
+def _leaf_passes(seed, rows, checks) -> bool:
+    """True when the column-alternating expansion of seed, whose row for
+    value v is rows[v], meets every (flat cells, target) check line."""
+    flat = [v for s in seed for v in rows[s]]
     for cells, target in checks:
         total = 0
         for i in cells:
@@ -257,13 +228,6 @@ def _leaf_passes(seed, n: int, checks) -> bool:
         if total != target:
             return False
     return True
-
-
-def _row_pair_set(qrow: tuple[int, ...], v: int, n: int) -> frozenset:
-    comp = n - 1 - v
-    return frozenset(
-        (qrow[c], v if c % 2 == 0 else comp) for c in range(n)
-    )
 
 
 def find_remainder_seeds(
@@ -280,6 +244,11 @@ def find_remainder_seeds(
     ``limit`` stops the search early. With ``pruned`` false the search
     scans every permutation outright — same results, no shortcuts — which
     is only tractable for small orders and exists as a cross-check.
+
+    Seed value v puts v and n-1-v alternately across its row, so a
+    quotient row that repeats a value can repeat a value pair within that
+    row: v is then ruled out for the row, and a quotient with such rows may
+    admit no seed at all.
     """
     if n < 4 or n % 4:
         raise ValueError(f"order must be a positive multiple of 4, got {n}")
@@ -291,88 +260,69 @@ def find_remainder_seeds(
         return []
 
     checks = franklin_checks(n, aux_constant(n))
+    # rows[v] is the row seed value v expands to. masks[r][v] has one bit,
+    # n*q + x, per value pair (q, x) that v puts in row r, or is None when
+    # the row repeats a pair and v can never sit there.
+    rows = expand_remainder(range(n), n).cells
+    masks = []
+    for qrow in quotient.cells:
+        pairs = [{n * q + x for q, x in zip(qrow, row)} for row in rows]
+        masks.append([sum(1 << i for i in p) if len(p) == n else None for p in pairs])
     if pruned:
-        return _seed_search_pruned(n, quotient, limit, checks)
-    return _seed_search_unpruned(n, quotient, limit, checks)
+        return _seed_search_pruned(n, masks, rows, limit, checks)
+    return _seed_search_unpruned(n, masks, rows, limit, checks)
 
 
-def _seed_search_unpruned(n, quotient, limit, checks):
+def _seed_search_unpruned(n, masks, rows, limit, checks):
     results = []
     for perm in itertools.permutations(range(n)):
-        pairs = set()
-        ok = True
+        taken = 0
         for r, v in enumerate(perm):
-            row_pairs = _row_pair_set(quotient.cells[r], v, n)
-            if pairs & row_pairs:
-                ok = False
+            mask = masks[r][v]
+            if mask is None or mask & taken:
                 break
-            pairs |= row_pairs
-        if not ok:
-            continue
-        if not _leaf_passes(perm, n, checks):
-            continue
-        results.append(perm)
-        if limit is not None and len(results) >= limit:
-            break
+            taken |= mask
+        else:
+            if _leaf_passes(perm, rows, checks):
+                results.append(perm)
+                if limit is not None and len(results) >= limit:
+                    break
     return results
 
 
-def _seed_search_pruned(n, quotient, limit, checks):
+def _seed_search_pruned(n, masks, rows, limit, checks):
     """Lexicographic backtracking with exact pruning.
 
     Prunes partial seeds on (a) orthogonality to the quotient, checked
-    incrementally row by row, and (b) feasibility of the upper half-column
-    sum: the first n/2 seed values must sum to n(n-1)/4. Both prunes
-    reject only prefixes no completion of which could be emitted, so the
-    result matches the unpruned scan exactly.
+    row by row against the pairs already taken, and (b) feasibility of the
+    upper half-column sum: the first n/2 seed values must sum to
+    n(n-1)/4. Both prunes reject only prefixes no completion of which
+    could be emitted, so the result matches the unpruned scan exactly.
     """
     half = n // 2
     half_target = n * (n - 1) // 4
     results: list[tuple[int, ...]] = []
-    seed: list[int] = []
-    used = [False] * n
-    used_pairs: set = set()
-    prefix_sum = 0
 
-    def half_sum_feasible(r: int, candidate: int, total: int) -> bool:
-        slots = half - (r + 1)
-        if slots == 0:
-            return total == half_target
-        remaining = [v for v in range(n) if not used[v] and v != candidate]
-        lo = total + sum(remaining[:slots])
-        hi = total + sum(remaining[-slots:])
-        return lo <= half_target <= hi
-
-    def dfs(r: int) -> bool:
-        nonlocal prefix_sum
+    def walk(seed: tuple[int, ...], taken: int, total: int) -> bool:
+        r = len(seed)
         if r == n:
-            if _leaf_passes(seed, n, checks):
-                results.append(tuple(seed))
-                if limit is not None and len(results) >= limit:
-                    return True
+            if _leaf_passes(seed, rows, checks):
+                results.append(seed)
+                return limit is not None and len(results) >= limit
             return False
-        for v in range(n):
-            if used[v]:
-                continue
-            row_pairs = _row_pair_set(quotient.cells[r], v, n)
-            if used_pairs & row_pairs:
+        for v, mask in enumerate(masks[r]):
+            if mask is None or mask & taken or v in seed:
                 continue
             if r < half:
-                if not half_sum_feasible(r, v, prefix_sum + v):
+                # the upper half's other slots must be able to make up the rest
+                slots = half - r - 1
+                rest = [u for u in range(n) if u != v and u not in seed]
+                need = half_target - total - v
+                if not sum(rest[:slots]) <= need <= sum(rest[len(rest) - slots:]):
                     continue
-                prefix_sum += v
-            used[v] = True
-            seed.append(v)
-            used_pairs.update(row_pairs)
-            stop = dfs(r + 1)
-            used_pairs.difference_update(row_pairs)
-            seed.pop()
-            used[v] = False
-            if r < half:
-                prefix_sum -= v
-            if stop:
+            if walk(seed + (v,), taken | mask, total + v):
                 return True
         return False
 
-    dfs(0)
+    walk((), 0, 0)
     return results

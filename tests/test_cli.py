@@ -416,6 +416,22 @@ def test_generate_order_zero_is_a_precondition(capsys):
     assert "code=PRECONDITION" in err
 
 
+def test_generate_four_row_cycle_order_zero_names_the_bound(capsys):
+    code, out, err = run(
+        capsys,
+        "generate",
+        "--order", "0",
+        "--q-seed", "1",
+        "--r-seed", "1",
+        "--archetypes", "four_row_cycle,four_row_cycle",
+    )
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: code=PRECONDITION four-row-cycle expansion needs an order "
+        "of at least 4, got 0\n"
+    )
+
+
 def test_generate_empty_preset_with_seeds_is_usage(capsys):
     code, out, err = run(capsys, "generate", "--preset", "", "--order", "8")
     assert (code, out) == (2, "")

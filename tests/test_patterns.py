@@ -1,7 +1,11 @@
+import hashlib
+import random
+
 import pytest
 
 from franklin_squares import (
     Archetype,
+    AuxPair,
     IndexTargets,
     SeedPattern,
     Square,
@@ -9,6 +13,7 @@ from franklin_squares import (
     decompose,
     find_remainder_seeds,
     generate,
+    is_orthogonal,
     preset,
     preset_names,
     verify,
@@ -173,6 +178,8 @@ def test_seed_pattern_validation():
         (Archetype.COLUMN_ALTERNATE, -4, (0, 1), "an order of at least 2, got -4"),
         (Archetype.BLOCK_PAIR, 0, (), "block-pair expansion needs an order of at"),
         (Archetype.BLOCK_PAIR, -4, (0, 1), "at least 2, got -4"),
+        (Archetype.FOUR_ROW_CYCLE, 0, (1,), "an order of at least 4, got 0"),
+        (Archetype.FOUR_ROW_CYCLE, -4, (1,), "an order of at least 4, got -4"),
     ]
     for archetype, n, seed, message in bad:
         with pytest.raises(ValueError, match=message) as from_pattern:
@@ -180,6 +187,54 @@ def test_seed_pattern_validation():
         with pytest.raises(ValueError) as from_expander:
             expanders[archetype](seed, n)
         assert str(from_pattern.value) == str(from_expander.value)
+
+
+# SHA-256 of repr([cells, ...]) for the seeds _pin_seeds gives. The digests
+# were recorded from four separately written expanders, so they hold each
+# archetype's cell rule to an independent construction: do not re-record them.
+EXPANSION_DIGESTS = {
+    ("ROW_ALTERNATE", 2): "d38b092e58757f89eb1061ccf8439cd715c8b7db3cbfa41122d1a8ca3bac7eca",
+    ("ROW_ALTERNATE", 4): "ae7a622aebe242bb9cfdf33f14ac81b422b7d7e3c8e72ada89d398f80c354395",
+    ("ROW_ALTERNATE", 6): "4d7a0a68f73258c06725195b6a46c3c26f3d0e2e17ef204e65017303cc6e50f9",
+    ("ROW_ALTERNATE", 8): "fbc1c169082610021738ba702677a4ae750c500e06a676a4bdffb78dd01a1a0f",
+    ("ROW_ALTERNATE", 12): "720ae45112ea71a45f06e0e73b0a952022e27efb9a3ff32931ba77baa638f355",
+    ("ROW_ALTERNATE", 16): "53f80e8e9c37b9c54631c910a16cd41045779ed28c41d77a42bca8ff8de6bfec",
+    ("ROW_ALTERNATE", 24): "7779c53264f0e78a79b438548b01622fa957e98cbb6aebd82ff5d42d1820ae9b",
+    ("COLUMN_ALTERNATE", 2): "d38b092e58757f89eb1061ccf8439cd715c8b7db3cbfa41122d1a8ca3bac7eca",
+    ("COLUMN_ALTERNATE", 4): "482a4dc553065254067a0c21f49b2096051aecedc07390867af223eb92fd2c8b",
+    ("COLUMN_ALTERNATE", 6): "7322c9727d516601546942b322a4c6d2ca14e4c0af5ca6adafcec3818af616c6",
+    ("COLUMN_ALTERNATE", 8): "fa97ea66c13f3b2e2891e732b4ce6a44e2bf74b2f482c4460667150fb536cba7",
+    ("COLUMN_ALTERNATE", 12): "42bfb610ef8f278ced96725ecf8e4717e36e2ffa852bd29f7fe55273746b71c6",
+    ("COLUMN_ALTERNATE", 16): "b2468de89e039b06d443e420218460ef2e11814fd87b8862900becf6b31a9801",
+    ("COLUMN_ALTERNATE", 24): "24f66deda387c8405222f62b7211715c46fea0d85e87496467c45c9d915d2527",
+    ("BLOCK_PAIR", 2): "11a0a4c84976c315c5a1f2632024338a1f0a15537800baabc11a9d7f33154808",
+    ("BLOCK_PAIR", 4): "55ea408fc5d49b6209b6c62cef4caa90bd897966f44f6386bdff8ad4d03888a5",
+    ("BLOCK_PAIR", 6): "dfcef778d938420a7d58653357231eeec8fcfdc69104f5f0e9873a0b16cb7225",
+    ("BLOCK_PAIR", 8): "e8b9cac7128bbb5a2e4de18bc8775ef810182b234ef99af0201ede070f9f4f77",
+    ("BLOCK_PAIR", 12): "ba9c38b1177b0ad717179bd3b3e02d4bafff7e04f3c8452ea81a91d0919a541c",
+    ("BLOCK_PAIR", 16): "edfaf17b73e408acc9a2c7b159ca2699d4354882609c9257bf04693b5cad081a",
+    ("BLOCK_PAIR", 24): "df270290bbb73da43aa9b54bdf8715ac0f23302d3576334257fe73a175b440da",
+    ("FOUR_ROW_CYCLE", 4): "db119792c1fd373739d0e99d26f4b2a160f02bf5b58e9174d7fa2f93e686252b",
+    ("FOUR_ROW_CYCLE", 8): "16ec56feafba1e8dc1e3a229b938cc5ff7779a0e4fe6248c9a5b563946a24007",
+    ("FOUR_ROW_CYCLE", 12): "6cff3915db2971023fea1b7a6960da8ad5ba8ae9bcf8b91e6877826f415f319e",
+    ("FOUR_ROW_CYCLE", 16): "ea5beb71e87c62b007cb336869f8e75a1c0dd55db6d9df00ce8ffd09b797c464",
+    ("FOUR_ROW_CYCLE", 24): "f667b6ec3684ae83946a3d0b44e6e1db69bf6219238c1e1a3786879f2a49d028",
+}
+
+
+def _pin_seeds(archetype, n):
+    if archetype is Archetype.BLOCK_PAIR:
+        return [[(3 * i + 1) % n for i in range(n // 2)]]
+    fixed = [canonical_row_seed(n)] if n % 4 == 0 else []
+    return fixed + [random.Random(n).sample(range(n), n)]
+
+
+@pytest.mark.parametrize("name, n", sorted(EXPANSION_DIGESTS))
+def test_expansions_are_pinned(name, n):
+    archetype = Archetype[name]
+    cells = [SeedPattern(archetype, n, s).expand().cells for s in _pin_seeds(archetype, n)]
+    digest = hashlib.sha256(repr(cells).encode()).hexdigest()
+    assert digest == EXPANSION_DIGESTS[name, n]
 
 
 def test_generate_attaches_verified_report():
@@ -265,3 +320,25 @@ def test_remainder_seed_search_preconditions():
     unbalanced = Square.from_rows([[0] * 8] * 8)
     with pytest.raises(ValueError):
         find_remainder_seeds(8, unbalanced)
+
+
+@pytest.mark.parametrize(
+    "name, count",
+    [
+        ("f8_1769_aux", 384),
+        ("f8_third_aux", 0),
+        ("f8_schindel_2574_aux", 0),
+        ("f8_pandiagonal_aux", 0),
+    ],
+)
+def test_remainder_seeds_are_orthogonal_to_stored_quotients(name, count):
+    # The last three quotients repeat a value within a row, so a row pair
+    # can repeat inside one row; such a seed value is never orthogonal there.
+    quotient = fixtures.load_aux_pair(name).quotient
+    seeds = find_remainder_seeds(8, quotient)
+    assert seeds == find_remainder_seeds(8, quotient, pruned=False)
+    assert len(seeds) == count
+    for seed in seeds:
+        remainder = expand_remainder(seed, 8)
+        assert is_orthogonal(AuxPair(quotient, remainder))
+        assert verify(remainder, IndexTargets.balanced(8)).franklin
