@@ -28,7 +28,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
+from operator import mul
 
 from . import fixtures
 from .composition import compose, is_orthogonal
@@ -230,6 +231,52 @@ def _leaf_passes(seed, rows, checks) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
+def _leaf_forms(n: int) -> tuple[tuple[tuple[int, ...], int], ...] | None:
+    """The Franklin lines of a column-alternate expansion as linear forms in
+    its seed: each (coef, t) holds when sum(coef[r] * seed[r]) == t.
+
+    Cell (r, c) is base[c] + sign[c] * seed[r], read off the expansion of
+    0..n-1, so every line sum is affine in the seed. At orders divisible
+    by 4, rows, half-rows, subsquares and the BENT_DOWN and BENT_UP lines
+    meet each row they touch in as many even columns as odd ones, so each
+    seed value comes in once as v and once as n-1-v: their seed terms
+    cancel and the line reduces to 0 = 0. Four forms are left: columns
+    give the whole seed summing to n(n-1)/2, half-columns its upper and
+    lower halves summing to half that, and BENT_RIGHT and BENT_LEFT the
+    bent form, signed + - + - ... on the upper rows and - + - + ... on the
+    lower rows, summing to 0. Forms are sign-normalised (first nonzero
+    coefficient positive) and deduplicated, in report order.
+
+    None when a line whose sum does not depend on the seed misses its
+    target: then no seed passes.
+    """
+    rows = expand_remainder(range(n), n).cells
+    base = rows[0]
+    sign = [y - x for x, y in zip(rows[0], rows[1])]
+    forms: dict[tuple[tuple[int, ...], int], None] = {}
+    for cells, target in franklin_checks(n, aux_constant(n)):
+        coef = [0] * n
+        for i in cells:
+            r, c = divmod(i, n)
+            coef[r] += sign[c]
+            target -= base[c]
+        lead = next((x for x in coef if x), 0)
+        if not lead:
+            if target:
+                return None
+            continue
+        if lead < 0:
+            coef, target = [-x for x in coef], -target
+        forms[tuple(coef), target] = None
+    return tuple(forms)
+
+
+def _meets_forms(seed, forms) -> bool:
+    """True when seed meets every (coef, t) form of _leaf_forms."""
+    return all(sum(map(mul, coef, seed)) == t for coef, t in forms)
+
+
 def find_remainder_seeds(
     n: int,
     quotient: Square,
@@ -237,13 +284,17 @@ def find_remainder_seeds(
     *,
     pruned: bool = True,
 ) -> list[tuple[int, ...]]:
-    """Search remainder seeds whose column-alternating expansion meets all
-    three Franklin conditions at n(n-1)/2 and is orthogonal to ``quotient``.
+    """Search remainder seeds whose column-alternating expansion is a
+    Franklin square at n(n-1)/2 (rows, columns, bent diagonals, half-lines
+    and 2x2 subsquares) and is orthogonal to ``quotient``.
 
     Seeds are permutations of 0..n-1, emitted in lexicographic order;
     ``limit`` stops the search early. With ``pruned`` false the search
-    scans every permutation outright — same results, no shortcuts — which
-    is only tractable for small orders and exists as a cross-check.
+    scans every permutation outright and sums every Franklin line of each
+    expanded grid from the line table, with no shortcuts. It is only
+    tractable for small orders and exists as a cross-check: the pruned
+    search checks the four linear forms of _leaf_forms instead, so the two
+    agreeing checks that algebra against lines.table.
 
     Seed value v puts v and n-1-v alternately across its row, so a
     quotient row that repeats a value can repeat a value pair within that
@@ -259,7 +310,6 @@ def find_remainder_seeds(
     if limit is not None and limit <= 0:
         return []
 
-    checks = franklin_checks(n, aux_constant(n))
     # rows[v] is the row seed value v expands to. masks[r][v] has one bit,
     # n*q + x, per value pair (q, x) that v puts in row r, or is None when
     # the row repeats a pair and v can never sit there.
@@ -268,9 +318,13 @@ def find_remainder_seeds(
     for qrow in quotient.cells:
         pairs = [{n * q + x for q, x in zip(qrow, row)} for row in rows]
         masks.append([sum(1 << i for i in p) if len(p) == n else None for p in pairs])
-    if pruned:
-        return _seed_search_pruned(n, masks, rows, limit, checks)
-    return _seed_search_unpruned(n, masks, rows, limit, checks)
+    if not pruned:
+        checks = franklin_checks(n, aux_constant(n))
+        return _seed_search_unpruned(n, masks, rows, limit, checks)
+    forms = _leaf_forms(n)
+    if forms is None:
+        return []
+    return _seed_search_pruned(n, masks, limit, forms)
 
 
 def _seed_search_unpruned(n, masks, rows, limit, checks):
@@ -290,14 +344,17 @@ def _seed_search_unpruned(n, masks, rows, limit, checks):
     return results
 
 
-def _seed_search_pruned(n, masks, rows, limit, checks):
+def _seed_search_pruned(n, masks, limit, forms):
     """Lexicographic backtracking with exact pruning.
 
     Prunes partial seeds on (a) orthogonality to the quotient, checked
     row by row against the pairs already taken, and (b) feasibility of the
     upper half-column sum: the first n/2 seed values must sum to
     n(n-1)/4. Both prunes reject only prefixes no completion of which
-    could be emitted, so the result matches the unpruned scan exactly.
+    could be emitted. A full seed passes when it meets every linear form
+    of _leaf_forms (whole sum, upper and lower half sums, bent form), which
+    holds exactly when its expansion meets every Franklin line, so the
+    result matches the unpruned scan exactly.
     """
     half = n // 2
     half_target = n * (n - 1) // 4
@@ -306,7 +363,7 @@ def _seed_search_pruned(n, masks, rows, limit, checks):
     def walk(seed: tuple[int, ...], taken: int, total: int) -> bool:
         r = len(seed)
         if r == n:
-            if _leaf_passes(seed, rows, checks):
+            if _meets_forms(seed, forms):
                 results.append(seed)
                 return limit is not None and len(results) >= limit
             return False

@@ -267,7 +267,9 @@ def test_franklin_checks_targets():
 def test_importing_the_package_builds_no_table():
     code = (
         "import sys, franklin_squares.cli, franklin_squares.lines as lines; "
+        "from franklin_squares import patterns; "
         "assert lines.table.cache_info().currsize == 0; "
+        "assert patterns._leaf_forms.cache_info().currsize == 0; "
         "assert 'concurrent.futures' not in sys.modules"
     )
     src = str(Path(franklin_squares.__file__).parents[1])

@@ -1,7 +1,10 @@
+import functools
 import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from franklin_squares import (
     Archetype,
@@ -9,6 +12,7 @@ from franklin_squares import (
     IndexTargets,
     SeedPattern,
     Square,
+    aux_constant,
     canonical_row_seed,
     decompose,
     find_remainder_seeds,
@@ -18,8 +22,11 @@ from franklin_squares import (
     preset_names,
     verify,
 )
-from franklin_squares import fixtures
+from franklin_squares import fixtures, patterns
+from franklin_squares.lines import franklin_checks
 from franklin_squares.patterns import (
+    _leaf_forms,
+    _meets_forms,
     expand_block_pair,
     expand_four_row_cycle,
     expand_quotient,
@@ -288,6 +295,135 @@ def test_remainder_seed_search_pruned_equals_exhaustive():
     pruned = find_remainder_seeds(8, quotient, pruned=True)
     brute = find_remainder_seeds(8, quotient, pruned=False)
     assert pruned == brute
+
+
+# Order-8 row-alternate quotient seeds and how many remainder seeds each
+# admits. Over one quotient seed per pattern, the result depended only on
+# whether each complement pair {v, 7-v} sits at columns of equal parity:
+# the first two give the canonical quotient's 384 seeds, the last two (all
+# four pairs at equal parity) a list of 768.
+ORDER8_QUOTIENT_SEEDS = {
+    (0, 1, 2, 3, 4, 5, 6, 7): 384,
+    (2, 1, 4, 6, 3, 7, 0, 5): 384,
+    (0, 1, 2, 3, 5, 4, 7, 6): 768,
+    (3, 2, 7, 1, 4, 6, 0, 5): 768,
+}
+
+
+@pytest.mark.parametrize(
+    "qseed", sorted(ORDER8_QUOTIENT_SEEDS), ids=lambda q: "".join(map(str, q))
+)
+def test_remainder_seed_search_pruned_equals_exhaustive_other_quotients(qseed):
+    count = ORDER8_QUOTIENT_SEEDS[qseed]
+    quotient = expand_quotient(qseed, 8)
+    pruned = find_remainder_seeds(8, quotient)
+    assert pruned == find_remainder_seeds(8, quotient, pruned=False)
+    assert len(pruned) == count
+    canonical = find_remainder_seeds(8, expand_quotient(canonical_row_seed(8), 8))
+    assert (pruned == canonical) == (count == 384)
+
+
+def test_first_1000_order16_seeds_are_pinned():
+    # SHA-256 of repr([list(seed), ...]), recorded from a leaf that summed
+    # all 416 Franklin lines of each expanded grid. A leaf that rejected
+    # Franklin seeds would send the limited search through all of 16!, so
+    # fail fast on the preset's seed first.
+    preset_seed = patterns._PRESET_SEEDS["f16_1769"][1].seed
+    assert _meets_forms(preset_seed, _leaf_forms(16))
+    quotient = expand_quotient(canonical_row_seed(16), 16)
+    seeds = find_remainder_seeds(16, quotient, limit=1000)
+    digest = hashlib.sha256(repr([list(s) for s in seeds]).encode()).hexdigest()
+    assert digest == "7c19e4e6d5cdbfaec265efcba6efee46c3391dc4e063ab2f17fb15c7aa99ea16"
+
+
+LEAF_ORDERS = (4, 8, 12, 16, 24)
+
+
+@pytest.mark.parametrize("n", LEAF_ORDERS)
+def test_leaf_forms_are_the_four_seed_forms(n):
+    # Built here from their statement, not from the line table.
+    h, m = n // 2, n * (n - 1) // 2
+    bent = tuple((-1) ** (r + (r >= h)) for r in range(n))
+    assert _leaf_forms(n) == (
+        ((1,) * n, m),
+        (bent, 0),
+        ((1,) * h + (0,) * h, m // 2),
+        ((0,) * h + (1,) * h, m // 2),
+    )
+
+
+def test_a_seed_free_line_that_misses_admits_no_seed(monkeypatch):
+    # A row's seed terms cancel; with its target moved, no seed can pass.
+    n = 8
+    checks = franklin_checks(n, aux_constant(n))
+    row, target = checks[0]
+    missed = checks + ((row, target + 1),)
+    monkeypatch.setattr(patterns, "franklin_checks", lambda n, m: missed)
+    _leaf_forms.cache_clear()
+    try:
+        assert _leaf_forms(n) is None
+        assert find_remainder_seeds(n, expand_quotient(canonical_row_seed(n), n)) == []
+    finally:
+        _leaf_forms.cache_clear()
+
+
+def _leaf_verdicts(seed):
+    """The seed search's leaf verdict and verify's Franklin verdict on the
+    column-alternate expansion of seed; verify does not read the forms."""
+    n = len(seed)
+    forms = _leaf_forms(n)
+    by_forms = forms is not None and _meets_forms(seed, forms)
+    report = verify(expand_remainder(seed, n), IndexTargets.balanced(n))
+    return by_forms, report.franklin
+
+
+# Order-12 seeds whose expansions are Franklin, drawn from random
+# permutations: the canonical order-12 quotient admits no remainder seed.
+ORDER12_FRANKLIN_SEEDS = (
+    (9, 1, 2, 7, 11, 3, 8, 6, 4, 5, 10, 0),
+    (8, 10, 6, 2, 3, 4, 9, 0, 7, 11, 1, 5),
+)
+
+
+@functools.cache
+def _found_seeds():
+    """Seeds whose expansions are Franklin: every order-8 seed the search
+    finds for the quotients above, the remainder seeds of the f8_1769,
+    f16_1769 and f24 presets, and the order-12 seeds above. The search runs
+    only at order 8, where it ends quickly whatever its leaf accepts."""
+    seeds = set(ORDER12_FRANKLIN_SEEDS)
+    for qseed in ORDER8_QUOTIENT_SEEDS:
+        seeds.update(find_remainder_seeds(8, expand_quotient(qseed, 8)))
+    for name in ("f8_1769", "f16_1769", "f24"):
+        seeds.add(patterns._PRESET_SEEDS[name][1].seed)
+    return sorted(seeds)
+
+
+def test_leaf_forms_match_verify_on_every_found_seed():
+    found = _found_seeds()
+    # the f8_1769 seed is one of the 768 order-8 seeds
+    assert len(found) == 768 + 2 + 2
+    for seed in found:
+        assert _leaf_verdicts(seed) == (True, True), seed
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(LEAF_ORDERS).flatmap(lambda n: st.permutations(range(n))))
+def test_leaf_forms_match_verify_on_random_seeds(seed):
+    by_forms, by_verify = _leaf_verdicts(seed)
+    assert by_forms == by_verify
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_leaf_forms_match_verify_next_to_found_seeds(data):
+    # Swapping two values of a Franklin seed keeps some forms and breaks
+    # others, so both verdicts get exercised near the boundary.
+    seed = list(data.draw(st.sampled_from(_found_seeds())))
+    i, j = data.draw(st.lists(st.integers(0, len(seed) - 1), min_size=2, max_size=2))
+    seed[i], seed[j] = seed[j], seed[i]
+    by_forms, by_verify = _leaf_verdicts(tuple(seed))
+    assert by_forms == by_verify
 
 
 def test_remainder_seed_search_every_result_generates_franklin():
