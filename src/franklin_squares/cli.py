@@ -324,11 +324,12 @@ def _cmd_search(args: argparse.Namespace) -> int:
     mode = SearchMode(args.mode)
     n = args.order
     # A full enumeration at order >= 8 runs for a very long time; make the
-    # caller acknowledge that.  First-witness runs and orders the line
-    # table settles without search (no Franklin square can exist) finish
-    # quickly and need no flag.
+    # caller acknowledge that.  First-witness runs, budgeted runs and
+    # orders the line table settles without search (no Franklin square
+    # can exist) are not full enumerations and need no flag.
     if (
         mode is not SearchMode.FIRST
+        and args.budget is None
         and n >= 8
         and not args.long_run
         and _check_tables(n) is not None

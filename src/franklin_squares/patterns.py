@@ -347,10 +347,12 @@ def _seed_search_unpruned(n, masks, rows, limit, checks):
 def _seed_search_pruned(n, masks, limit, forms):
     """Lexicographic backtracking with exact pruning.
 
-    Prunes partial seeds on (a) orthogonality to the quotient, checked
-    row by row against the pairs already taken, and (b) feasibility of the
-    upper half-column sum: the first n/2 seed values must sum to
-    n(n-1)/4. Both prunes reject only prefixes no completion of which
+    The walk carries the unused values as a sorted tuple and tries them
+    in order; dropping the tried value from it gives both the values left
+    for the half-sum bound and the next row's candidates. It prunes
+    partial seeds on (a) orthogonality to the quotient, checked row by
+    row against the pairs already taken, and (b) feasibility of the upper
+    half-column sum: the first n/2 seed values must sum to n(n-1)/4. Both prunes reject only prefixes no completion of which
     could be emitted. A full seed passes when it meets every linear form
     of _leaf_forms (whole sum, upper and lower half sums, bent form), which
     holds exactly when its expansion meets every Franklin line, so the
@@ -360,26 +362,30 @@ def _seed_search_pruned(n, masks, limit, forms):
     half_target = n * (n - 1) // 4
     results: list[tuple[int, ...]] = []
 
-    def walk(seed: tuple[int, ...], taken: int, total: int) -> bool:
+    def walk(
+        seed: tuple[int, ...], free: tuple[int, ...], taken: int, total: int
+    ) -> bool:
         r = len(seed)
         if r == n:
             if _meets_forms(seed, forms):
                 results.append(seed)
                 return limit is not None and len(results) >= limit
             return False
-        for v, mask in enumerate(masks[r]):
-            if mask is None or mask & taken or v in seed:
+        row = masks[r]
+        for k, v in enumerate(free):
+            mask = row[v]
+            if mask is None or mask & taken:
                 continue
+            rest = free[:k] + free[k + 1:]
             if r < half:
                 # the upper half's other slots must be able to make up the rest
                 slots = half - r - 1
-                rest = [u for u in range(n) if u != v and u not in seed]
                 need = half_target - total - v
                 if not sum(rest[:slots]) <= need <= sum(rest[len(rest) - slots:]):
                     continue
-            if walk(seed + (v,), taken | mask, total + v):
+            if walk(seed + (v,), rest, taken | mask, total + v):
                 return True
         return False
 
-    walk((), 0, 0)
+    walk((), tuple(range(n)), 0, 0)
     return results

@@ -20,9 +20,9 @@ abandons by the end of the row, so ``nodes_visited`` can differ.
 
 Each cell carries the lines it closes, so a candidate is checked against
 those lines only. With pruning the walk recurses once per free cell (a
-cell that closes no line; 2n-5 of them at orders 4 to 40) and places the
-forced cells after it in a loop; without pruning no cell is forced, so
-it recurses once per cell.
+cell that closes no line; 2n-5 of them at orders 4 to 40), and one loop
+places the free cell's value and then the forced cells after it;
+without pruning no cell is forced, so it recurses once per cell.
 
 An outcome with ``exhausted`` true and ``count`` zero is a non-existence
 proof for that order. Orders whose line sum is odd are settled without
@@ -194,13 +194,13 @@ def _run_tree(opts: SearchOptions, first_value: int | None = None):
 
     # With pruning a cell that closes a line is forced: its first closing
     # line derives the value and the others are checked. Only the free
-    # cells recurse; each one places the run of forced cells after it in
-    # a loop. Without pruning no cell is forced and every run is empty.
+    # cells recurse; one loop places the free cell's value and then the
+    # run of forced cells after it. Without pruning no cell is forced,
+    # every run is empty and each cell checks all the lines it closes.
     free = [i for i in range(n2) if not (prune and closing_at[i])]
     next_free = dict(zip(free, free[1:] + [n2]))
-    forced_at = [
-        (*closing[0], closing[1:]) if closing else None for closing in closing_at
-    ]
+    derive_at = [closing[0] if closing else None for closing in closing_at]
+    checks_at = [closing[1:] if prune else closing for closing in closing_at]
 
     grid = [0] * n2
     used = [False] * (n2 + 1)
@@ -211,7 +211,6 @@ def _run_tree(opts: SearchOptions, first_value: int | None = None):
         """Place each value free cell i admits, then the forced run after
         it, and walk on; True stops the run."""
         nonlocal nodes, count
-        closing = closing_at[i]
         nxt = next_free[i]
         if i == 0 and first_value is not None:
             candidates = [first_value]
@@ -226,58 +225,45 @@ def _run_tree(opts: SearchOptions, first_value: int | None = None):
                 v for v in candidates if remaining <= gap - v <= remaining * n2
             ]
         for v in candidates:
-            for get, target in closing:
-                if v + sum(get(grid)) != target:
-                    break
-            else:
-                grid[i] = v
-                used[v] = True
-                nodes += 1
-                if progress is not None and nodes % progress_interval == 0:
-                    progress(nodes, i)
-                if node_budget is not None and nodes >= node_budget:
-                    return True
-                # The forced run: cells i+1 .. nxt-1, each derived from
-                # its first closing line and checked against the rest.
-                j = i + 1
-                while j < nxt:
-                    get, target, checks = forced_at[j]
-                    u = target - sum(get(grid))
-                    if not 0 < u <= n2 or used[u]:
+            # Place v at cell i, then each forced cell up to nxt with the
+            # value its first closing line derives. j is the cell to place
+            # next, so cells i .. j-1 hold this branch's values.
+            j = i
+            while True:
+                for get, target in checks_at[j]:
+                    if v + sum(get(grid)) != target:
                         break
-                    for check, total in checks:
-                        if u + sum(check(grid)) != total:
-                            break
-                    else:
-                        grid[j] = u
-                        used[u] = True
-                        nodes += 1
-                        if progress is not None and nodes % progress_interval == 0:
-                            progress(nodes, j)
-                        if node_budget is not None and nodes >= node_budget:
-                            return True
-                        j += 1
-                        continue
-                    break
                 else:
-                    if nxt < n2:
-                        if walk(nxt):
+                    grid[j] = v
+                    used[v] = True
+                    nodes += 1
+                    if progress is not None and nodes % progress_interval == 0:
+                        progress(nodes, j)
+                    if node_budget is not None and nodes >= node_budget:
+                        return True
+                    j += 1
+                    if j < nxt:
+                        get, target = derive_at[j]
+                        v = target - sum(get(grid))
+                        if 0 < v <= n2 and not used[v]:
+                            continue
+                break
+            if j == nxt:
+                if nxt < n2:
+                    if walk(nxt):
+                        return True
+                else:
+                    square = Square.from_rows(grid[r:r + n] for r in range(0, n2, n))
+                    report = verify(square, natural_targets)
+                    if report.franklin and report.natural:
+                        count += 1
+                        if mode is not SearchMode.COUNT:
+                            witnesses.append(square)
+                        if mode is SearchMode.FIRST:
                             return True
-                    else:
-                        square = Square.from_rows(
-                            grid[r:r + n] for r in range(0, n2, n)
-                        )
-                        report = verify(square, natural_targets)
-                        if report.franklin and report.natural:
-                            count += 1
-                            if mode is not SearchMode.COUNT:
-                                witnesses.append(square)
-                            if mode is SearchMode.FIRST:
-                                return True
-                # Grid cells are rewritten before any later cell reads them.
-                for k in range(i + 1, j):
-                    used[grid[k]] = False
-                used[v] = False
+            # Grid cells are rewritten before any later cell reads them.
+            for k in range(i, j):
+                used[grid[k]] = False
         return False
 
     stopped = walk(0)

@@ -512,6 +512,20 @@ def test_search_first_mode_skips_long_run_gate(capsys):
     assert len(outcome["witnesses"][0]["cells"]) == 64
 
 
+def test_search_budget_skips_long_run_gate(capsys):
+    # A budgeted run stops after its budget, so it is no full enumeration.
+    code, out, err = run(
+        capsys, "search", "--order", "8", "--mode", "stream", "--budget", "100"
+    )
+    assert (code, err) == (0, "")
+    outcome = search_natural_franklin(
+        SearchOptions(order=8, mode=SearchMode.STREAM, node_budget=100)
+    )
+    want = [square_to_json(w) for w in outcome.witnesses]
+    want.append(json.dumps(outcome_to_dict(outcome, include_witnesses=False)))
+    assert out == "\n".join(want) + "\n"
+
+
 def test_search_order_6_runs_without_flag(capsys):
     code, out, _ = run(capsys, "search", "--order", "6", "--mode", "count")
     assert code == 0

@@ -165,6 +165,28 @@ def test_walk_outcomes_are_pinned():
     ]
 
 
+def test_unpruned_walk_progress_is_pinned():
+    # Without pruning every cell is free and checks all the lines it
+    # closes, so this pins the walk's check-only path.
+    calls = []
+    outcome = search_natural_franklin(
+        SearchOptions(
+            order=8,
+            mode=SearchMode.STREAM,
+            node_budget=50_000,
+            prune=False,
+            progress=lambda nodes, depth: calls.append((nodes, depth)),
+            progress_interval=4_999,
+        )
+    )
+    assert len(outcome.witnesses) == 40
+    assert outcome.nodes_visited == 50_000
+    assert calls == [
+        (4999, 54), (9998, 49), (14997, 52), (19996, 50), (24995, 52),
+        (29994, 48), (34993, 50), (39992, 48), (44991, 49), (49990, 48),
+    ]
+
+
 def test_worker_count_is_clamped(monkeypatch):
     widths = []
 
