@@ -24,9 +24,15 @@ cell that closes no line; 2n-5 of them at orders 4 to 40), and one loop
 places the free cell's value and then the forced cells after it;
 without pruning no cell is forced, so it recurses once per cell.
 
-An outcome with ``exhausted`` true and ``count`` zero is a non-existence
-proof for that order. Orders whose line sum is odd are settled without
-search: a half-line would need twice a cell sum to equal an odd number.
+``search_natural_franklin`` is the one entry point. It settles an order
+in one of three ways: without search when the line sum is odd (a
+half-line would need twice a cell sum to equal an odd number); by the
+process split for an unbudgeted COUNT or STREAM run with
+``parallel_width`` > 1, one walk per value of cell 0, merged in value
+order; or else by one walk, ``_run_tree``. A census method (by symmetry
+class or by seeds) would be a fourth case there, picked by mode and
+order. An outcome with ``exhausted`` true and ``count`` zero proves that
+no square of that order exists.
 """
 
 from __future__ import annotations
@@ -54,13 +60,14 @@ class SearchOptions:
     """Search parameters.
 
     ``node_budget`` caps placements (a node is one accepted cell
-    assignment, forced or free). ``parallel_width`` > 1 splits the tree at
-    the first cell across worker processes (at most one per CPU and one
-    per branch) for COUNT/STREAM runs without a budget; FIRST and
-    budgeted runs always execute sequentially so their outcome stays
-    identical to the single-worker one. ``progress`` is
-    called with (nodes_visited, fill_depth) every ``progress_interval``
-    placements (per worker batch when parallel).
+    assignment, forced or free); the leaf that the budget-th placement
+    completes is re-verified and counted. ``parallel_width`` > 1 splits
+    the tree at the first cell across worker processes (at most one per
+    CPU and one per branch) for COUNT/STREAM runs without a budget; FIRST
+    and budgeted runs always execute sequentially so their outcome stays
+    identical to the single-worker one. ``progress`` is called with
+    (nodes_visited, fill_depth) every ``progress_interval`` placements,
+    or with (nodes_visited, 0) after each branch when parallel.
     """
 
     order: int
@@ -90,6 +97,8 @@ class SearchOutcome:
 
     ``exhausted`` is true only when the whole tree was covered (no budget
     hit, no early stop); with ``count`` zero that proves non-existence.
+    It is false whenever the budget is reached, even at the tree's last
+    node, since the walk stops before it can tell that the tree is done.
     ``witnesses`` carries found squares for FIRST (at most one) and STREAM
     (all, in discovery order); COUNT leaves it empty.
     """
@@ -174,13 +183,10 @@ def _candidate_order(grid: list[int], used: list[bool], i: int, n: int) -> list[
     return buckets[0] + buckets[1] + buckets[2] + buckets[3]
 
 
-def _run_tree(opts: SearchOptions, first_value: int | None = None):
-    """Sequential engine. When ``first_value`` is given, only the branch
-    with that value in cell 0 is explored (the parallel split unit).
-
-    Returns (count, witnesses, nodes_visited, stopped), where ``stopped``
-    means the budget ran out or FIRST found its witness.
-    """
+def _run_tree(opts: SearchOptions, first_value: int | None = None) -> SearchOutcome:
+    """Walk the tree in one process; with ``first_value``, cell 0 takes
+    only that value (one branch of the process split). The outcome is
+    exhausted unless the budget ran out or FIRST found its witness."""
     n = opts.order
     mode = opts.mode
     prune = opts.prune
@@ -227,7 +233,8 @@ def _run_tree(opts: SearchOptions, first_value: int | None = None):
         for v in candidates:
             # Place v at cell i, then each forced cell up to nxt with the
             # value its first closing line derives. j is the cell to place
-            # next, so cells i .. j-1 hold this branch's values.
+            # next, so cells i .. j-1 hold this branch's values. The run
+            # also ends at the budget-th placement.
             j = i
             while True:
                 for get, target in checks_at[j]:
@@ -239,59 +246,38 @@ def _run_tree(opts: SearchOptions, first_value: int | None = None):
                     nodes += 1
                     if progress is not None and nodes % progress_interval == 0:
                         progress(nodes, j)
-                    if node_budget is not None and nodes >= node_budget:
-                        return True
                     j += 1
-                    if j < nxt:
+                    if j < nxt and nodes != node_budget:
                         get, target = derive_at[j]
                         v = target - sum(get(grid))
                         if 0 < v <= n2 and not used[v]:
                             continue
                 break
-            if j == nxt:
-                if nxt < n2:
-                    if walk(nxt):
+            if j == n2:
+                square = Square.from_rows(grid[r:r + n] for r in range(0, n2, n))
+                report = verify(square, natural_targets)
+                if report.franklin and report.natural:
+                    count += 1
+                    if mode is not SearchMode.COUNT:
+                        witnesses.append(square)
+                    if mode is SearchMode.FIRST:
                         return True
-                else:
-                    square = Square.from_rows(grid[r:r + n] for r in range(0, n2, n))
-                    report = verify(square, natural_targets)
-                    if report.franklin and report.natural:
-                        count += 1
-                        if mode is not SearchMode.COUNT:
-                            witnesses.append(square)
-                        if mode is SearchMode.FIRST:
-                            return True
+            # The one budget stop: it follows the leaf, so the square the
+            # budget-th placement completes is counted.
+            if nodes == node_budget or (j == nxt < n2 and walk(nxt)):
+                return True
             # Grid cells are rewritten before any later cell reads them.
             for k in range(i, j):
                 used[grid[k]] = False
         return False
 
     stopped = walk(0)
-    return count, witnesses, nodes, stopped
-
-
-def _runs(opts: SearchOptions, parallel: bool):
-    """Yield (count, witnesses, nodes_visited, stopped) for each part of
-    the tree, in value order of cell 0 when parallel."""
-    n = opts.order
-    if _check_tables(n) is None:
-        # Some Franklin target is not an integer (an odd m leaves the
-        # half-lines none): no square exists, with no tree to walk.
-        return
-    if not parallel:
-        yield _run_tree(opts)
-        return
-    # Under fork every worker starts at the first submit, so the width is
-    # clamped to what can run at once and to the number of branches.
-    width = min(opts.parallel_width, os.cpu_count() or 1, n * n)
-    # The progress hook stays here; workers report only when they finish.
-    branch = partial(_run_tree, replace(opts, progress=None))
-    # Imported here: only this path needs it, and importing it (with
-    # logging) would add about 5 ms to every CLI call.
-    import concurrent.futures
-
-    with concurrent.futures.ProcessPoolExecutor(max_workers=width) as pool:
-        yield from pool.map(branch, range(1, n * n + 1))
+    return SearchOutcome(
+        count=count,
+        exhausted=not stopped,
+        witnesses=tuple(witnesses),
+        nodes_visited=nodes,
+    )
 
 
 def search_natural_franklin(opts: SearchOptions) -> SearchOutcome:
@@ -300,24 +286,36 @@ def search_natural_franklin(opts: SearchOptions) -> SearchOutcome:
     Every reported witness is re-verified through the property verifier
     before it is counted; nothing is trusted from search bookkeeping.
     """
-    parallel = (
-        opts.parallel_width > 1
-        and opts.mode is not SearchMode.FIRST
-        and opts.node_budget is None
-    )
+    n = opts.order
+    if _check_tables(n) is None:
+        # Some Franklin target is not an integer (an odd m leaves the
+        # half-lines none): no square exists, with no tree to walk.
+        return SearchOutcome(count=0, exhausted=True, witnesses=(), nodes_visited=0)
+    if (
+        opts.parallel_width == 1
+        or opts.mode is SearchMode.FIRST
+        or opts.node_budget is not None
+    ):
+        return _run_tree(opts)
+    # The process split: no branch stops early, since it never runs FIRST
+    # or a budget. Under fork every worker starts at the first submit, so
+    # the width is clamped to what can run at once and to the branches.
+    width = min(opts.parallel_width, os.cpu_count() or 1, n * n)
+    # The progress hook stays here; workers report only when they finish.
+    branch = partial(_run_tree, replace(opts, progress=None))
+    # Imported here: only this path needs it, and importing it (with
+    # logging) would add about 5 ms to every CLI call.
+    import concurrent.futures
+
     count = nodes = 0
     witnesses: list[Square] = []
-    stopped = False
-    for run_count, run_witnesses, run_nodes, run_stopped in _runs(opts, parallel):
-        count += run_count
-        nodes += run_nodes
-        witnesses.extend(run_witnesses)
-        stopped = stopped or run_stopped
-        if parallel and opts.progress is not None:
-            opts.progress(nodes, 0)
+    with concurrent.futures.ProcessPoolExecutor(max_workers=width) as pool:
+        for part in pool.map(branch, range(1, n * n + 1)):
+            count += part.count
+            nodes += part.nodes_visited
+            witnesses.extend(part.witnesses)
+            if opts.progress is not None:
+                opts.progress(nodes, 0)
     return SearchOutcome(
-        count=count,
-        exhausted=not stopped,
-        witnesses=tuple(witnesses),
-        nodes_visited=nodes,
+        count=count, exhausted=True, witnesses=tuple(witnesses), nodes_visited=nodes
     )

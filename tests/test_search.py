@@ -77,6 +77,31 @@ def test_node_budget_stops_the_walk():
     assert outcome.count == 0
 
 
+def test_budget_counts_the_square_its_last_placement_completes():
+    # The order-8 FIRST witness is completed by the 100th placement: a
+    # budget of 100 re-verifies and counts it, a budget of 99 stops short.
+    short = search_natural_franklin(
+        SearchOptions(order=8, mode=SearchMode.FIRST, node_budget=99)
+    )
+    assert (short.count, short.nodes_visited, short.witnesses) == (0, 99, ())
+    edge = search_natural_franklin(
+        SearchOptions(order=8, mode=SearchMode.FIRST, node_budget=100)
+    )
+    assert (edge.count, edge.nodes_visited, edge.exhausted) == (1, 100, False)
+    assert edge.witnesses == search_natural_franklin(
+        SearchOptions(order=8, mode=SearchMode.FIRST)
+    ).witnesses
+
+
+def test_budget_at_the_tree_size_is_not_exhausted():
+    # The order-4 tree has 480 nodes. A budget of 480 stops the walk at
+    # its last node, before it can tell that the tree is done.
+    at_size = search_natural_franklin(SearchOptions(order=4, node_budget=480))
+    assert (at_size.count, at_size.nodes_visited, at_size.exhausted) == (0, 480, False)
+    past = search_natural_franklin(SearchOptions(order=4, node_budget=481))
+    assert (past.count, past.nodes_visited, past.exhausted) == (0, 480, True)
+
+
 def test_stream_mode_collects_witnesses():
     outcome = search_natural_franklin(
         SearchOptions(order=4, mode=SearchMode.STREAM)
@@ -185,6 +210,21 @@ def test_unpruned_walk_progress_is_pinned():
         (4999, 54), (9998, 49), (14997, 52), (19996, 50), (24995, 52),
         (29994, 48), (34993, 50), (39992, 48), (44991, 49), (49990, 48),
     ]
+
+
+def test_process_split_reports_progress_after_each_branch():
+    # Each of the 16 first-cell branches at order 4 places 30 cells; the
+    # split reports the running total after each one, at depth 0.
+    calls = []
+    outcome = search_natural_franklin(
+        SearchOptions(
+            order=4,
+            parallel_width=2,
+            progress=lambda nodes, depth: calls.append((nodes, depth)),
+        )
+    )
+    assert calls == [(30 * k, 0) for k in range(1, 17)]
+    assert outcome == search_natural_franklin(SearchOptions(order=4))
 
 
 def test_worker_count_is_clamped(monkeypatch):
