@@ -12,14 +12,22 @@ Six subcommands cover the whole workflow:
 Square files are CSV (one row of integers per line, no header) unless the
 path ends in ``.json``, in which case they use the ``{"order": n, "cells":
 [...]}`` layout; ``-`` reads from stdin and sniffs the format.  Diagnostics
-go to stderr as a single line ``error: code=<CODE> <detail>`` and the exit
-code tells the caller what class of problem occurred:
+go to stderr as a single line ``error: code=<CODE> <detail>``, and each
+code has one exit status (0 is success; with --require, the square has
+the required property):
 
-    0  success (with --require: the square has the required property)
-    1  verification failure (a --require property does not hold)
-    2  malformed input (unreadable file, bad CSV/JSON, usage errors)
-    3  precondition violation (wrong order, out-of-range values, unknown
-       preset or fixture name, odd search order, missing --long-run)
+    1  REQUIRE_FAILED     a --require property does not hold
+    2  USAGE              bad or conflicting flags and flag values
+       BAD_FILE           a file cannot be read or written, or a fixture
+                          file is missing, corrupted or does not parse
+       BAD_FORMAT         a square file is not valid CSV or JSON
+    3  PRECONDITION       wrong order, out-of-range values, odd search order
+       UNKNOWN_NAME       unknown preset, fixture or archetype name
+       LONG_RUN_REQUIRED  a full enumeration at order >= 8 without --long-run
+
+A path flag is given whenever it appears, even with an empty value: an
+empty path is a file that cannot be written (BAD_FILE), and ``-`` is
+stdout.
 """
 
 from __future__ import annotations
@@ -44,29 +52,40 @@ from .formats import (
 from .search import SearchMode, SearchOptions, _check_tables, search_natural_franklin
 from .verify import LABELS, PropertyReport, classify, verify
 
-EXIT_OK = 0
-EXIT_REQUIRE_FAILED = 1
-EXIT_MALFORMED = 2
-EXIT_PRECONDITION = 3
+_EXIT = {
+    "REQUIRE_FAILED": 1,
+    "USAGE": 2,
+    "BAD_FILE": 2,
+    "BAD_FORMAT": 2,
+    "PRECONDITION": 3,
+    "UNKNOWN_NAME": 3,
+    "LONG_RUN_REQUIRED": 3,
+}
 
 _MAX_SHOWN_FAILURES = 8
 
 
 class _CliError(Exception):
-    """Carries the exit code and machine-parsable error code to main()."""
-
-    def __init__(self, exit_code: int, code: str, detail: str) -> None:
-        super().__init__(detail)
-        self.exit_code = exit_code
-        self.code = code
-        self.detail = detail
+    """An error code (a key of _EXIT) and its detail, for main() to report."""
 
 
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems in the common error format."""
 
     def error(self, message: str) -> None:  # type: ignore[override]
-        raise _CliError(EXIT_MALFORMED, "USAGE", message)
+        raise _CliError("USAGE", message)
+
+
+def _call(fn, *args, **kwargs):
+    """Call into the library, giving its input errors their codes: a
+    ValueError is PRECONDITION, and a FixtureError is BAD_FILE (callers
+    check fixture and preset names first)."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        raise _CliError("PRECONDITION", str(exc))
+    except fixtures.FixtureError as exc:
+        raise _CliError("BAD_FILE", str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +99,7 @@ def _read_text(path: str) -> str:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        raise _CliError(EXIT_MALFORMED, "BAD_FILE", f"cannot read {path}: {exc}")
+        raise _CliError("BAD_FILE", f"cannot read {path}: {exc}")
 
 
 def _read_square(path: str) -> Square:
@@ -92,7 +111,7 @@ def _read_square(path: str) -> Square:
             return sq
         return parse_square_csv(text)
     except FormatError as exc:
-        raise _CliError(EXIT_MALFORMED, "BAD_FORMAT", f"{path}: {exc}")
+        raise _CliError("BAD_FORMAT", f"{path}: {exc}")
 
 
 def _write_text(text: str, path: str | None) -> None:
@@ -103,7 +122,12 @@ def _write_text(text: str, path: str | None) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise _CliError(EXIT_MALFORMED, "BAD_FILE", f"cannot write {path}: {exc}")
+        raise _CliError("BAD_FILE", f"cannot write {path}: {exc}")
+
+
+def _write_pair(pair: AuxPair) -> None:
+    sys.stdout.write(square_to_csv(pair.quotient) + "\n")
+    sys.stdout.write(square_to_csv(pair.remainder))
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +143,6 @@ def _parse_target(raw: str, n: int) -> IndexTargets:
         line_sum = int(raw)
     except ValueError:
         raise _CliError(
-            EXIT_MALFORMED,
             "USAGE",
             f"--target must be 'natural', 'balanced', or an integer, got {raw!r}",
         )
@@ -146,7 +169,7 @@ def _summary(report: PropertyReport, inferred: bool) -> str:
     return "\n".join(out) + "\n"
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> None:
     sq = _read_square(args.file)
     if args.target is None:
         outcome = classify(sq)
@@ -160,47 +183,31 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         sys.stdout.write(_summary(report, inferred))
     if args.require and args.require not in report.labels:
         raise _CliError(
-            EXIT_REQUIRE_FAILED,
             "REQUIRE_FAILED",
             f"square does not satisfy {args.require!r} "
             f"at line sum {report.targets.line_sum}",
         )
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # decompose / compose
 
 
-def _cmd_decompose(args: argparse.Namespace) -> int:
-    sq = _read_square(args.file)
-    try:
-        pair = decompose(sq)
-    except ValueError as exc:
-        raise _CliError(EXIT_PRECONDITION, "PRECONDITION", str(exc))
-    q_text = square_to_csv(pair.quotient)
-    r_text = square_to_csv(pair.remainder)
-    if args.out_q or args.out_r:
-        if not (args.out_q and args.out_r):
-            raise _CliError(
-                EXIT_MALFORMED, "USAGE", "--out-q and --out-r must be given together"
-            )
-        _write_text(q_text, args.out_q)
-        _write_text(r_text, args.out_r)
+def _cmd_decompose(args: argparse.Namespace) -> None:
+    pair = _call(decompose, _read_square(args.file))
+    if args.out_q is None and args.out_r is None:
+        _write_pair(pair)
+    elif args.out_q is None or args.out_r is None:
+        raise _CliError("USAGE", "--out-q and --out-r must be given together")
     else:
-        sys.stdout.write(q_text + "\n" + r_text)
-    return EXIT_OK
+        _write_text(square_to_csv(pair.quotient), args.out_q)
+        _write_text(square_to_csv(pair.remainder), args.out_r)
 
 
-def _cmd_compose(args: argparse.Namespace) -> int:
+def _cmd_compose(args: argparse.Namespace) -> None:
     q = _read_square(args.q)
     r = _read_square(args.r)
-    try:
-        sq = compose(AuxPair(q, r))
-    except ValueError as exc:
-        raise _CliError(EXIT_PRECONDITION, "PRECONDITION", str(exc))
-    _write_text(square_to_csv(sq), args.out)
-    return EXIT_OK
+    _write_text(square_to_csv(compose(_call(AuxPair, q, r))), args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -211,16 +218,13 @@ def _parse_seed(raw: str, flag: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in raw.split(","))
     except ValueError:
-        raise _CliError(
-            EXIT_MALFORMED, "USAGE", f"{flag} must be comma-separated integers"
-        )
+        raise _CliError("USAGE", f"{flag} must be comma-separated integers")
 
 
 def _parse_archetypes(raw: str) -> tuple[patterns.Archetype, patterns.Archetype]:
     parts = raw.split(",")
     if len(parts) != 2:
         raise _CliError(
-            EXIT_MALFORMED,
             "USAGE",
             "--archetypes takes exactly two comma-separated names "
             "(quotient first, remainder second)",
@@ -233,94 +237,64 @@ def _parse_archetypes(raw: str) -> tuple[patterns.Archetype, patterns.Archetype]
         except ValueError:
             known = ", ".join(a.value for a in patterns.Archetype)
             raise _CliError(
-                EXIT_PRECONDITION,
                 "UNKNOWN_NAME",
                 f"unknown archetype {part!r}; choose from: {known}",
             )
     return out[0], out[1]
 
 
-def _write_pair(pair: AuxPair) -> None:
-    sys.stdout.write(square_to_csv(pair.quotient) + "\n")
-    sys.stdout.write(square_to_csv(pair.remainder))
-
-
-def _cmd_generate(args: argparse.Namespace) -> int:
-    seeded = any(
-        v is not None for v in (args.order, args.q_seed, args.r_seed, args.archetypes)
-    )
-    if args.preset is not None and seeded:
-        raise _CliError(
-            EXIT_MALFORMED, "USAGE", "--preset cannot be combined with seed options"
-        )
+def _cmd_generate(args: argparse.Namespace) -> None:
+    seeds = {
+        "--order": args.order,
+        "--q-seed": args.q_seed,
+        "--r-seed": args.r_seed,
+        "--archetypes": args.archetypes,
+    }
+    missing = [flag for flag, value in seeds.items() if value is None]
     if args.preset is not None:
-        try:
-            obj = patterns.preset(args.preset)
-        except fixtures.FixtureError:
-            known = ", ".join(patterns.preset_names())
+        if len(missing) < len(seeds):
+            raise _CliError("USAGE", "--preset cannot be combined with seed options")
+        known = patterns.preset_names()
+        if args.preset not in known:
             raise _CliError(
-                EXIT_PRECONDITION,
                 "UNKNOWN_NAME",
-                f"unknown preset {args.preset!r}; choose from: {known}",
+                f"unknown preset {args.preset!r}; choose from: {', '.join(known)}",
             )
+        obj = _call(patterns.preset, args.preset)
         if isinstance(obj, AuxPair):
-            if args.report:
-                raise _CliError(
-                    EXIT_MALFORMED,
-                    "USAGE",
-                    "--report applies to single squares, not grid pairs",
-                )
-            if args.out:
-                raise _CliError(
-                    EXIT_MALFORMED,
-                    "USAGE",
-                    "--out applies to single squares, not grid pairs",
-                )
+            for flag, path in (("--report", args.report), ("--out", args.out)):
+                if path is not None:
+                    raise _CliError(
+                        "USAGE", f"{flag} applies to single squares, not grid pairs"
+                    )
             _write_pair(obj)
-            return EXIT_OK
+            return
         square = obj
         report = classify(square).report
+    elif missing:
+        raise _CliError(
+            "USAGE",
+            "generate needs --preset or all of --order/--q-seed/--r-seed/"
+            "--archetypes (missing: " + ", ".join(missing) + ")",
+        )
     else:
-        missing = [
-            flag
-            for flag, value in (
-                ("--order", args.order),
-                ("--q-seed", args.q_seed),
-                ("--r-seed", args.r_seed),
-                ("--archetypes", args.archetypes),
-            )
-            if value is None
-        ]
-        if missing:
-            raise _CliError(
-                EXIT_MALFORMED,
-                "USAGE",
-                "generate needs --preset or all of --order/--q-seed/--r-seed/"
-                "--archetypes (missing: " + ", ".join(missing) + ")",
-            )
         q_arch, r_arch = _parse_archetypes(args.archetypes)
-        try:
-            q_pattern = patterns.SeedPattern(
-                q_arch, args.order, _parse_seed(args.q_seed, "--q-seed")
-            )
-            r_pattern = patterns.SeedPattern(
-                r_arch, args.order, _parse_seed(args.r_seed, "--r-seed")
-            )
-            result = patterns.generate(q_pattern, r_pattern)
-        except ValueError as exc:
-            raise _CliError(EXIT_PRECONDITION, "PRECONDITION", str(exc))
+        q_seed = _parse_seed(args.q_seed, "--q-seed")
+        q_pattern = _call(patterns.SeedPattern, q_arch, args.order, q_seed)
+        r_seed = _parse_seed(args.r_seed, "--r-seed")
+        r_pattern = _call(patterns.SeedPattern, r_arch, args.order, r_seed)
+        result = _call(patterns.generate, q_pattern, r_pattern)
         square, report = result.square, result.report
     _write_text(square_to_csv(square), args.out)
-    if args.report:
+    if args.report is not None:
         _write_text(report_to_json(report) + "\n", args.report)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # search
 
 
-def _cmd_search(args: argparse.Namespace) -> int:
+def _cmd_search(args: argparse.Namespace) -> None:
     mode = SearchMode(args.mode)
     n = args.order
     # A full enumeration at order >= 8 runs for a very long time; make the
@@ -335,21 +309,18 @@ def _cmd_search(args: argparse.Namespace) -> int:
         and _check_tables(n) is not None
     ):
         raise _CliError(
-            EXIT_PRECONDITION,
             "LONG_RUN_REQUIRED",
             f"a full order-{n} enumeration may run for days; "
             "pass --long-run to confirm",
         )
-    try:
-        opts = SearchOptions(
-            order=n,
-            mode=mode,
-            node_budget=args.budget,
-            parallel_width=args.workers,
-            prune=not args.no_prune,
-        )
-    except ValueError as exc:
-        raise _CliError(EXIT_PRECONDITION, "PRECONDITION", str(exc))
+    opts = _call(
+        SearchOptions,
+        order=n,
+        mode=mode,
+        node_budget=args.budget,
+        parallel_width=args.workers,
+        prune=not args.no_prune,
+    )
     outcome = search_natural_franklin(opts)
     if mode is SearchMode.STREAM:
         for witness in outcome.witnesses:
@@ -358,14 +329,13 @@ def _cmd_search(args: argparse.Namespace) -> int:
         sys.stdout.write(json.dumps(summary) + "\n")
     else:
         sys.stdout.write(_dumps_indented(outcome_to_dict(outcome)) + "\n")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # fixtures
 
 
-def _cmd_fixtures(args: argparse.Namespace) -> int:
+def _cmd_fixtures(args: argparse.Namespace) -> None:
     if args.action == "list":
         for name in fixtures.names():
             e = fixtures.entry(name)
@@ -373,12 +343,12 @@ def _cmd_fixtures(args: argparse.Namespace) -> int:
             sys.stdout.write(
                 f"{e.name:<24} {e.kind.value:<8} order {e.order:>2}  {claims}\n"
             )
-        return EXIT_OK
+        return
     try:
         e = fixtures.entry(args.name)
-        obj = fixtures.load(args.name)
     except fixtures.FixtureError as exc:
-        raise _CliError(EXIT_PRECONDITION, "UNKNOWN_NAME", str(exc))
+        raise _CliError("UNKNOWN_NAME", str(exc))
+    obj = _call(fixtures.load, args.name)
     out = [
         f"name: {e.name}",
         f"kind: {e.kind.value}",
@@ -399,7 +369,6 @@ def _cmd_fixtures(args: argparse.Namespace) -> int:
         _write_pair(obj)
     else:
         sys.stdout.write(square_to_csv(obj))
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +399,7 @@ def _build_parser() -> _Parser:
         choices=LABELS,
         help="exit 1 unless the square satisfies this property",
     )
+    p_verify.set_defaults(run=_cmd_verify)
 
     p_dec = sub.add_parser(
         "decompose", help="split a square into quotient/remainder grids"
@@ -437,6 +407,7 @@ def _build_parser() -> _Parser:
     p_dec.add_argument("file", help="square file (CSV or JSON, '-' for stdin)")
     p_dec.add_argument("--out-q", help="write the quotient grid to this CSV file")
     p_dec.add_argument("--out-r", help="write the remainder grid to this CSV file")
+    p_dec.set_defaults(run=_cmd_decompose)
 
     p_com = sub.add_parser(
         "compose", help="rebuild a square from quotient/remainder grids"
@@ -444,6 +415,7 @@ def _build_parser() -> _Parser:
     p_com.add_argument("--q", required=True, help="quotient grid file")
     p_com.add_argument("--r", required=True, help="remainder grid file")
     p_com.add_argument("--out", help="write the square here (default stdout)")
+    p_com.set_defaults(run=_cmd_compose)
 
     p_gen = sub.add_parser("generate", help="expand seed patterns into a square")
     p_gen.add_argument("--preset", help="named preset (see `fixtures list`)")
@@ -457,6 +429,7 @@ def _build_parser() -> _Parser:
     )
     p_gen.add_argument("--out", help="write the square here (default stdout)")
     p_gen.add_argument("--report", help="also write the JSON verification report")
+    p_gen.set_defaults(run=_cmd_generate)
 
     p_sea = sub.add_parser("search", help="enumerate natural Franklin squares")
     p_sea.add_argument("--order", type=int, required=True)
@@ -479,8 +452,10 @@ def _build_parser() -> _Parser:
         action="store_true",
         help="disable forcing and bound pruning (cross-check mode)",
     )
+    p_sea.set_defaults(run=_cmd_search)
 
     p_fix = sub.add_parser("fixtures", help="inspect the bundled reference squares")
+    p_fix.set_defaults(run=_cmd_fixtures)
     fix_sub = p_fix.add_subparsers(dest="action", required=True)
     fix_sub.add_parser("list", help="list fixture names, kinds, and claims")
     p_show = fix_sub.add_parser("show", help="print one fixture with its grids")
@@ -489,24 +464,16 @@ def _build_parser() -> _Parser:
     return parser
 
 
-_HANDLERS = {
-    "verify": _cmd_verify,
-    "decompose": _cmd_decompose,
-    "compose": _cmd_compose,
-    "generate": _cmd_generate,
-    "search": _cmd_search,
-    "fixtures": _cmd_fixtures,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _HANDLERS[args.command](args)
+        args.run(args)
     except _CliError as exc:
-        sys.stderr.write(f"error: code={exc.code} {exc.detail}\n")
-        return exc.exit_code
+        code, detail = exc.args
+        sys.stderr.write(f"error: code={code} {detail}\n")
+        return _EXIT[code]
+    return 0
 
 
 if __name__ == "__main__":

@@ -33,7 +33,8 @@ class FixtureKind(Enum):
 
 
 class FixtureError(Exception):
-    """Unknown fixture name or corrupted fixture data."""
+    """Unknown fixture name, or a registered fixture file that cannot be
+    read, fails its digest or does not parse."""
 
 
 @dataclass(frozen=True)
@@ -413,7 +414,10 @@ def _read_grid(filename: str, root: Path) -> Square:
                 f"fixture file {filename} is corrupted "
                 f"(sha256 {digest}, expected {CHECKSUMS[filename]})"
             )
-    return parse_square_csv(data.decode("ascii"))
+    try:
+        return parse_square_csv(data.decode("ascii"))
+    except (UnicodeDecodeError, ValueError) as exc:
+        raise FixtureError(f"cannot parse fixture file {path}: {exc}") from None
 
 
 def load_square(name: str) -> Square:

@@ -265,6 +265,312 @@ def test_pinned_outputs_cover_every_fixture_file():
     assert set(VERIFY_DIGESTS) == files
 
 
+# Exit code, SHA-256 of stdout and of stderr, and SHA-256 of each file the
+# command writes, for the commands other than `verify`: the byte contract.
+# "{data}" is the bundled fixture directory. "{tmp}" is a fresh directory
+# that holds bad.csv; its path reads "{tmp}" again before hashing.
+EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+COMMAND_DIGESTS = {
+    "generate --preset f8_1769": (
+        0,
+        "3a02d7f4e623a28fdc4982f010515970db2f083c01d7b72eb656bbdd430f148b",
+        EMPTY,
+        {},
+    ),
+    "generate --preset f16_1769": (
+        0,
+        "48f351b500b16e7cf401578115b623c5df0778a079cca2960aaba7d8ebda203b",
+        EMPTY,
+        {},
+    ),
+    "generate --preset f24": (
+        0,
+        "4e978ec62f0fe18b8f0404695aaf87f570143349574b8b408a380b9365a56181",
+        EMPTY,
+        {},
+    ),
+    "generate --preset f8_pandiagonal": (
+        0,
+        "0266ffabb1d3bbd9ebe3e1a7b050ff2311c55e97f53111e62b6d911a65e65f67",
+        EMPTY,
+        {},
+    ),
+    "generate --preset f16_pandiagonal": (
+        0,
+        "f0a913c854676bda9452e8727a8706c2ea7ec8e68521375415708bec4494da2e",
+        EMPTY,
+        {},
+    ),
+    "generate --preset m6_franklin_1769": (
+        0,
+        "2f17383acc405d1ce79b5d28b23a2bc7e24dc5535d33ee89c57c0b6c4b17d857",
+        EMPTY,
+        {},
+    ),
+    "generate --preset m6_euler": (
+        0,
+        "40b698ae8e8102f6eb3f851c094d5b8fa5d97b5939ae3b22c38047dbb02b9480",
+        EMPTY,
+        {},
+    ),
+    "generate --preset m6_xian": (
+        0,
+        "120037f6f74bc493def4c93f186b5dc481cbfc9d0249748d4aa944c5c2026eae",
+        EMPTY,
+        {},
+    ),
+    "generate --preset f8_third": (
+        0,
+        "54505ba7b6eb0f84cddc84d1e9757c7e7bc9035fd22cc493a3a5db24734ac55c",
+        EMPTY,
+        {},
+    ),
+    "generate --preset f8_schindel_2574": (
+        0,
+        "84d766c67a81f7b88be71842e2e279eb40ac90e2eb0feec6983818f10e29dd24",
+        EMPTY,
+        {},
+    ),
+    "generate --preset f16_new_pandiagonal": (
+        0,
+        "ffb71d7bde5b2df9b62f6f0463c36a60bc76dfb1a03f7226bbe285bc0d4a54fc",
+        EMPTY,
+        {},
+    ),
+    "generate --preset f16_new_second": (
+        0,
+        "2c672e8e33e753d31d5dd03006bd9c0cb2e9e8823f8219618df6aa321de9923c",
+        EMPTY,
+        {},
+    ),
+    "generate --preset f40": (
+        0,
+        "e5cd6c09573896248d12d1f71df0af0f56c1fb3e27e352d1e465c7df51da6d20",
+        EMPTY,
+        {},
+    ),
+    "generate --preset m6_franklin_1769_aux": (
+        0,
+        "b25889bb8a40407cef988d098e493d811708de5cd7d40f6940be9e6839b512aa",
+        EMPTY,
+        {},
+    ),
+    "generate --preset m6_euler_aux": (
+        0,
+        "8094f6661f3d39de56ebf21bd417b44e1dd7d9634f892f1a7fe4389cb0a352b2",
+        EMPTY,
+        {},
+    ),
+    "generate --preset m6_xian_aux": (
+        0,
+        "f90a710db2d99b4da3c9f5084323e3f7982baff5476f9d65d7618edcd5c49e64",
+        EMPTY,
+        {},
+    ),
+    "generate --preset f8_1769_aux": (
+        0,
+        "e5ac9d8c7ad9e71063eed22752449fdfc96257f644eb702f1c497d3b8959ae6e",
+        EMPTY,
+        {},
+    ),
+    "generate --preset f8_pandiagonal_aux": (
+        0,
+        "79d9ef282a0512184feb69ac6a7f9532f45b14ed925abd089e657c402509a731",
+        EMPTY,
+        {},
+    ),
+    "generate --preset f8_third_aux": (
+        0,
+        "9aab4113f46b6b5197b3235a8b1cc71a6536b8ed3c93ca9ad5d03756edbcb929",
+        EMPTY,
+        {},
+    ),
+    "generate --preset f8_schindel_2574_aux": (
+        0,
+        "6c18885a174408d19771660f401949d03125c464f0564aa1eb13470051340010",
+        EMPTY,
+        {},
+    ),
+    "generate --preset f16_1769_aux": (
+        0,
+        "1a1056ca77fdf9ad1fae1f5d833fd755b365d1f23443d6c877b1721e77a70034",
+        EMPTY,
+        {},
+    ),
+    "generate --preset f16_pandiagonal_aux": (
+        0,
+        "d42d99a2a0329e892ddb70adbe50646137195118a6a6832c1863ad71a5679b59",
+        EMPTY,
+        {},
+    ),
+    "generate --preset q24_r24": (
+        0,
+        "224113f4d8da4b57d0f9305821194b161689f59e4c80531b2dd40f9d2bebee35",
+        EMPTY,
+        {},
+    ),
+    "generate --order 8 --q-seed 6,7,0,1,2,3,4,5 --r-seed 3,5,4,2,6,0,1,7 --archetypes row_alternate,column_alternate --out {tmp}/sq.csv --report {tmp}/report.json": (
+        0,
+        EMPTY,
+        EMPTY,
+        {
+            "report.json": "9f57f8b8590d97b4cd9e95d23056de874f550520abfb7556eeab9d6f3fdaf1ea",
+            "sq.csv": "3a02d7f4e623a28fdc4982f010515970db2f083c01d7b72eb656bbdd430f148b",
+        },
+    ),
+    "decompose {data}/f8_1769.csv": (
+        0,
+        "e5ac9d8c7ad9e71063eed22752449fdfc96257f644eb702f1c497d3b8959ae6e",
+        EMPTY,
+        {},
+    ),
+    "decompose {data}/f16_1769.csv --out-q {tmp}/q.csv --out-r {tmp}/r.csv": (
+        0,
+        EMPTY,
+        EMPTY,
+        {
+            "q.csv": "28c22d289a115b69a072be2ab27b57560774252e1c49bef35bc4971c59a6e18f",
+            "r.csv": "23630cdb5c25b1bf264bd22bdd4713c58006a947f0ffd481ba5cce5e938d38d6",
+        },
+    ),
+    "compose --q {data}/f8_1769_q.csv --r {data}/f8_1769_r.csv": (
+        0,
+        "3a02d7f4e623a28fdc4982f010515970db2f083c01d7b72eb656bbdd430f148b",
+        EMPTY,
+        {},
+    ),
+    "compose --q {data}/f16_1769_q.csv --r {data}/f16_1769_r.csv --out {tmp}/m.csv": (
+        0,
+        EMPTY,
+        EMPTY,
+        {
+            "m.csv": "48f351b500b16e7cf401578115b623c5df0778a079cca2960aaba7d8ebda203b",
+        },
+    ),
+    "search --order 4 --mode count": (
+        0,
+        "e046b041f3b94722ccbb23172fcac284d666d17da01cd883e52ce0f75e55718c",
+        EMPTY,
+        {},
+    ),
+    "search --order 4 --mode first": (
+        0,
+        "e046b041f3b94722ccbb23172fcac284d666d17da01cd883e52ce0f75e55718c",
+        EMPTY,
+        {},
+    ),
+    "search --order 4 --mode stream": (
+        0,
+        "cfc33b6093f08c8c3b931e276a8e231738d88363c07a32d874cfcf829393cec9",
+        EMPTY,
+        {},
+    ),
+    "search --order 8 --mode first": (
+        0,
+        "0775b095fb3cb2530e646b40c840b8ba9a8fc68baa7267b5f1282b3221ea5474",
+        EMPTY,
+        {},
+    ),
+    "search --order 8 --mode stream --budget 20000": (
+        0,
+        "fd590a784d8cc7a8112dd8287613a2e80347f79386e36fa64d31675fea3a01d8",
+        EMPTY,
+        {},
+    ),
+    "fixtures list": (
+        0,
+        "62ad454628c85e06cd726ee4ee7e16c2660d036257d996f208b40e384a0327bc",
+        EMPTY,
+        {},
+    ),
+    "fixtures show f8_1769": (
+        0,
+        "72ee563c1a1afa4a4acc0227a36ec32b7f5734616f3a71c899cad0ff7399b407",
+        EMPTY,
+        {},
+    ),
+    "fixtures show f16_1769_aux": (
+        0,
+        "2a5cdc219ba92440c62407a7f6f8c15c179c747008d364c4bbac13977a291c1e",
+        EMPTY,
+        {},
+    ),
+    "verify {data}/m6_franklin_1769.csv --require franklin": (
+        1,
+        "eece4316a56d621e9b504d2568d032b8525a431fb9f1e0e8ada7d226f96909d0",
+        "2bb0230f7714b4c6e6b72d467a421389d5ef9730ab0908aab57734858ae6913d",
+        {},
+    ),
+    "generate --order 8": (
+        2,
+        EMPTY,
+        "cddf8d8dc268bf515e5b0680c235cd34958669a7ae59ed31df612cd8d56e8c1b",
+        {},
+    ),
+    "compose --q {tmp}/missing.csv --r {data}/f8_1769_r.csv": (
+        2,
+        EMPTY,
+        "f5ac9408c0adeda4f0a86b434cf8048cc01055d3586fd388803800372641886f",
+        {},
+    ),
+    "verify {tmp}/bad.csv": (
+        2,
+        EMPTY,
+        "d8a8594eaeca2be8bb1d2e71c935bfd8691b40788bc9adde38e028a7a0e12d96",
+        {},
+    ),
+    "search --order 5": (
+        3,
+        EMPTY,
+        "dae07427436369a45ad0210efb936ff7bdf0bf3976e4d870426b1ac29a5cd706",
+        {},
+    ),
+    "fixtures show missing": (
+        3,
+        EMPTY,
+        "fb52300ea2b961ef9d60c089686f1f8bfbfa8280ec38c9177305497242005824",
+        {},
+    ),
+    "search --order 8": (
+        3,
+        EMPTY,
+        "413aad9ca24528d4fd477ff62ea245f90f5d0c3dc985151c0ba954ac5092a631",
+        {},
+    ),
+}
+
+
+def run_pinned(capsys, tmp_path, command):
+    (tmp_path / "bad.csv").write_text("1,2\n3\n")
+    argv = command.format(data=fixtures._BUNDLED_DIR, tmp=tmp_path).split()
+    code, out, err = run(capsys, *argv)
+
+    def digest(text):
+        text = text.replace(str(tmp_path), "{tmp}")
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    written = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(tmp_path.iterdir())
+        if p.name != "bad.csv"
+    }
+    return code, digest(out), digest(err), written
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_DIGESTS))
+def test_command_output_bytes_are_pinned(capsys, tmp_path, command):
+    assert run_pinned(capsys, tmp_path, command) == COMMAND_DIGESTS[command]
+
+
+def test_pinned_commands_cover_every_preset_and_error_code():
+    from franklin_squares.patterns import preset_names
+
+    presets = {f"generate --preset {name}" for name in preset_names()}
+    assert presets <= set(COMMAND_DIGESTS)
+    codes = {code for code, *_ in COMMAND_DIGESTS.values()}
+    assert codes == {0, 1, 2, 3}
+
+
 def test_usage_error_is_machine_parsable(capsys):
     code, _, err = run(capsys, "verify")
     assert code == 2
@@ -467,6 +773,21 @@ def test_generate_bad_seed_values(capsys):
     assert "code=PRECONDITION" in err
 
 
+def test_generate_checks_q_pattern_before_parsing_r_seed(capsys):
+    code, out, err = run(
+        capsys,
+        "generate",
+        "--order", "8",
+        "--q-seed", "1,2",
+        "--r-seed", "3,y",
+        "--archetypes", "row_alternate,column_alternate",
+    )
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: code=PRECONDITION seed must be a permutation of 0..7: [1, 2]\n"
+    )
+
+
 def test_search_order_4_count(capsys):
     code, out, _ = run(capsys, "search", "--order", "4", "--mode", "count")
     assert code == 0
@@ -593,6 +914,94 @@ def test_fixtures_show_unknown(capsys):
     code, _, err = run(capsys, "fixtures", "show", "missing")
     assert code == 3
     assert "code=UNKNOWN_NAME" in err
+
+
+# A path flag counts as given even when empty: an empty path cannot be
+# written, and a flag that does not apply is a usage error whatever its value.
+@pytest.mark.parametrize(
+    "argv, exit_code, error_code",
+    [
+        (("generate", "--preset", "f8_1769", "--report", ""), 2, "BAD_FILE"),
+        (("generate", "--preset", "f8_1769", "--out", ""), 2, "BAD_FILE"),
+        (("generate", "--preset", "f8_1769_aux", "--out", ""), 2, "USAGE"),
+        (("generate", "--preset", "f8_1769_aux", "--report", ""), 2, "USAGE"),
+        (
+            ("decompose", bundled("m6_euler.csv"), "--out-q", "", "--out-r", ""),
+            2,
+            "BAD_FILE",
+        ),
+        (
+            (
+                "compose", "--q", bundled("m6_euler_q.csv"),
+                "--r", bundled("m6_euler_r.csv"), "--out", "",
+            ),
+            2,
+            "BAD_FILE",
+        ),
+    ],
+)
+def test_empty_path_flag_is_given(capsys, argv, exit_code, error_code):
+    code, _, err = run(capsys, *argv)
+    assert code == exit_code
+    assert ERROR_LINE.match(err)
+    assert f"code={error_code} " in err
+
+
+def test_lone_empty_out_q_must_pair(capsys):
+    code, out, err = run(
+        capsys, "decompose", bundled("m6_euler.csv"), "--out-q", ""
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: code=USAGE --out-q and --out-r must be given together\n"
+
+
+def break_fixture_dir(tmp_path, monkeypatch, fault):
+    """Point the fixture override at tmp_path, where m6_euler.csv has the fault."""
+    if fault == "bad cell":
+        (tmp_path / "m6_euler.csv").write_text("1,x\n3,4\n")
+    elif fault == "non-ascii":
+        (tmp_path / "m6_euler.csv").write_bytes("1,2\n3,4\u00e9\n".encode())
+    monkeypatch.setenv(fixtures.ENV_VAR, str(tmp_path))
+
+
+@pytest.mark.parametrize("fault", ["bad cell", "non-ascii", "missing file"])
+@pytest.mark.parametrize(
+    "argv", [("fixtures", "show", "m6_euler"), ("generate", "--preset", "m6_euler")]
+)
+def test_fixture_file_fault_is_bad_file(capsys, tmp_path, monkeypatch, fault, argv):
+    break_fixture_dir(tmp_path, monkeypatch, fault)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert ERROR_LINE.match(err)
+    assert err.startswith("error: code=BAD_FILE ")
+    assert str(tmp_path / "m6_euler.csv") in err
+
+
+@pytest.mark.parametrize(
+    "argv", [("fixtures", "show", "m6_euler"), ("generate", "--preset", "m6_euler")]
+)
+def test_corrupted_bundled_fixture_is_bad_file(capsys, monkeypatch, argv):
+    monkeypatch.setitem(fixtures.CHECKSUMS, "m6_euler.csv", "0" * 64)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert ERROR_LINE.match(err)
+    assert err.startswith("error: code=BAD_FILE fixture file m6_euler.csv ")
+
+
+@pytest.mark.parametrize(
+    "argv, detail",
+    [
+        (("fixtures", "show", "nope"), "unknown fixture 'nope'"),
+        (("generate", "--preset", "nope"), "unknown preset 'nope'; choose from: "),
+    ],
+)
+def test_unknown_name_is_checked_before_files(
+    capsys, tmp_path, monkeypatch, argv, detail
+):
+    break_fixture_dir(tmp_path, monkeypatch, "missing file")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: code=UNKNOWN_NAME {detail}")
 
 
 def test_module_entry_point_runs_as_subprocess():

@@ -94,6 +94,17 @@ def test_corrupted_bundled_file_is_rejected_on_load(monkeypatch):
         fixtures.load_square("f8_1769")
 
 
+@pytest.mark.parametrize(
+    "data", [b"1,x\n3,4\n", "1,2\n3,\u00e9\n".encode(), None]
+)
+def test_unreadable_override_file_is_a_fixture_error(tmp_path, monkeypatch, data):
+    if data is not None:
+        (tmp_path / "m6_euler.csv").write_bytes(data)
+    monkeypatch.setenv(fixtures.ENV_VAR, str(tmp_path))
+    with pytest.raises(fixtures.FixtureError, match="m6_euler.csv"):
+        fixtures.load_square("m6_euler")
+
+
 def test_pair_claims_note_which_member_is_pandiagonal():
     # asymmetric pandiagonality is recorded in prose, not in claims
     e = fixtures.entry("f8_third_aux")
