@@ -195,7 +195,8 @@ def _cmd_verify(args: argparse.Namespace) -> None:
 
 def _cmd_decompose(args: argparse.Namespace) -> None:
     pair = _call(decompose, _read_square(args.file))
-    if args.out_q is None and args.out_r is None:
+    if (args.out_q, args.out_r) in ((None, None), ("-", "-")):
+        # Both grids on stdout: one blank line between them, either way.
         _write_pair(pair)
     elif args.out_q is None or args.out_r is None:
         raise _CliError("USAGE", "--out-q and --out-r must be given together")
@@ -285,13 +286,28 @@ def _cmd_generate(args: argparse.Namespace) -> None:
         r_pattern = _call(patterns.SeedPattern, r_arch, args.order, r_seed)
         result = _call(patterns.generate, q_pattern, r_pattern)
         square, report = result.square, result.report
-    _write_text(square_to_csv(square), args.out)
+    outputs = [(square_to_csv(square), args.out)]
     if args.report is not None:
-        _write_text(report_to_json(report) + "\n", args.report)
+        outputs.append((report_to_json(report) + "\n", args.report))
+    # Files first, so a file that cannot be written leaves stdout empty;
+    # the sort is stable, so stdout still gets the square first.
+    for text, path in sorted(outputs, key=lambda out: out[1] in (None, "-")):
+        _write_text(text, path)
 
 
 # ---------------------------------------------------------------------------
 # search
+
+
+def _positive_int(raw: str) -> int:
+    """argparse type for counts: a bad value is USAGE and names its flag."""
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
 
 
 def _cmd_search(args: argparse.Namespace) -> None:
@@ -318,7 +334,6 @@ def _cmd_search(args: argparse.Namespace) -> None:
         order=n,
         mode=mode,
         node_budget=args.budget,
-        parallel_width=args.workers,
         prune=not args.no_prune,
     )
     outcome = search_natural_franklin(opts)
@@ -442,10 +457,9 @@ def _build_parser() -> _Parser:
         help="confirm a potentially very long enumeration",
     )
     p_sea.add_argument(
-        "--workers", type=int, default=1, help="parallel worker processes"
-    )
-    p_sea.add_argument(
-        "--budget", type=int, help="stop after this many accepted placements"
+        "--budget",
+        type=_positive_int,
+        help="stop after this many accepted placements",
     )
     p_sea.add_argument(
         "--no-prune",

@@ -25,22 +25,19 @@ places the free cell's value and then the forced cells after it;
 without pruning no cell is forced, so it recurses once per cell.
 
 ``search_natural_franklin`` is the one entry point. It settles an order
-in one of three ways: without search when the line sum is odd (a
-half-line would need twice a cell sum to equal an odd number); by the
-process split for an unbudgeted COUNT or STREAM run with
-``parallel_width`` > 1, one walk per value of cell 0, merged in value
-order; or else by one walk, ``_run_tree``. A census method (by symmetry
-class or by seeds) would be a fourth case there, picked by mode and
-order. An outcome with ``exhausted`` true and ``count`` zero proves that
-no square of that order exists.
+in one of two ways: without search when the line sum is odd (a
+half-line would need twice a cell sum to equal an odd number), or else
+by one walk, ``_run_tree``. A census method (by symmetry class or by
+seeds) would be a third case there, picked by mode and order. An
+outcome with ``exhausted`` true and ``count`` zero proves that no
+square of that order exists.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache, partial
+from functools import lru_cache
 from operator import itemgetter
 from typing import Callable
 
@@ -61,19 +58,13 @@ class SearchOptions:
 
     ``node_budget`` caps placements (a node is one accepted cell
     assignment, forced or free); the leaf that the budget-th placement
-    completes is re-verified and counted. ``parallel_width`` > 1 splits
-    the tree at the first cell across worker processes (at most one per
-    CPU and one per branch) for COUNT/STREAM runs without a budget; FIRST
-    and budgeted runs always execute sequentially so their outcome stays
-    identical to the single-worker one. ``progress`` is called with
-    (nodes_visited, fill_depth) every ``progress_interval`` placements,
-    or with (nodes_visited, 0) after each branch when parallel.
+    completes is re-verified and counted. ``progress`` is called with
+    (nodes_visited, fill_depth) every ``progress_interval`` placements.
     """
 
     order: int
     mode: SearchMode = SearchMode.COUNT
     node_budget: int | None = None
-    parallel_width: int = 1
     prune: bool = True
     progress: Callable[[int, int], None] | None = field(
         default=None, compare=False
@@ -85,8 +76,6 @@ class SearchOptions:
             raise ValueError(f"search order must be even and >= 2, got {self.order}")
         if self.node_budget is not None and self.node_budget < 1:
             raise ValueError("node_budget must be positive")
-        if self.parallel_width < 1:
-            raise ValueError("parallel_width must be >= 1")
         if self.progress_interval < 1:
             raise ValueError("progress_interval must be positive")
 
@@ -183,10 +172,9 @@ def _candidate_order(grid: list[int], used: list[bool], i: int, n: int) -> list[
     return buckets[0] + buckets[1] + buckets[2] + buckets[3]
 
 
-def _run_tree(opts: SearchOptions, first_value: int | None = None) -> SearchOutcome:
-    """Walk the tree in one process; with ``first_value``, cell 0 takes
-    only that value (one branch of the process split). The outcome is
-    exhausted unless the budget ran out or FIRST found its witness."""
+def _run_tree(opts: SearchOptions) -> SearchOutcome:
+    """Walk the tree; the outcome is exhausted unless the budget ran out
+    or FIRST found its witness."""
     n = opts.order
     mode = opts.mode
     prune = opts.prune
@@ -218,10 +206,7 @@ def _run_tree(opts: SearchOptions, first_value: int | None = None) -> SearchOutc
         it, and walk on; True stops the run."""
         nonlocal nodes, count
         nxt = next_free[i]
-        if i == 0 and first_value is not None:
-            candidates = [first_value]
-        else:
-            candidates = _candidate_order(grid, used, i, n)
+        candidates = _candidate_order(grid, used, i, n)
         remaining = n - 1 - i % n
         if prune and remaining:
             # Row bound: the cells left in the row must still be able
@@ -286,36 +271,8 @@ def search_natural_franklin(opts: SearchOptions) -> SearchOutcome:
     Every reported witness is re-verified through the property verifier
     before it is counted; nothing is trusted from search bookkeeping.
     """
-    n = opts.order
-    if _check_tables(n) is None:
+    if _check_tables(opts.order) is None:
         # Some Franklin target is not an integer (an odd m leaves the
         # half-lines none): no square exists, with no tree to walk.
         return SearchOutcome(count=0, exhausted=True, witnesses=(), nodes_visited=0)
-    if (
-        opts.parallel_width == 1
-        or opts.mode is SearchMode.FIRST
-        or opts.node_budget is not None
-    ):
-        return _run_tree(opts)
-    # The process split: no branch stops early, since it never runs FIRST
-    # or a budget. Under fork every worker starts at the first submit, so
-    # the width is clamped to what can run at once and to the branches.
-    width = min(opts.parallel_width, os.cpu_count() or 1, n * n)
-    # The progress hook stays here; workers report only when they finish.
-    branch = partial(_run_tree, replace(opts, progress=None))
-    # Imported here: only this path needs it, and importing it (with
-    # logging) would add about 5 ms to every CLI call.
-    import concurrent.futures
-
-    count = nodes = 0
-    witnesses: list[Square] = []
-    with concurrent.futures.ProcessPoolExecutor(max_workers=width) as pool:
-        for part in pool.map(branch, range(1, n * n + 1)):
-            count += part.count
-            nodes += part.nodes_visited
-            witnesses.extend(part.witnesses)
-            if opts.progress is not None:
-                opts.progress(nodes, 0)
-    return SearchOutcome(
-        count=count, exhausted=True, witnesses=tuple(witnesses), nodes_visited=nodes
-    )
+    return _run_tree(opts)

@@ -360,15 +360,6 @@ def test_criterion_7_order_6_bent_tableaux(family):
     assert shifts == classes
 
 
-@pytest.mark.parametrize("workers", (1, 2, 4))
-def test_criterion_7_parallel_search_matches_sequential(workers):
-    sequential = search_natural_franklin(SearchOptions(order=4))
-    outcome = search_natural_franklin(
-        SearchOptions(order=4, parallel_width=workers)
-    )
-    assert outcome == sequential
-
-
 # ---------------------------------------------------------------------------
 # criterion 8: remainder-seed search finds the reference seed and its pruned
 # and exhaustive variants agree

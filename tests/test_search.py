@@ -1,6 +1,4 @@
-import concurrent.futures
 import hashlib
-import os
 
 import pytest
 from hypothesis import given, settings
@@ -38,15 +36,6 @@ def test_order_4_prune_toggle_agrees():
     pruned = search_natural_franklin(SearchOptions(order=4, prune=True))
     plain = search_natural_franklin(SearchOptions(order=4, prune=False))
     assert pruned == plain
-
-
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_order_4_parallel_matches_sequential(workers):
-    base = search_natural_franklin(SearchOptions(order=4))
-    outcome = search_natural_franklin(
-        SearchOptions(order=4, parallel_width=workers)
-    )
-    assert outcome == base
 
 
 def test_order_8_first_witness_verifies():
@@ -131,8 +120,6 @@ def test_options_validation():
     with pytest.raises(ValueError):
         SearchOptions(order=0)
     with pytest.raises(ValueError):
-        SearchOptions(order=4, parallel_width=0)
-    with pytest.raises(ValueError):
         SearchOptions(order=4, node_budget=0)
     with pytest.raises(ValueError):
         SearchOptions(order=4, progress_interval=0)
@@ -210,52 +197,6 @@ def test_unpruned_walk_progress_is_pinned():
         (4999, 54), (9998, 49), (14997, 52), (19996, 50), (24995, 52),
         (29994, 48), (34993, 50), (39992, 48), (44991, 49), (49990, 48),
     ]
-
-
-def test_process_split_reports_progress_after_each_branch():
-    # Each of the 16 first-cell branches at order 4 places 30 cells; the
-    # split reports the running total after each one, at depth 0.
-    calls = []
-    outcome = search_natural_franklin(
-        SearchOptions(
-            order=4,
-            parallel_width=2,
-            progress=lambda nodes, depth: calls.append((nodes, depth)),
-        )
-    )
-    assert calls == [(30 * k, 0) for k in range(1, 17)]
-    assert outcome == search_natural_franklin(SearchOptions(order=4))
-
-
-def test_worker_count_is_clamped(monkeypatch):
-    widths = []
-
-    class SerialPool:
-        """Stands in for ProcessPoolExecutor: records the width and runs
-        the branches in this process."""
-
-        def __init__(self, max_workers):
-            widths.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    outcome = search_natural_franklin(
-        SearchOptions(order=4, mode=SearchMode.STREAM, parallel_width=10_000)
-    )
-    (width,) = widths
-    assert width <= (os.cpu_count() or 1)
-    assert width <= 16
-    assert outcome == search_natural_franklin(
-        SearchOptions(order=4, mode=SearchMode.STREAM)
-    )
 
 
 def _reference_candidate_order(grid, used, i, n):
