@@ -19,21 +19,23 @@ the required property):
     1  REQUIRE_FAILED     a --require property does not hold
     2  USAGE              bad or conflicting flags and flag values
        BAD_FILE           a file cannot be read or written, or a fixture
-                          file is missing, corrupted or does not parse
-       BAD_FORMAT         a square file is not valid CSV or JSON
+                          file is missing, corrupted, does not parse or
+                          does not hold its registered grid
+       BAD_FORMAT         a square file is not UTF-8, or not valid CSV or JSON
     3  PRECONDITION       wrong order, out-of-range values, odd search order
        UNKNOWN_NAME       unknown preset, fixture or archetype name
        LONG_RUN_REQUIRED  a full enumeration at order >= 8 without --long-run
 
 A path flag is given whenever it appears, even with an empty value: an
 empty path is a file that cannot be written (BAD_FILE), and ``-`` is
-stdout.
+stdout. A command writes all of its files or none of them.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import fixtures, patterns
@@ -93,11 +95,13 @@ def _call(fn, *args, **kwargs):
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
+    except UnicodeDecodeError as exc:
+        raise _CliError("BAD_FORMAT", f"{path}: {exc}")
     except OSError as exc:
         raise _CliError("BAD_FILE", f"cannot read {path}: {exc}")
 
@@ -114,15 +118,34 @@ def _read_square(path: str) -> Square:
         raise _CliError("BAD_FORMAT", f"{path}: {exc}")
 
 
-def _write_text(text: str, path: str | None) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-        return
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise _CliError("BAD_FILE", f"cannot write {path}: {exc}")
+def _write_outputs(*outputs: tuple[str, str | None]) -> None:
+    """Write each (text, path), files first; None or '-' is stdout.
+
+    Every file is opened for append (no truncation, no need to exist)
+    before anything is written, so a path that fails leaves no new file,
+    no changed file and no stdout.
+    """
+    files = [(text, path) for text, path in outputs if path not in (None, "-")]
+    created = []
+    for _, path in files:
+        try:
+            existed = os.path.exists(path)
+            open(path, "a").close()
+        except OSError as exc:
+            for new in created:
+                os.remove(new)
+            raise _CliError("BAD_FILE", f"cannot write {path}: {exc}")
+        if not existed:
+            created.append(path)
+    for text, path in files:
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _CliError("BAD_FILE", f"cannot write {path}: {exc}")
+    for text, path in outputs:
+        if path in (None, "-"):
+            sys.stdout.write(text)
 
 
 def _write_pair(pair: AuxPair) -> None:
@@ -201,14 +224,16 @@ def _cmd_decompose(args: argparse.Namespace) -> None:
     elif args.out_q is None or args.out_r is None:
         raise _CliError("USAGE", "--out-q and --out-r must be given together")
     else:
-        _write_text(square_to_csv(pair.quotient), args.out_q)
-        _write_text(square_to_csv(pair.remainder), args.out_r)
+        _write_outputs(
+            (square_to_csv(pair.quotient), args.out_q),
+            (square_to_csv(pair.remainder), args.out_r),
+        )
 
 
 def _cmd_compose(args: argparse.Namespace) -> None:
     q = _read_square(args.q)
     r = _read_square(args.r)
-    _write_text(square_to_csv(compose(_call(AuxPair, q, r))), args.out)
+    _write_outputs((square_to_csv(compose(_call(AuxPair, q, r))), args.out))
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +314,7 @@ def _cmd_generate(args: argparse.Namespace) -> None:
     outputs = [(square_to_csv(square), args.out)]
     if args.report is not None:
         outputs.append((report_to_json(report) + "\n", args.report))
-    # Files first, so a file that cannot be written leaves stdout empty;
-    # the sort is stable, so stdout still gets the square first.
-    for text, path in sorted(outputs, key=lambda out: out[1] in (None, "-")):
-        _write_text(text, path)
+    _write_outputs(*outputs)
 
 
 # ---------------------------------------------------------------------------

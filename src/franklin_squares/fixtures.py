@@ -6,9 +6,9 @@ source asserts (``claims``) and the subset of those that do not actually
 hold of the printed numbers (``claims_known_false``) — the verifier reports
 what the grids do, not what the captions say.
 
-Set the environment variable ``FRANKLIN_SQUARES_FIXTURES`` to read grids
-from a different directory; digest enforcement applies only to the bundled
-directory (``verify_corpus`` can audit any root on demand).
+Set ``FRANKLIN_SQUARES_FIXTURES`` to read grids from another directory:
+its files must parse and hold their registered grids, but digests are
+enforced only in the bundled one (``verify_corpus`` checks any root).
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ class FixtureKind(Enum):
 
 
 class FixtureError(Exception):
-    """Unknown fixture name, or a registered fixture file that cannot be
-    read, fails its digest or does not parse."""
+    """Unknown fixture name or kind, or a fixture file that is missing,
+    corrupted, does not parse or does not hold its registered grid."""
 
 
 @dataclass(frozen=True)
@@ -401,83 +401,73 @@ def entry(name: str) -> FixtureEntry:
         raise FixtureError(f"unknown fixture {name!r}") from None
 
 
-def _read_grid(filename: str, root: Path) -> Square:
+def _read_grid(filename: str, order: int, root: Path, check_digest: bool) -> Square:
+    """The one reader of a fixture file: read it, check its digest when
+    asked, parse it and check its order. Every fault is a FixtureError."""
     path = root / filename
     try:
         data = path.read_bytes()
     except OSError as exc:
         raise FixtureError(f"cannot read fixture file {path}: {exc}") from None
-    if root == _BUNDLED_DIR:
+    if check_digest:
         digest = hashlib.sha256(data).hexdigest()
-        if digest != CHECKSUMS[filename]:
+        if digest != CHECKSUMS.get(filename):
             raise FixtureError(
                 f"fixture file {filename} is corrupted "
-                f"(sha256 {digest}, expected {CHECKSUMS[filename]})"
+                f"(sha256 {digest}, expected {CHECKSUMS.get(filename)})"
             )
     try:
-        return parse_square_csv(data.decode("ascii"))
+        sq = parse_square_csv(data.decode("ascii"))
     except (UnicodeDecodeError, ValueError) as exc:
         raise FixtureError(f"cannot parse fixture file {path}: {exc}") from None
-
-
-def load_square(name: str) -> Square:
-    e = entry(name)
-    if e.kind is not FixtureKind.SQUARE:
-        raise FixtureError(f"{name!r} is an auxiliary pair, not a square")
-    return _read_grid(e.files[0], data_dir())
-
-
-def load_aux_pair(name: str) -> AuxPair:
-    e = entry(name)
-    if e.kind is not FixtureKind.AUX_PAIR:
-        raise FixtureError(f"{name!r} is a square, not an auxiliary pair")
-    root = data_dir()
-    return AuxPair(
-        quotient=_read_grid(e.files[0], root),
-        remainder=_read_grid(e.files[1], root),
-    )
+    if sq.order != order:
+        raise FixtureError(f"fixture file {path} has order {sq.order}, not {order}")
+    return sq
 
 
 def load(name: str) -> Square | AuxPair:
+    """Read a fixture from data_dir(), checking digests only if bundled."""
     e = entry(name)
+    root = data_dir()
+    grids = [_read_grid(f, e.order, root, root == _BUNDLED_DIR) for f in e.files]
     if e.kind is FixtureKind.SQUARE:
-        return load_square(name)
-    return load_aux_pair(name)
+        return grids[0]
+    try:
+        return AuxPair(*grids)
+    except ValueError as exc:
+        raise FixtureError(f"fixture {name!r} in {root}: {exc}") from None
+
+
+def load_square(name: str) -> Square:
+    if entry(name).kind is not FixtureKind.SQUARE:
+        raise FixtureError(f"{name!r} is an auxiliary pair, not a square")
+    return load(name)
+
+
+def load_aux_pair(name: str) -> AuxPair:
+    if entry(name).kind is not FixtureKind.AUX_PAIR:
+        raise FixtureError(f"{name!r} is a square, not an auxiliary pair")
+    return load(name)
 
 
 def verify_corpus(root: Path | None = None) -> list[str]:
     """Audit a fixture directory against the frozen digests.
 
-    Returns a list of human-readable problems (empty when the corpus is
-    intact). Checks digest agreement, parseability, and that each grid's
-    order matches its registry entry.
+    Returns the files the registry and the checksum table disagree on,
+    then each registered file's first fault as load() words it; an intact
+    corpus gives an empty list.
     """
     if root is None:
         root = data_dir()
-    problems = []
     registered_files = {f for e in _ENTRIES for f in e.files}
-    for filename in sorted(registered_files ^ set(CHECKSUMS)):
-        problems.append(f"{filename}: registry and checksum table disagree")
+    problems = [
+        f"{filename}: registry and checksum table disagree"
+        for filename in sorted(registered_files ^ set(CHECKSUMS))
+    ]
     for e in _ENTRIES:
         for filename in e.files:
-            path = root / filename
             try:
-                data = path.read_bytes()
-            except OSError as exc:
-                problems.append(f"{filename}: unreadable ({exc})")
-                continue
-            digest = hashlib.sha256(data).hexdigest()
-            if digest != CHECKSUMS.get(filename):
-                problems.append(
-                    f"{filename}: sha256 {digest} != {CHECKSUMS.get(filename)}"
-                )
-            try:
-                sq = parse_square_csv(data.decode("ascii"))
-            except (UnicodeDecodeError, ValueError) as exc:
-                problems.append(f"{filename}: unparseable ({exc})")
-                continue
-            if sq.order != e.order:
-                problems.append(
-                    f"{filename}: order {sq.order} != registered {e.order}"
-                )
+                _read_grid(filename, e.order, root, check_digest=True)
+            except FixtureError as exc:
+                problems.append(str(exc))
     return problems

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -94,6 +95,32 @@ def test_verify_malformed_csv(capsys, tmp_path):
     code, _, err = run(capsys, "verify", str(bad))
     assert code == 2
     assert "code=BAD_FORMAT" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "{bad}", "--require", "franklin"),
+        ("decompose", "{bad}"),
+        ("compose", "--q", "{bad}", "--r", bundled("m6_euler_r.csv")),
+        ("verify", "-", "--require", "franklin"),
+    ],
+)
+def test_non_utf8_square_file_is_bad_format(capsys, monkeypatch, tmp_path, argv):
+    import io
+
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"1,2\n3,\xff\n")
+    stdin = io.TextIOWrapper(io.BytesIO(bad.read_bytes()), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", stdin)
+    argv = [arg.format(bad=bad) for arg in argv]
+    path = "-" if "-" in argv else bad
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: code=BAD_FORMAT {path}: "
+        "'utf-8' codec can't decode byte 0xff in position 6: invalid start byte\n"
+    )
 
 
 def test_verify_rejects_boolean_json_order(capsys, monkeypatch):
@@ -980,16 +1007,51 @@ def test_lone_empty_out_q_must_pair(capsys):
     assert err == "error: code=USAGE --out-q and --out-r must be given together\n"
 
 
+@pytest.mark.parametrize("existed", [False, True])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (
+            "decompose", bundled("f8_1769.csv"),
+            "--out-q", "{tmp}/q.csv", "--out-r", "{tmp}/nodir/r.csv",
+        ),
+        (
+            "generate", "--preset", "f8_1769",
+            "--out", "{tmp}/q.csv", "--report", "{tmp}/nodir/r.json",
+        ),
+    ],
+)
+def test_two_file_command_writes_both_or_neither(capsys, tmp_path, argv, existed):
+    first = tmp_path / "q.csv"
+    if existed:
+        first.write_text("old bytes\n")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    unwritable = argv[-1]
+    assert err == (
+        f"error: code=BAD_FILE cannot write {unwritable}: "
+        f"[Errno 2] No such file or directory: '{unwritable}'\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["q.csv"] if existed else [])
+    if existed:
+        assert first.read_text() == "old bytes\n"
+
+
 def break_fixture_dir(tmp_path, monkeypatch, fault):
     """Point the fixture override at tmp_path, where m6_euler.csv has the fault."""
     if fault == "bad cell":
         (tmp_path / "m6_euler.csv").write_text("1,x\n3,4\n")
     elif fault == "non-ascii":
         (tmp_path / "m6_euler.csv").write_bytes("1,2\n3,4\u00e9\n".encode())
+    elif fault == "wrong order":
+        (tmp_path / "m6_euler.csv").write_text("1,2\n3,4\n")
     monkeypatch.setenv(fixtures.ENV_VAR, str(tmp_path))
 
 
-@pytest.mark.parametrize("fault", ["bad cell", "non-ascii", "missing file"])
+@pytest.mark.parametrize(
+    "fault", ["bad cell", "non-ascii", "missing file", "wrong order"]
+)
 @pytest.mark.parametrize(
     "argv", [("fixtures", "show", "m6_euler"), ("generate", "--preset", "m6_euler")]
 )
@@ -1000,6 +1062,24 @@ def test_fixture_file_fault_is_bad_file(capsys, tmp_path, monkeypatch, fault, ar
     assert ERROR_LINE.match(err)
     assert err.startswith("error: code=BAD_FILE ")
     assert str(tmp_path / "m6_euler.csv") in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("fixtures", "show", "m6_euler_aux"), ("generate", "--preset", "m6_euler_aux")],
+)
+def test_fixture_pair_fault_is_bad_file(capsys, tmp_path, monkeypatch, argv):
+    # both grids parse as order 6, but the remainder holds a value outside 0..5
+    shutil.copy(bundled("m6_euler_q.csv"), tmp_path)
+    remainder = (fixtures._BUNDLED_DIR / "m6_euler_r.csv").read_text()
+    (tmp_path / "m6_euler_r.csv").write_text(remainder.replace("5", "9", 1))
+    monkeypatch.setenv(fixtures.ENV_VAR, str(tmp_path))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: code=BAD_FILE fixture 'm6_euler_aux' in {tmp_path}: "
+        "remainder value 9 outside 0..5\n"
+    )
 
 
 @pytest.mark.parametrize(

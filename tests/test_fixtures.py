@@ -1,3 +1,4 @@
+import hashlib
 import shutil
 
 import pytest
@@ -85,7 +86,31 @@ def test_verify_corpus_flags_missing_and_tampered_files(tmp_path):
     tampered.write_text(tampered.read_text().replace("1", "2", 1))
     problems = fixtures.verify_corpus(tmp_path)
     assert any("m6_euler.csv" in p and "sha256" in p for p in problems)
-    assert any("unreadable" in p for p in problems)  # everything not copied
+    # one problem per faulty file, in registry order: m6_euler.csv is
+    # corrupted, and every file not copied cannot be read
+    expected = [
+        "fixture file m6_euler.csv is corrupted (sha256 "
+        if f == "m6_euler.csv"
+        else f"cannot read fixture file {tmp_path / f}: "
+        for name in fixtures.names()
+        for f in fixtures.entry(name).files
+        if f != "m6_xian.csv"
+    ]
+    assert len(problems) == len(expected)
+    assert all(p.startswith(e) for p, e in zip(problems, expected))
+
+
+def test_verify_corpus_reports_wrong_order_file(tmp_path, monkeypatch):
+    for filename in fixtures.CHECKSUMS:
+        shutil.copy(fixtures._BUNDLED_DIR / filename, tmp_path / filename)
+    data = b"1,2\n3,4\n"
+    (tmp_path / "m6_xian.csv").write_bytes(data)
+    monkeypatch.setitem(
+        fixtures.CHECKSUMS, "m6_xian.csv", hashlib.sha256(data).hexdigest()
+    )
+    assert fixtures.verify_corpus(tmp_path) == [
+        f"fixture file {tmp_path / 'm6_xian.csv'} has order 2, not 6"
+    ]
 
 
 def test_corrupted_bundled_file_is_rejected_on_load(monkeypatch):
@@ -95,7 +120,7 @@ def test_corrupted_bundled_file_is_rejected_on_load(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "data", [b"1,x\n3,4\n", "1,2\n3,\u00e9\n".encode(), None]
+    "data", [b"1,x\n3,4\n", "1,2\n3,\u00e9\n".encode(), None, b"1,2\n3,4\n"]
 )
 def test_unreadable_override_file_is_a_fixture_error(tmp_path, monkeypatch, data):
     if data is not None:
