@@ -11,7 +11,8 @@ Six subcommands cover the whole workflow:
 
 Square files are CSV (one row of integers per line, no header) unless the
 path ends in ``.json``, in which case they use the ``{"order": n, "cells":
-[...]}`` layout; ``-`` reads from stdin and sniffs the format.  Diagnostics
+[...]}`` layout; ``-`` reads from stdin and sniffs the format.  Files and
+stdin are read alike, as UTF-8 with any newline convention.  Diagnostics
 go to stderr as a single line ``error: code=<CODE> <detail>``, and each
 code has one exit status (0 is success; with --require, the square has
 the required property):
@@ -95,15 +96,19 @@ def _call(fn, *args, **kwargs):
 
 
 def _read_text(path: str) -> str:
+    """Read a file, or stdin for '-', as strict UTF-8 with any newlines."""
     try:
         if path == "-":
-            return sys.stdin.read()
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            data = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise _CliError("BAD_FORMAT", f"{path}: {exc}")
     except OSError as exc:
         raise _CliError("BAD_FILE", f"cannot read {path}: {exc}")
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _read_square(path: str) -> Square:

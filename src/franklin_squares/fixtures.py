@@ -1,14 +1,17 @@
 """Bundled reference squares and auxiliary pairs.
 
-Every grid ships as a canonical CSV under ``fixtures_data/`` with a frozen
-SHA-256 digest. The registry records, for each fixture, the properties its
-source asserts (``claims``) and the subset of those that do not actually
-hold of the printed numbers (``claims_known_false``) — the verifier reports
-what the grids do, not what the captions say.
+Every grid ships as a canonical CSV under ``fixtures_data/``, its frozen
+SHA-256 digest beside its name in the registry. The registry also records,
+for each fixture, the properties its source asserts (``claims``) and the
+subset of those that do not actually hold of the printed numbers
+(``claims_known_false``) — the verifier reports what the grids do, not
+what the captions say.
 
 Set ``FRANKLIN_SQUARES_FIXTURES`` to read grids from another directory:
-its files must parse and hold their registered grids, but digests are
-enforced only in the bundled one (``verify_corpus`` checks any root).
+its files are checked to parse and to hold the registered grid (the
+entry's order, and for a pair, values in 0..n-1), but not against their
+digests, which are enforced only in the bundled one (``verify_corpus``
+checks them at any root).
 """
 
 from __future__ import annotations
@@ -41,8 +44,10 @@ class FixtureError(Exception):
 class FixtureEntry:
     """Registry row: where a grid comes from and what is known about it.
 
-    ``files`` holds one CSV name for a square, or (quotient, remainder)
-    for an auxiliary pair. ``claims`` use the classification vocabulary
+    ``files`` maps each CSV name to the SHA-256 of its canonical bytes,
+    frozen at transcription time: one file for a square, quotient then
+    remainder for an auxiliary pair, which is all that ``kind`` reads.
+    ``claims`` use the classification vocabulary
     (natural/balanced/semi-magic/magic/pandiagonal/franklin/
     pandiagonal-franklin) plus ``orthogonal`` for pairs; pair-level claims
     other than balanced/orthogonal apply to both members at the reduced
@@ -52,23 +57,25 @@ class FixtureEntry:
     """
 
     name: str
-    kind: FixtureKind
     order: int
     provenance: str
-    files: tuple[str, ...]
+    files: dict[str, str]
     claims: tuple[str, ...]
     claims_known_false: tuple[str, ...] = ()
     notes: str = ""
     reconstructed_quotient_rows: tuple[int, ...] = ()
 
+    @property
+    def kind(self) -> FixtureKind:
+        return FixtureKind.SQUARE if len(self.files) == 1 else FixtureKind.AUX_PAIR
 
-_ENTRIES = (
+
+REGISTRY: dict[str, FixtureEntry] = {e.name: e for e in (
     FixtureEntry(
         name="m6_franklin_1769",
-        kind=FixtureKind.SQUARE,
         order=6,
         provenance="order-6 square from Franklin's 1769 letter to Collinson",
-        files=("m6_franklin_1769.csv",),
+        files={"m6_franklin_1769.csv": "2f17383acc405d1ce79b5d28b23a2bc7e24dc5535d33ee89c57c0b6c4b17d857"},
         claims=("natural", "semi-magic"),
         notes=(
             "rows and columns reach 111 but the straight diagonals sum 84 "
@@ -80,26 +87,23 @@ _ENTRIES = (
     ),
     FixtureEntry(
         name="m6_euler",
-        kind=FixtureKind.SQUARE,
         order=6,
         provenance="order-6 magic square from Euler's memoir on magic squares",
-        files=("m6_euler.csv",),
+        files={"m6_euler.csv": "40b698ae8e8102f6eb3f851c094d5b8fa5d97b5939ae3b22c38047dbb02b9480"},
         claims=("natural", "magic"),
     ),
     FixtureEntry(
         name="m6_xian",
-        kind=FixtureKind.SQUARE,
         order=6,
         provenance="order-6 magic square from a tablet unearthed at Xian, China",
-        files=("m6_xian.csv",),
+        files={"m6_xian.csv": "120037f6f74bc493def4c93f186b5dc481cbfc9d0249748d4aa944c5c2026eae"},
         claims=("natural", "magic"),
     ),
     FixtureEntry(
         name="f8_1769",
-        kind=FixtureKind.SQUARE,
         order=8,
         provenance="order-8 Franklin square from the 1769 letter",
-        files=("f8_1769.csv",),
+        files={"f8_1769.csv": "3a02d7f4e623a28fdc4982f010515970db2f083c01d7b72eb656bbdd430f148b"},
         claims=("natural", "franklin"),
         notes=(
             "not magic: the straight diagonals sum 228 and 292 — the "
@@ -108,13 +112,12 @@ _ENTRIES = (
     ),
     FixtureEntry(
         name="f8_pandiagonal",
-        kind=FixtureKind.SQUARE,
         order=8,
         provenance=(
             "order-8 pandiagonal magic square composed from "
             "column-alternating auxiliaries"
         ),
-        files=("f8_pandiagonal.csv",),
+        files={"f8_pandiagonal.csv": "0266ffabb1d3bbd9ebe3e1a7b050ff2311c55e97f53111e62b6d911a65e65f67"},
         claims=("natural", "magic", "pandiagonal"),
         notes=(
             "meets the bent-diagonal and subsquare conditions at 260 but "
@@ -123,53 +126,48 @@ _ENTRIES = (
     ),
     FixtureEntry(
         name="f8_third",
-        kind=FixtureKind.SQUARE,
         order=8,
         provenance="a further order-8 square attributed to Franklin",
-        files=("f8_third.csv",),
+        files={"f8_third.csv": "54505ba7b6eb0f84cddc84d1e9757c7e7bc9035fd22cc493a3a5db24734ac55c"},
         claims=("natural", "franklin"),
         notes="not magic (diagonals 252 and 268) and not pandiagonal",
     ),
     FixtureEntry(
         name="f8_schindel_2574",
-        kind=FixtureKind.SQUARE,
         order=8,
         provenance=(
             "order-8 pandiagonal Franklin square, entry 2574 in the "
             "Schindel-Rempel-Loly census"
         ),
-        files=("f8_schindel_2574.csv",),
+        files={"f8_schindel_2574.csv": "84d766c67a81f7b88be71842e2e279eb40ac90e2eb0feec6983818f10e29dd24"},
         claims=("natural", "franklin", "pandiagonal", "pandiagonal-franklin"),
     ),
     FixtureEntry(
         name="f16_1769",
-        kind=FixtureKind.SQUARE,
         order=16,
         provenance="order-16 Franklin square from the 1769 letter",
-        files=("f16_1769.csv",),
+        files={"f16_1769.csv": "48f351b500b16e7cf401578115b623c5df0778a079cca2960aaba7d8ebda203b"},
         claims=("natural", "franklin"),
         notes="not magic (diagonals 1928 and 2184) and not pandiagonal",
     ),
     FixtureEntry(
         name="f16_pandiagonal",
-        kind=FixtureKind.SQUARE,
         order=16,
         provenance=(
             "order-16 pandiagonal Franklin square composed from "
             "column-alternating auxiliaries"
         ),
-        files=("f16_pandiagonal.csv",),
+        files={"f16_pandiagonal.csv": "f0a913c854676bda9452e8727a8706c2ea7ec8e68521375415708bec4494da2e"},
         claims=("natural", "franklin", "pandiagonal", "pandiagonal-franklin"),
     ),
     FixtureEntry(
         name="f16_new_pandiagonal",
-        kind=FixtureKind.SQUARE,
         order=16,
         provenance=(
             "order-16 pandiagonal square composed by extending the order-8 "
             "column-alternating auxiliaries"
         ),
-        files=("f16_new_pandiagonal.csv",),
+        files={"f16_new_pandiagonal.csv": "ffb71d7bde5b2df9b62f6f0463c36a60bc76dfb1a03f7226bbe285bc0d4a54fc"},
         claims=("natural", "pandiagonal", "franklin", "pandiagonal-franklin"),
         claims_known_false=("franklin", "pandiagonal-franklin"),
         notes=(
@@ -180,22 +178,20 @@ _ENTRIES = (
     ),
     FixtureEntry(
         name="f16_new_second",
-        kind=FixtureKind.SQUARE,
         order=16,
         provenance=(
             "order-16 Franklin square composed from the same "
             "column-alternating auxiliary family"
         ),
-        files=("f16_new_second.csv",),
+        files={"f16_new_second.csv": "2c672e8e33e753d31d5dd03006bd9c0cb2e9e8823f8219618df6aa321de9923c"},
         claims=("natural", "franklin"),
         notes="not magic (diagonals 2040 and 2072) and not pandiagonal",
     ),
     FixtureEntry(
         name="f40",
-        kind=FixtureKind.SQUARE,
         order=40,
         provenance="order-40 Franklin square printed in three column blocks",
-        files=("f40.csv",),
+        files={"f40.csv": "e5cd6c09573896248d12d1f71df0af0f56c1fb3e27e352d1e465c7df51da6d20"},
         claims=("natural", "franklin"),
         notes=(
             "not magic (diagonals 31220 and 32820); decomposes into a "
@@ -204,10 +200,12 @@ _ENTRIES = (
     ),
     FixtureEntry(
         name="m6_franklin_1769_aux",
-        kind=FixtureKind.AUX_PAIR,
         order=6,
         provenance="quotient/remainder decomposition of the 1769 order-6 square",
-        files=("m6_franklin_1769_q.csv", "m6_franklin_1769_r.csv"),
+        files={
+            "m6_franklin_1769_q.csv": "3814823659072cfc5eef786177133ef3f8f0da822813d6db662faa109e889ce3",
+            "m6_franklin_1769_r.csv": "37f688ee58899cfadc92970f6046c4eae8980a0b40564d8891b6b4bd8d5e2e56",
+        },
         claims=("balanced", "orthogonal"),
         notes=(
             "all row sums are 15; in each member only the second and fifth "
@@ -217,10 +215,12 @@ _ENTRIES = (
     ),
     FixtureEntry(
         name="m6_euler_aux",
-        kind=FixtureKind.AUX_PAIR,
         order=6,
         provenance="decomposition of Euler's order-6 magic square",
-        files=("m6_euler_q.csv", "m6_euler_r.csv"),
+        files={
+            "m6_euler_q.csv": "6e6160f196b775a8b4f95fa0a34c3b219868b0945714cb01272ebb992e678b21",
+            "m6_euler_r.csv": "933dc164083b9d086bf7d617669f0eebe308ec7f6f5a14709e7bedb1e76c5ea8",
+        },
         claims=("balanced", "orthogonal", "magic"),
         claims_known_false=("magic",),
         notes=(
@@ -231,10 +231,12 @@ _ENTRIES = (
     ),
     FixtureEntry(
         name="m6_xian_aux",
-        kind=FixtureKind.AUX_PAIR,
         order=6,
         provenance="decomposition of the Xian tablet square",
-        files=("m6_xian_q.csv", "m6_xian_r.csv"),
+        files={
+            "m6_xian_q.csv": "523e0ee497c82dad8251b47d1ca4fefc298da50a5da15426e4d16b537f824997",
+            "m6_xian_r.csv": "5daf1c1c79a44ce97b7a40236cae72a363790930164381d8246af44e067f4d84",
+        },
         claims=("balanced", "orthogonal", "magic"),
         claims_known_false=("magic",),
         notes=(
@@ -244,21 +246,25 @@ _ENTRIES = (
     ),
     FixtureEntry(
         name="f8_1769_aux",
-        kind=FixtureKind.AUX_PAIR,
         order=8,
         provenance="decomposition of the 1769 order-8 square",
-        files=("f8_1769_q.csv", "f8_1769_r.csv"),
+        files={
+            "f8_1769_q.csv": "c6fc636185551532411a4f6e34c5ffa03422f14d17c805e1e9e6dd09d3867d9b",
+            "f8_1769_r.csv": "a481e8506529ba66fa1ad93bdbd5893b5cdb6cf40531814dc09814e74bf5aa15",
+        },
         claims=("balanced", "orthogonal", "franklin"),
     ),
     FixtureEntry(
         name="f8_pandiagonal_aux",
-        kind=FixtureKind.AUX_PAIR,
         order=8,
         provenance=(
             "column-alternating auxiliary pair for the order-8 pandiagonal "
             "magic square"
         ),
-        files=("f8_pandiagonal_q.csv", "f8_pandiagonal_r.csv"),
+        files={
+            "f8_pandiagonal_q.csv": "7efdf5d9a6bcb25d01fab5ad658b29ed54724b1a511fcd57e50586ecafc26ac1",
+            "f8_pandiagonal_r.csv": "225723c6496f9542512207c3b0a65b30a3df401923946fa3643d3deecba6b4b4",
+        },
         claims=("balanced", "orthogonal", "pandiagonal"),
         notes=(
             "each member meets the bent-diagonal and subsquare conditions "
@@ -267,10 +273,12 @@ _ENTRIES = (
     ),
     FixtureEntry(
         name="f8_third_aux",
-        kind=FixtureKind.AUX_PAIR,
         order=8,
         provenance="decomposition of the further order-8 Franklin square",
-        files=("f8_third_q.csv", "f8_third_r.csv"),
+        files={
+            "f8_third_q.csv": "64f9135723face0183a33a7efc513555f2b7297695b7763e8c7854ddbb273972",
+            "f8_third_r.csv": "f392956cd746a634d6f1695c7c628eb5fcd98f423d1d0c16116f191461b0f95f",
+        },
         claims=("balanced", "orthogonal", "franklin"),
         notes=(
             "the quotient member is also pandiagonal at 28; the remainder "
@@ -279,10 +287,12 @@ _ENTRIES = (
     ),
     FixtureEntry(
         name="f8_schindel_2574_aux",
-        kind=FixtureKind.AUX_PAIR,
         order=8,
         provenance="decomposition of census square 2574",
-        files=("f8_schindel_2574_q.csv", "f8_schindel_2574_r.csv"),
+        files={
+            "f8_schindel_2574_q.csv": "121747c1b482dfa0ba2714d3bcd93b833274ed8bc889828cf1d39c9b24c02f52",
+            "f8_schindel_2574_r.csv": "dc4a4902930f35ca0f5f38e38f400b284acb8d7ce7c47c708a799769303ce3a5",
+        },
         claims=(
             "balanced",
             "orthogonal",
@@ -293,14 +303,16 @@ _ENTRIES = (
     ),
     FixtureEntry(
         name="f16_1769_aux",
-        kind=FixtureKind.AUX_PAIR,
         order=16,
         provenance=(
             "decomposition of the 1769 order-16 square; the source elides "
             "the quotient's interior rows, rebuilt here from its period-2 "
             "row pattern and confirmed against the decomposition"
         ),
-        files=("f16_1769_q.csv", "f16_1769_r.csv"),
+        files={
+            "f16_1769_q.csv": "28c22d289a115b69a072be2ab27b57560774252e1c49bef35bc4971c59a6e18f",
+            "f16_1769_r.csv": "23630cdb5c25b1bf264bd22bdd4713c58006a947f0ffd481ba5cce5e938d38d6",
+        },
         claims=("balanced", "orthogonal", "franklin"),
         notes=(
             "the remainder member is also pandiagonal at 120; the quotient "
@@ -310,13 +322,15 @@ _ENTRIES = (
     ),
     FixtureEntry(
         name="f16_pandiagonal_aux",
-        kind=FixtureKind.AUX_PAIR,
         order=16,
         provenance=(
             "column-alternating auxiliary pair for the order-16 pandiagonal "
             "Franklin square"
         ),
-        files=("f16_pandiagonal_q.csv", "f16_pandiagonal_r.csv"),
+        files={
+            "f16_pandiagonal_q.csv": "02a362088bdcc9976507e0654b2b07d0f4f4648583be199df3128fda53a479be",
+            "f16_pandiagonal_r.csv": "adfc725931d18a418bd6099bbed4b0b46544b799fee04aa07444400a7b7517af",
+        },
         claims=(
             "balanced",
             "orthogonal",
@@ -327,59 +341,23 @@ _ENTRIES = (
     ),
     FixtureEntry(
         name="q24_r24",
-        kind=FixtureKind.AUX_PAIR,
         order=24,
         provenance=(
             "order-24 auxiliary pair whose composition is the order-24 "
             "Franklin square (the composed grid is not printed anywhere; "
             "it exists only through this pair)"
         ),
-        files=("q24.csv", "r24.csv"),
+        files={
+            "q24.csv": "05145806a2bf60a1e1b1d8358332f7ac1001b23d8188c3173529bca6798339d6",
+            "r24.csv": "722c3157a496381bd76ddd7ba464c83bf90c0f7486911c1e3c18185bf8607db1",
+        },
         claims=("balanced", "orthogonal", "franklin"),
         notes=(
             "the remainder member is also pandiagonal at 276; the quotient "
             "member is not"
         ),
     ),
-)
-
-REGISTRY: dict[str, FixtureEntry] = {e.name: e for e in _ENTRIES}
-
-# SHA-256 of the canonical CSV bytes, frozen at transcription time.
-CHECKSUMS: dict[str, str] = {
-    "m6_franklin_1769.csv": "2f17383acc405d1ce79b5d28b23a2bc7e24dc5535d33ee89c57c0b6c4b17d857",
-    "m6_franklin_1769_q.csv": "3814823659072cfc5eef786177133ef3f8f0da822813d6db662faa109e889ce3",
-    "m6_franklin_1769_r.csv": "37f688ee58899cfadc92970f6046c4eae8980a0b40564d8891b6b4bd8d5e2e56",
-    "m6_euler.csv": "40b698ae8e8102f6eb3f851c094d5b8fa5d97b5939ae3b22c38047dbb02b9480",
-    "m6_euler_q.csv": "6e6160f196b775a8b4f95fa0a34c3b219868b0945714cb01272ebb992e678b21",
-    "m6_euler_r.csv": "933dc164083b9d086bf7d617669f0eebe308ec7f6f5a14709e7bedb1e76c5ea8",
-    "m6_xian.csv": "120037f6f74bc493def4c93f186b5dc481cbfc9d0249748d4aa944c5c2026eae",
-    "m6_xian_q.csv": "523e0ee497c82dad8251b47d1ca4fefc298da50a5da15426e4d16b537f824997",
-    "m6_xian_r.csv": "5daf1c1c79a44ce97b7a40236cae72a363790930164381d8246af44e067f4d84",
-    "f8_1769.csv": "3a02d7f4e623a28fdc4982f010515970db2f083c01d7b72eb656bbdd430f148b",
-    "f8_1769_q.csv": "c6fc636185551532411a4f6e34c5ffa03422f14d17c805e1e9e6dd09d3867d9b",
-    "f8_1769_r.csv": "a481e8506529ba66fa1ad93bdbd5893b5cdb6cf40531814dc09814e74bf5aa15",
-    "f8_pandiagonal.csv": "0266ffabb1d3bbd9ebe3e1a7b050ff2311c55e97f53111e62b6d911a65e65f67",
-    "f8_pandiagonal_q.csv": "7efdf5d9a6bcb25d01fab5ad658b29ed54724b1a511fcd57e50586ecafc26ac1",
-    "f8_pandiagonal_r.csv": "225723c6496f9542512207c3b0a65b30a3df401923946fa3643d3deecba6b4b4",
-    "f8_third.csv": "54505ba7b6eb0f84cddc84d1e9757c7e7bc9035fd22cc493a3a5db24734ac55c",
-    "f8_third_q.csv": "64f9135723face0183a33a7efc513555f2b7297695b7763e8c7854ddbb273972",
-    "f8_third_r.csv": "f392956cd746a634d6f1695c7c628eb5fcd98f423d1d0c16116f191461b0f95f",
-    "f8_schindel_2574.csv": "84d766c67a81f7b88be71842e2e279eb40ac90e2eb0feec6983818f10e29dd24",
-    "f8_schindel_2574_q.csv": "121747c1b482dfa0ba2714d3bcd93b833274ed8bc889828cf1d39c9b24c02f52",
-    "f8_schindel_2574_r.csv": "dc4a4902930f35ca0f5f38e38f400b284acb8d7ce7c47c708a799769303ce3a5",
-    "f16_1769.csv": "48f351b500b16e7cf401578115b623c5df0778a079cca2960aaba7d8ebda203b",
-    "f16_1769_q.csv": "28c22d289a115b69a072be2ab27b57560774252e1c49bef35bc4971c59a6e18f",
-    "f16_1769_r.csv": "23630cdb5c25b1bf264bd22bdd4713c58006a947f0ffd481ba5cce5e938d38d6",
-    "f16_pandiagonal.csv": "f0a913c854676bda9452e8727a8706c2ea7ec8e68521375415708bec4494da2e",
-    "f16_pandiagonal_q.csv": "02a362088bdcc9976507e0654b2b07d0f4f4648583be199df3128fda53a479be",
-    "f16_pandiagonal_r.csv": "adfc725931d18a418bd6099bbed4b0b46544b799fee04aa07444400a7b7517af",
-    "f16_new_pandiagonal.csv": "ffb71d7bde5b2df9b62f6f0463c36a60bc76dfb1a03f7226bbe285bc0d4a54fc",
-    "f16_new_second.csv": "2c672e8e33e753d31d5dd03006bd9c0cb2e9e8823f8219618df6aa321de9923c",
-    "f40.csv": "e5cd6c09573896248d12d1f71df0af0f56c1fb3e27e352d1e465c7df51da6d20",
-    "q24.csv": "05145806a2bf60a1e1b1d8358332f7ac1001b23d8188c3173529bca6798339d6",
-    "r24.csv": "722c3157a496381bd76ddd7ba464c83bf90c0f7486911c1e3c18185bf8607db1",
-}
+)}
 
 
 def data_dir() -> Path:
@@ -391,7 +369,7 @@ def data_dir() -> Path:
 
 
 def names(kind: FixtureKind | None = None) -> list[str]:
-    return [e.name for e in _ENTRIES if kind is None or e.kind is kind]
+    return [e.name for e in REGISTRY.values() if kind is None or e.kind is kind]
 
 
 def entry(name: str) -> FixtureEntry:
@@ -401,20 +379,21 @@ def entry(name: str) -> FixtureEntry:
         raise FixtureError(f"unknown fixture {name!r}") from None
 
 
-def _read_grid(filename: str, order: int, root: Path, check_digest: bool) -> Square:
-    """The one reader of a fixture file: read it, check its digest when
-    asked, parse it and check its order. Every fault is a FixtureError."""
+def _read_grid(filename: str, order: int, root: Path, digest: str | None) -> Square:
+    """The one reader of a fixture file: read it, check it against
+    ``digest`` unless that is None, parse it and check its order. Every
+    fault is a FixtureError."""
     path = root / filename
     try:
         data = path.read_bytes()
     except OSError as exc:
         raise FixtureError(f"cannot read fixture file {path}: {exc}") from None
-    if check_digest:
-        digest = hashlib.sha256(data).hexdigest()
-        if digest != CHECKSUMS.get(filename):
+    if digest is not None:
+        actual = hashlib.sha256(data).hexdigest()
+        if actual != digest:
             raise FixtureError(
                 f"fixture file {filename} is corrupted "
-                f"(sha256 {digest}, expected {CHECKSUMS.get(filename)})"
+                f"(sha256 {actual}, expected {digest})"
             )
     try:
         sq = parse_square_csv(data.decode("ascii"))
@@ -429,7 +408,8 @@ def load(name: str) -> Square | AuxPair:
     """Read a fixture from data_dir(), checking digests only if bundled."""
     e = entry(name)
     root = data_dir()
-    grids = [_read_grid(f, e.order, root, root == _BUNDLED_DIR) for f in e.files]
+    files = e.files if root == _BUNDLED_DIR else dict.fromkeys(e.files)
+    grids = [_read_grid(f, e.order, root, digest) for f, digest in files.items()]
     if e.kind is FixtureKind.SQUARE:
         return grids[0]
     try:
@@ -453,21 +433,16 @@ def load_aux_pair(name: str) -> AuxPair:
 def verify_corpus(root: Path | None = None) -> list[str]:
     """Audit a fixture directory against the frozen digests.
 
-    Returns the files the registry and the checksum table disagree on,
-    then each registered file's first fault as load() words it; an intact
-    corpus gives an empty list.
+    Returns each registered file's first fault, in registry order and
+    worded as load() words it; an intact corpus gives an empty list.
     """
     if root is None:
         root = data_dir()
-    registered_files = {f for e in _ENTRIES for f in e.files}
-    problems = [
-        f"{filename}: registry and checksum table disagree"
-        for filename in sorted(registered_files ^ set(CHECKSUMS))
-    ]
-    for e in _ENTRIES:
-        for filename in e.files:
+    problems = []
+    for e in REGISTRY.values():
+        for filename, digest in e.files.items():
             try:
-                _read_grid(filename, e.order, root, check_digest=True)
+                _read_grid(filename, e.order, root, digest)
             except FixtureError as exc:
                 problems.append(str(exc))
     return problems

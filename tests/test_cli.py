@@ -77,7 +77,7 @@ def test_verify_stdin(capsys, monkeypatch, tmp_path):
     import io
 
     text = (fixtures._BUNDLED_DIR / "m6_euler.csv").read_text()
-    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
     code, out, _ = run(capsys, "verify", "-", "--require", "magic")
     assert code == 0
 
@@ -123,10 +123,32 @@ def test_non_utf8_square_file_is_bad_format(capsys, monkeypatch, tmp_path, argv)
     )
 
 
+@pytest.mark.parametrize(
+    "data",
+    [b"1,2\r3,4\r", b"1,2\r\n3,4\r\n\r\n", b"1,2\n3,\xff\n"],
+    ids=["cr-only", "crlf-blank-line", "not-utf8"],
+)
+def test_stdin_reads_like_a_file(capsys, monkeypatch, tmp_path, data):
+    import io
+
+    grid = tmp_path / "grid.csv"
+    grid.write_bytes(data)
+    code, out, err = run(capsys, "verify", str(grid))
+    assert code == (2 if b"\xff" in data else 0)
+    # A POSIX stdin's text layer splits lines only at \n, and under a C
+    # locale it decodes with surrogateescape.
+    stdin = io.TextIOWrapper(
+        io.BytesIO(data), encoding="utf-8", errors="surrogateescape", newline="\n"
+    )
+    monkeypatch.setattr("sys.stdin", stdin)
+    assert run(capsys, "verify", "-") == (code, out, err.replace(str(grid), "-"))
+
+
 def test_verify_rejects_boolean_json_order(capsys, monkeypatch):
     import io
 
-    monkeypatch.setattr("sys.stdin", io.StringIO('{"order": true, "cells": [1]}'))
+    stdin = io.TextIOWrapper(io.BytesIO(b'{"order": true, "cells": [1]}'))
+    monkeypatch.setattr("sys.stdin", stdin)
     code, out, err = run(capsys, "verify", "-")
     assert code == 2
     assert out == ""
@@ -534,6 +556,18 @@ COMMAND_DIGESTS = {
         EMPTY,
         {},
     ),
+    "fixtures show m6_euler_aux": (
+        0,
+        "f143ef561abd48954d0c7195433376adcdeb7a5bf3cbcbe50e8d26e83db188cd",
+        EMPTY,
+        {},
+    ),
+    "verify {data}/f8_1769.csv --target natural": (
+        0,
+        "f790733ef79f9ed214aa2adcc21e3ca3af49d5b5e60fab734d45254c3b7ae252",
+        EMPTY,
+        {},
+    ),
     "verify {data}/m6_franklin_1769.csv --require franklin": (
         1,
         "eece4316a56d621e9b504d2568d032b8525a431fb9f1e0e8ada7d226f96909d0",
@@ -568,6 +602,30 @@ COMMAND_DIGESTS = {
         2,
         EMPTY,
         "fad03c2f9c2efb3edb893ad9cfdf06dd3aee553db4442d760bb31eacfe99f4ee",
+        {},
+    ),
+    "generate --order 8 --q-seed 1,x --r-seed 3,5,4,2,6,0,1,7 --archetypes row_alternate,column_alternate": (
+        2,
+        EMPTY,
+        "38130a0f946abdcaec83107c9534c74b240dcb4bee0d7dbb7fb80c741292c474",
+        {},
+    ),
+    "generate --order 8 --q-seed 6,7,0,1,2,3,4,5 --r-seed 3,5,4,2,6,0,1,7 --archetypes row_alternate": (
+        2,
+        EMPTY,
+        "2059f4b27c66209f5d95b9e3a201ab6afc70ba3c172b1a464aad9f0c263e08f9",
+        {},
+    ),
+    "search --order 8 --budget abc": (
+        2,
+        EMPTY,
+        "0234af5ecf08a0afa45a05ccd55f6bf3a147b5d6562f0e917770820680e8ac2c",
+        {},
+    ),
+    "generate --order 8 --q-seed 0,0,0,0 --r-seed 1,0,5,4,7,6,3,2 --archetypes block_pair,four_row_cycle": (
+        3,
+        EMPTY,
+        "2e80b57bf5fd8675352a2f009a33df683f7541e5cc203c319bfd6bf3ab0f203d",
         {},
     ),
     "search --order 5": (
@@ -1086,7 +1144,7 @@ def test_fixture_pair_fault_is_bad_file(capsys, tmp_path, monkeypatch, argv):
     "argv", [("fixtures", "show", "m6_euler"), ("generate", "--preset", "m6_euler")]
 )
 def test_corrupted_bundled_fixture_is_bad_file(capsys, monkeypatch, argv):
-    monkeypatch.setitem(fixtures.CHECKSUMS, "m6_euler.csv", "0" * 64)
+    monkeypatch.setitem(fixtures.entry("m6_euler").files, "m6_euler.csv", "0" * 64)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert ERROR_LINE.match(err)

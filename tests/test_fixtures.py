@@ -11,11 +11,6 @@ def test_bundled_corpus_is_intact():
     assert fixtures.verify_corpus() == []
 
 
-def test_registry_and_checksums_cover_the_same_files():
-    registered = {f for name in fixtures.names() for f in fixtures.entry(name).files}
-    assert registered == set(fixtures.CHECKSUMS)
-
-
 def test_names_by_kind():
     all_names = fixtures.names()
     squares = fixtures.names(fixtures.FixtureKind.SQUARE)
@@ -32,6 +27,8 @@ def test_entry_metadata():
     assert e.order == 16
     assert e.reconstructed_quotient_rows == tuple(range(4, 14))
     assert len(e.files) == 2
+    assert list(fixtures.entry("q24_r24").files) == ["q24.csv", "r24.csv"]
+    assert fixtures.entry("f40").kind is fixtures.FixtureKind.SQUARE
 
 
 def test_entry_unknown_name():
@@ -101,12 +98,13 @@ def test_verify_corpus_flags_missing_and_tampered_files(tmp_path):
 
 
 def test_verify_corpus_reports_wrong_order_file(tmp_path, monkeypatch):
-    for filename in fixtures.CHECKSUMS:
-        shutil.copy(fixtures._BUNDLED_DIR / filename, tmp_path / filename)
+    for e in fixtures.REGISTRY.values():
+        for filename in e.files:
+            shutil.copy(fixtures._BUNDLED_DIR / filename, tmp_path / filename)
     data = b"1,2\n3,4\n"
     (tmp_path / "m6_xian.csv").write_bytes(data)
     monkeypatch.setitem(
-        fixtures.CHECKSUMS, "m6_xian.csv", hashlib.sha256(data).hexdigest()
+        fixtures.entry("m6_xian").files, "m6_xian.csv", hashlib.sha256(data).hexdigest()
     )
     assert fixtures.verify_corpus(tmp_path) == [
         f"fixture file {tmp_path / 'm6_xian.csv'} has order 2, not 6"
@@ -114,7 +112,7 @@ def test_verify_corpus_reports_wrong_order_file(tmp_path, monkeypatch):
 
 
 def test_corrupted_bundled_file_is_rejected_on_load(monkeypatch):
-    monkeypatch.setitem(fixtures.CHECKSUMS, "f8_1769.csv", "0" * 64)
+    monkeypatch.setitem(fixtures.entry("f8_1769").files, "f8_1769.csv", "0" * 64)
     with pytest.raises(fixtures.FixtureError, match="corrupted"):
         fixtures.load_square("f8_1769")
 

@@ -1,6 +1,7 @@
 import enum
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -76,22 +77,22 @@ def test_json_square_roundtrip():
     assert name2 is None
 
 
-@pytest.mark.parametrize(
-    "payload",
-    [
-        "[1,2]",
-        "{}",
-        '{"order": 2}',
-        '{"order": 2, "cells": [[1, 2], [3]]}',
-        '{"order": 3, "cells": [[1, 2], [3, 4]]}',
-        '{"order": 2, "cells": [[1, "x"], [3, 4]]}',
-        '{"order": 2, "cells": [[1, 2], [3, 4]], "name": 7}',
-        '{"order": true, "cells": [1]}',
-        "not json at all",
-    ],
-)
+MALFORMED_JSON = {
+    "[1,2]": "JSON square must be an object",
+    "{}": "JSON square needs a positive integer 'order'",
+    '{"order": 2}': "'cells' must hold exactly 2*2 values",
+    '{"order": 2, "cells": [[1, 2], [3]]}': "'cells' must hold exactly 2*2 values",
+    '{"order": 3, "cells": [[1, 2], [3, 4]]}': "'cells' must hold exactly 3*3 values",
+    '{"order": 2, "cells": [1, "x", 3, 4]}': "'cells' values must be integers",
+    '{"order": 2, "cells": [1, 2, 3, 4], "name": 7}': "'name' must be a string",
+    '{"order": true, "cells": [1]}': "JSON square needs a positive integer 'order'",
+    "not json at all": "invalid JSON: ",
+}
+
+
+@pytest.mark.parametrize("payload", list(MALFORMED_JSON))
 def test_parse_square_json_rejects_malformed(payload):
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=re.escape(MALFORMED_JSON[payload])):
         parse_square_json(payload)
 
 
