@@ -26,6 +26,8 @@ the required property):
     3  PRECONDITION       wrong order, out-of-range values, odd search order
        UNKNOWN_NAME       unknown preset, fixture or archetype name
        LONG_RUN_REQUIRED  a full enumeration at order >= 8 without --long-run
+  141                     stdout was closed before all output was written
+                          (``| head``); nothing is printed to stderr
 
 A path flag is given whenever it appears, even with an empty value: an
 empty path is a file that cannot be written (BAD_FILE), and ``-`` is
@@ -64,6 +66,9 @@ _EXIT = {
     "UNKNOWN_NAME": 3,
     "LONG_RUN_REQUIRED": 3,
 }
+
+# 128 + SIGPIPE, the status a shell reports for a writer killed by one.
+_BROKEN_PIPE = 141
 
 _MAX_SHOWN_FAILURES = 8
 
@@ -507,14 +512,25 @@ def _build_parser() -> _Parser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    error = None
     try:
-        args = parser.parse_args(argv)
-        args.run(args)
-    except _CliError as exc:
-        code, detail = exc.args
-        sys.stderr.write(f"error: code={code} {detail}\n")
-        return _EXIT[code]
-    return 0
+        try:
+            args = parser.parse_args(argv)
+            args.run(args)
+        except _CliError as exc:
+            error = exc
+        # Before any error line, so a closed stdout always exits alike.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout. Point stdout at devnull so that the
+        # flush at interpreter exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _BROKEN_PIPE
+    if error is None:
+        return 0
+    code, detail = error.args
+    sys.stderr.write(f"error: code={code} {detail}\n")
+    return _EXIT[code]
 
 
 if __name__ == "__main__":

@@ -38,7 +38,7 @@ the table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
@@ -157,6 +157,11 @@ class Condition:
     when scale*sum == mult*m. ``doubled`` marks the section a report shows
     as a doubled comparison (2*sum against m). ``franklin`` marks the
     sections whose passing makes a square Franklin.
+
+    ``_descriptors[k]`` is ``lines[k]`` as a LineDescriptor, or None until
+    verify first reports that line failing; verify builds it then and
+    every later report shares it, so each line gets one descriptor per
+    process, kept as long as the table.
     """
 
     name: str
@@ -165,6 +170,12 @@ class Condition:
     mult: int = 1
     doubled: bool = False
     franklin: bool = False
+    _descriptors: list[LineDescriptor | None] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_descriptors", [None] * len(self.lines))
 
     def satisfiable(self, m: int) -> bool:
         return (self.mult * m) % self.scale == 0

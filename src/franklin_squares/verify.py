@@ -8,6 +8,12 @@ scale*sum == mult*m. Every failing line is reported with its actual sum,
 sorted by (family, shift), so claims about exactly which lines fail are
 checkable.
 
+Reports share every part that depends only on the order, the line and the
+target. A failing line's LineDescriptor is built once per line per
+process, the first time the line fails, and kept with lines.table(n). A
+result no line fails (PASSED, or NOT_APPLICABLE) is one value per
+(order, condition, line sum), held in a bounded least-recently-used cache.
+
 Status semantics:
   PASSED / FAILED     the condition was checked line by line.
   NOT_APPLICABLE      the geometry does not exist (odd order has no bent
@@ -30,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from .core import IndexTargets, Square, is_balanced, is_natural
 from .lines import Condition, LineDescriptor, LineFamily, table
@@ -106,24 +113,36 @@ def _failures(
     flat: list[int],
     n: int,
     lines: tuple[tuple[LineFamily, int, tuple[int, ...]], ...],
+    descriptors: list[LineDescriptor | None] | tuple[LineDescriptor, ...],
     scale: int,
     rhs: int,
 ) -> tuple[tuple[LineDescriptor, int], ...]:
     """Each line whose scale*sum differs from rhs, with its plain sum.
-    Descriptors are built only for failing lines."""
+
+    descriptors[k] describes lines[k]. A None entry is filled in the first
+    time its line fails, so descriptors are built once per line per
+    process and shared by every report that lists the line. (Two threads
+    that fail a new line at once may each build it; the values are equal.)
+    """
     failures = []
-    for family, shift, cells in lines:
+    for k, (family, shift, cells) in enumerate(lines):
         actual = 0
         for i in cells:
             actual += flat[i]
         if scale * actual != rhs:
-            line = LineDescriptor(family, shift, tuple(divmod(i, n) for i in cells))
+            line = descriptors[k]
+            if line is None:
+                line = descriptors[k] = LineDescriptor(
+                    family, shift, tuple(divmod(i, n) for i in cells)
+                )
             failures.append((line, actual))
     return tuple(failures)
 
 
-def _evaluate(flat: list[int], n: int, cond: Condition, m: int) -> ConditionResult:
-    """One table condition at line sum m."""
+def _result(
+    cond: Condition, m: int, failures: tuple[tuple[LineDescriptor, int], ...]
+) -> ConditionResult:
+    """One table condition at line sum m, given its failing lines."""
     if not cond.lines:
         return ConditionResult(
             condition=cond.name,
@@ -134,7 +153,6 @@ def _evaluate(flat: list[int], n: int, cond: Condition, m: int) -> ConditionResu
             failures=(),
         )
     rhs = cond.mult * m
-    failures = _failures(flat, n, cond.lines, cond.scale, rhs)
     exact = cond.satisfiable(m)
     if not exact:
         status = ConditionStatus.UNSATISFIABLE
@@ -154,6 +172,30 @@ def _evaluate(flat: list[int], n: int, cond: Condition, m: int) -> ConditionResu
         lines_checked=len(cond.lines),
         failures=failures,
     )
+
+
+# Bound on the shared failure-free results, one per (order, condition,
+# line sum), least recently used evicted first; one pass of the
+# benchmark's corpus workload uses 79.
+_SHARED_RESULTS = 256
+
+
+@lru_cache(maxsize=_SHARED_RESULTS)
+def _clean_result(n: int, name: str, m: int) -> ConditionResult:
+    """The shared result of a table condition no line fails: PASSED, or
+    NOT_APPLICABLE where the condition has no lines at order n."""
+    cond = next(c for c in table(n) if c.name == name)
+    return _result(cond, m, ())
+
+
+def _evaluate(flat: list[int], n: int, cond: Condition, m: int) -> ConditionResult:
+    """One table condition at line sum m."""
+    failures = _failures(
+        flat, n, cond.lines, cond._descriptors, cond.scale, cond.mult * m
+    )
+    if not failures:
+        return _clean_result(n, cond.name, m)
+    return _result(cond, m, failures)
 
 
 def _flat(sq: Square) -> list[int]:
@@ -181,7 +223,7 @@ def check_lines(
             (line.family, line.shift, tuple(r * n + c for r, c in line.cells))
         )
     failures = sorted(
-        _failures(_flat(sq), n, flat_lines, 2 if doubled else 1, target),
+        _failures(_flat(sq), n, flat_lines, lines, 2 if doubled else 1, target),
         key=lambda f: (_FAMILY_ORDER[f[0].family], f[0].shift),
     )
     return ConditionResult(

@@ -1185,3 +1185,31 @@ def test_module_entry_point_runs_as_subprocess():
     )
     assert proc.returncode == 0
     assert "franklin" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fixtures", "show", "f16_1769_aux"],
+        ["verify", "f40.csv", "--json"],
+        # stdout breaks before the --require check can report
+        ["verify", "f8_1769.csv", "--require", "magic"],
+    ],
+    ids=" ".join,
+)
+def test_closed_stdout_exits_141_quietly(argv):
+    argv = [bundled(a) if a.endswith(".csv") else a for a in argv]
+    src = str(Path(fixtures.__file__).parents[1])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "franklin_squares.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")

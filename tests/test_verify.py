@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from franklin_squares import (
     ConditionStatus,
@@ -10,7 +12,8 @@ from franklin_squares import (
     verify,
 )
 from franklin_squares import fixtures
-from franklin_squares.lines import LineFamily, family_lines
+from franklin_squares.lines import LineFamily, family_lines, table
+from franklin_squares.verify import _clean_result
 
 LO_SHU = Square.from_rows([[2, 7, 6], [9, 5, 1], [4, 3, 8]])
 
@@ -119,6 +122,49 @@ def test_check_lines_doubled_comparison():
     # halves are 1 and 3; doubled they give 2 and 6, both off target 8
     assert cond.lines_checked == 2
     assert [a for _, a in cond.failures] == [1, 3]
+
+
+@st.composite
+def natural_or_small_valued_squares(draw):
+    """A natural square, or one of small values whose classify target is
+    usually inferred; all-equal values pass every condition."""
+    n = draw(st.integers(4, 12))
+    if draw(st.booleans()):
+        values = draw(st.permutations(range(1, n * n + 1)))
+    else:
+        top = draw(st.integers(0, 3))
+        values = draw(st.lists(st.integers(0, top), min_size=n * n, max_size=n * n))
+    return Square.from_rows(values[r * n:(r + 1) * n] for r in range(n))
+
+
+def _line_sum(sq, line):
+    return sum(sq.cells[r][c] for r, c in line.cells)
+
+
+@settings(max_examples=80, deadline=None)
+@given(natural_or_small_valued_squares())
+def test_shared_descriptors_and_results_match_fresh_reports(a):
+    n = a.order
+    report_a = classify(a).report
+    # b = 2a at twice the target fails exactly a's lines, at twice the sums.
+    b = Square.from_rows([2 * v for v in row] for row in a.cells)
+    targets_b = IndexTargets(n, 2 * report_a.targets.line_sum)
+    report_b = verify(b, targets_b)
+    for sq, report in ((a, report_a), (b, report_b)):
+        for cond in report.conditions:
+            for line, actual in cond.failures:
+                assert line == family_lines(n, line.family)[line.shift]
+                assert actual == _line_sum(sq, line)
+    for cond_a, cond_b in zip(report_a.conditions, report_b.conditions):
+        assert [line for line, _ in cond_b.failures] == [
+            line for line, _ in cond_a.failures
+        ]
+        assert [s for _, s in cond_b.failures] == [2 * s for _, s in cond_a.failures]
+    # Rebuilt b first, so a result shared across targets would differ.
+    table.cache_clear()
+    _clean_result.cache_clear()
+    assert verify(b, targets_b) == report_b
+    assert classify(a).report == report_a
 
 
 def test_classify_natural_square():
