@@ -46,7 +46,6 @@ from .composition import compose, decompose
 from .core import AuxPair, IndexTargets, Square
 from .formats import (
     FormatError,
-    _dumps_indented,
     outcome_to_dict,
     parse_square_csv,
     parse_square_json,
@@ -375,7 +374,7 @@ def _cmd_search(args: argparse.Namespace) -> None:
         summary = outcome_to_dict(outcome, include_witnesses=False)
         sys.stdout.write(json.dumps(summary) + "\n")
     else:
-        sys.stdout.write(_dumps_indented(outcome_to_dict(outcome)) + "\n")
+        sys.stdout.write(json.dumps(outcome_to_dict(outcome), indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -6,16 +6,14 @@ canonical file and emitting it again is byte-identical.
 
 JSON squares are {"order": n, "cells": [row-major ints], "name"?: str}.
 Reports serialize a PropertyReport with a schema_version field and a fixed
-key order; failures are already sorted by (family, shift). Their text is
-``json.dumps(report_to_dict(...), indent=2)`` byte for byte, written by
-``_dumps_indented``: given ``indent``, CPython's ``json`` runs its
-pure-Python encoder, about two thirds of a pass over the fixture corpus.
+key order; failures are already sorted by (family, shift). report_to_json
+writes ``json.dumps(report_to_dict(...), indent=2)`` byte for byte from the
+report, and renders each failing line's text once per process.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING
 
@@ -23,6 +21,7 @@ from .core import Square
 from .verify import ConditionResult, PropertyReport
 
 if TYPE_CHECKING:
+    from .lines import LineDescriptor
     from .search import SearchOutcome
 
 SCHEMA_VERSION = 1
@@ -132,50 +131,68 @@ def report_to_dict(
     }
 
 
+def _array(items: list[str], depth: int, brackets: str = "[]") -> str:
+    """Rendered items laid out as json.dumps(..., indent=2) does at depth."""
+    if not items:
+        return brackets
+    pad = "\n" + "  " * depth
+    return f"{brackets[0]}{pad}  " + f",{pad}  ".join(items) + pad + brackets[1]
+
+
+# %-templates of the report's objects; a failure is _FAILURE, actual, _END.
+_REPORT, _CONDITION, _FAILURE = (
+    _array([f'"{key}": %s' for key in keys.split()], depth, "{}") for depth, keys in (
+        (0, "schema_version order line_sum target_inferred flags conditions"),
+        (2, "condition status passed target doubled lines_checked failures"),
+        (4, "family shift cells actual"))
+)
+_FAILURE, _END = _FAILURE.rsplit("%s", 1)
+_FLAGS = "semi_magic magic pandiagonal franklin pandiagonal_franklin natural balanced"
+_SHARED_LINES = 512  # cached failing lines; a corpus benchmark pass renders 350
+_line_texts: dict[int, tuple[LineDescriptor, str]] = {}
+
+
+def _scalar(value) -> str:
+    """value as json.dumps writes it, without the call for a str, int or bool."""
+    kind = type(value)
+    if kind is bool:
+        return "true" if value else "false"
+    return _quote(value) if kind is str else str(value) if kind is int else json.dumps(value)
+
+
+def _line_json(line: LineDescriptor) -> str:
+    """_FAILURE filled in for a line, cached by its shared descriptor's id."""
+    hit = _line_texts.get(id(line))
+    if hit is not None and hit[0] is line:  # the entry holds line: its id is unique
+        return hit[1]
+    cells = line.cells
+    flat = tuple([v for cell in cells for v in cell])
+    if not set(map(type, flat)) <= {int}:  # say, bool coordinates from check_lines
+        flat = tuple(map(_scalar, flat))
+    array = _array([_array(["%s", "%s"], 6)] * len(cells), 5) % flat
+    text = _FAILURE % (_quote(line.family.value), _scalar(line.shift), array)
+    if type(cells) is tuple:  # list cells could change under the cached text
+        if len(_line_texts) >= _SHARED_LINES:
+            _line_texts.clear()
+        _line_texts[id(line)] = line, text
+    return text
+
+
 def report_to_json(report: PropertyReport, target_inferred: bool = False) -> str:
-    return _dumps_indented(report_to_dict(report, target_inferred))
-
-
-def _dumps_indented(obj) -> str:
-    """``json.dumps(obj, indent=2)``, the same text from C-level joins."""
-    out: list[str] = []
-    try:
-        _write(obj, out, "\n")
-    except (TypeError, RecursionError):  # a type or depth left to json
-        return json.dumps(obj, indent=2)
-    return "".join(out)
-
-
-def _write(obj, out: list[str], nl: str) -> None:
-    # nl is a newline plus obj's indent. Exact types keep bools off int paths.
-    kind = type(obj)
-    if kind is str or kind is int:
-        out.append(_quote(obj) if kind is str else str(obj))
-    elif obj is None or kind is bool:
-        out.append("null" if obj is None else "true" if obj else "false")
-    elif kind is not list and kind is not dict:
-        raise TypeError(kind)
-    else:
-        inner, brackets = nl + "  ", "[]" if kind is list else "{}"
-        sep, head = "," + inner, brackets[0] + inner
-        if kind is dict:
-            for key, value in obj.items():  # _quote raises on a non-str key
-                out.append(head + _quote(key) + ": ")
-                _write(value, out, inner)
-                head = sep
-        elif set(map(type, obj)) == {int}:
-            out.append(head + sep.join(map(str, obj)))
-        elif (set(map(type, obj)) == {list} and len(set(map(len, obj))) == 1
-              and set(map(type, chain.from_iterable(obj))) == {int}):
-            # Equal-length int rows, such as failure cells: one %d template.
-            row = f"[{inner}  " + (sep + "  ").join(["%d"] * len(obj[0])) + f"{inner}]"
-            out.append(head + sep.join(map(row.__mod__, map(tuple, obj))))
-        else:
-            for value in obj:
-                out.append(head)
-                _write(value, out, inner)
-                head = sep
-        out.append(nl + brackets[1] if obj else brackets)
+    """``json.dumps(report_to_dict(report, target_inferred), indent=2)``."""
+    conditions = [
+        _CONDITION % (
+            _scalar(c.condition), _quote(c.status.value), _scalar(c.passed),
+            _scalar(c.target), _scalar(c.doubled), _scalar(c.lines_checked),
+            _array([f"{_line_json(line)}{actual}{_END}" for line, actual in c.failures], 3),
+        )
+        for c in report.conditions
+    ]
+    flags = [f'"{key}": {_scalar(getattr(report, key))}' for key in _FLAGS.split()]
+    return _REPORT % (
+        SCHEMA_VERSION, _scalar(report.order), _scalar(report.targets.line_sum),
+        _scalar(target_inferred), _array(flags, 1, "{}"), _array(conditions, 1),
+    )
 
 
 def outcome_to_dict(

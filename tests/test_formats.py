@@ -1,24 +1,24 @@
-import enum
 import json
-import math
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from franklin_squares import IndexTargets, Square, classify, verify
-from franklin_squares import fixtures
+from franklin_squares import IndexTargets, Square, check_lines, classify, verify
+from franklin_squares import fixtures, formats
 from franklin_squares.formats import (
     FormatError,
-    _dumps_indented,
     outcome_to_dict,
     parse_square_csv,
     parse_square_json,
     report_to_dict,
+    report_to_json,
     square_to_csv,
     square_to_json,
 )
+from franklin_squares.lines import LineDescriptor, LineFamily
 from franklin_squares.search import SearchOutcome
 
 
@@ -157,79 +157,14 @@ def test_outcome_dict_with_and_without_witnesses():
     json.dumps(full)
 
 
-# Text the encoder must escape: quotes, backslashes, control characters,
-# non-ASCII (two-byte, astral, line separator) and lone surrogates.
-_texts = st.text(
-    st.one_of(
-        st.sampled_from('"\\/\x00\x08\x1f\x7f\u00e9\u2028\U0001d11e\ud800'),
-        st.characters(),
-    ),
-    max_size=8,
-)
-_ints = st.one_of(
-    st.integers(-1000, 1000),
-    st.integers(min_value=2**64),
-    st.integers(max_value=-(2**64)),
-)
-_int_rows = st.integers(0, 4).flatmap(
-    lambda k: st.lists(st.lists(_ints, min_size=k, max_size=k), max_size=4)
-)
-_json_values = st.recursive(
-    st.one_of(
-        st.none(),
-        st.booleans(),
-        _ints,
-        _texts,
-        st.lists(_ints, max_size=5),
-        st.lists(st.one_of(_ints, st.booleans(), st.none()), max_size=5),
-        _int_rows,
-        st.lists(st.lists(_ints, max_size=3), max_size=4),  # mostly ragged
-        st.lists(st.lists(st.one_of(_ints, st.booleans()), min_size=2, max_size=2)),
-    ),
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=4), st.dictionaries(_texts, inner, max_size=4)
-    ),
-    max_leaves=20,
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_json_values)
-def test_indented_writer_matches_stdlib(value):
-    assert _dumps_indented(value) == json.dumps(value, indent=2)
-
-
-class _Level(enum.IntEnum):
-    LOW = 1
-
-
-@pytest.mark.parametrize(
-    "value",
-    [
-        1.5,
-        float("nan"),
-        (1, 2),
-        [[1, 2], (3, 4)],
-        {"a": [0.5, 2]},
-        {1: "int key", None: "null key"},
-        {"k": {True: [1]}},
-        _Level.LOW,
-        [_Level.LOW, 2],
-        [[_Level.LOW, 2], [3, 4]],
-        [[[]], [[1]], {}],
-    ],
-)
-def test_indented_writer_hands_other_values_to_stdlib(value):
-    assert _dumps_indented(value) == json.dumps(value, indent=2)
-
-
-def test_indented_writer_raises_as_stdlib_does():
-    loop: list = []
-    loop.append(loop)
-    with pytest.raises(ValueError, match="Circular reference"):
-        _dumps_indented({"a": loop})
-    with pytest.raises(TypeError, match="not JSON serializable"):
-        _dumps_indented([1, object()])
+def _assert_stdlib_text(report, target_inferred=False):
+    """report_to_json equals the stdlib's indent-2 text of report_to_dict,
+    rendered twice so a line cached by the first call is reused."""
+    want = json.dumps(report_to_dict(report, target_inferred), indent=2)
+    for _ in range(2):
+        # Line lists: pytest's diff of two long strings is very slow.
+        assert report_to_json(report, target_inferred).split("\n") == want.split("\n")
+    return want
 
 
 def test_indented_writer_matches_stdlib_on_fixture_reports():
@@ -238,19 +173,82 @@ def test_indented_writer_matches_stdlib_on_fixture_reports():
     for name in fixtures.names():
         for filename in fixtures.entry(name).files:
             out = classify(parse_square_csv((root / filename).read_text()))
-            obj = report_to_dict(out.report, out.target_inferred)
-            # Line lists: pytest's diff of two long strings is very slow.
-            got = _dumps_indented(obj).split("\n")
-            assert got == json.dumps(obj, indent=2).split("\n"), filename
+            _assert_stdlib_text(out.report, out.target_inferred)
             count += 1
     assert count == 32
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 12).flatmap(lambda n: st.permutations(range(1, n * n + 1))))
-def test_indented_writer_matches_stdlib_on_random_reports(values):
-    n = math.isqrt(len(values))
+@st.composite
+def _reports(draw):
+    """A report at orders 1-12: a natural square at its own target, any
+    grid at the target classify infers, or any grid at an odd target, which
+    makes the half-lines unsatisfiable and can leave subsquares no target."""
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["natural", "inferred", "odd"]))
+    if kind == "natural":
+        values = draw(st.permutations(range(1, n * n + 1)))
+    else:
+        values = draw(st.lists(st.integers(-3, 9), min_size=n * n, max_size=n * n))
     square = Square.from_rows([values[r * n:(r + 1) * n] for r in range(n)])
-    obj = report_to_dict(verify(square, IndexTargets.natural(n)))
-    got = _dumps_indented(obj).split("\n")
-    assert got == json.dumps(obj, indent=2).split("\n")
+    if kind == "natural":
+        return verify(square, IndexTargets.natural(n)), False
+    if kind == "inferred":
+        out = classify(square)
+        return out.report, out.target_inferred
+    m = draw(st.integers(-200, 200)) * 2 + 1
+    return verify(square, IndexTargets(n, m)), False
+
+
+@settings(max_examples=80, deadline=None)
+@given(_reports())
+def test_indented_writer_matches_stdlib_on_random_reports(drawn):
+    _assert_stdlib_text(*drawn)
+
+
+def test_odd_target_report_has_unsatisfiable_sections_and_null_target():
+    sq = fixtures.load_square("f8_1769")
+    text = _assert_stdlib_text(verify(sq, IndexTargets(8, 259)))
+    assert '"status": "unsatisfiable"' in text
+    assert '"target": null' in text
+
+
+def test_cached_line_text_carries_no_sum():
+    # Both reports fail every line at order 4; only the sums differ.
+    ones = verify(Square.from_rows([[1] * 4] * 4), IndexTargets(4, 5))
+    threes = verify(Square.from_rows([[3] * 4] * 4), IndexTargets(4, 5))
+    assert '"actual": 4' in report_to_json(ones)
+    text = _assert_stdlib_text(threes)
+    assert '"actual": 12' in text and '"actual": 4' not in text
+
+
+def test_check_lines_report_with_unhashable_line_renders():
+    sq = Square.from_rows([[1, 2], [3, 4]])
+    line = LineDescriptor(LineFamily.ROW, 0, [(0, 0), (0, 1)])
+    with pytest.raises(TypeError):
+        hash(line)
+    result = check_lines(sq, (line,), 5, condition='caf\u00e9 "rows"')
+    report = replace(verify(sq, IndexTargets.natural(2)), conditions=(result,))
+    text = _assert_stdlib_text(report)
+    assert '"condition": "caf\\u00e9 \\"rows\\"",' in text
+    # List cells can change, so their text is not kept.
+    line.cells[1] = (1, 1)
+    _assert_stdlib_text(report)
+
+
+def test_check_lines_values_render_as_the_stdlib_writes_them():
+    # check_lines passes these through: bool coordinates and shift, a bool
+    # target, an int for doubled and a non-str condition name.
+    sq = Square.from_rows([[1, 2], [3, 4]])
+    line = LineDescriptor(LineFamily.ROW, True, ((True, 0), (1, 1)))
+    result = check_lines(sq, (line,), True, doubled=1, condition=7)
+    report = replace(verify(sq, IndexTargets.natural(2)), conditions=(result,))
+    assert '"shift": true' in _assert_stdlib_text(report, target_inferred=0)
+
+
+def test_line_text_cache_is_bounded():
+    sq = Square.from_rows([[1, 2], [3, 4]])
+    lines = tuple(LineDescriptor(LineFamily.ROW, k, ((0, 0),)) for k in range(600))
+    result = check_lines(sq, lines, 5)
+    report = replace(verify(sq, IndexTargets.natural(2)), conditions=(result,))
+    _assert_stdlib_text(report)
+    assert 0 < len(formats._line_texts) <= formats._SHARED_LINES
