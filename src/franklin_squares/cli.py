@@ -31,7 +31,9 @@ the required property):
 
 A path flag is given whenever it appears, even with an empty value: an
 empty path is a file that cannot be written (BAD_FILE), and ``-`` is
-stdout. A command writes all of its files or none of them.
+stdout. A command writes all of its files or none of them. main() maps
+each library ValueError to PRECONDITION and each fixtures.FixtureError to
+BAD_FILE; a command maps only the faults that take another code.
 """
 
 from __future__ import annotations
@@ -83,18 +85,6 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError("USAGE", message)
 
 
-def _call(fn, *args, **kwargs):
-    """Call into the library, giving its input errors their codes: a
-    ValueError is PRECONDITION, and a FixtureError is BAD_FILE (callers
-    check fixture and preset names first)."""
-    try:
-        return fn(*args, **kwargs)
-    except ValueError as exc:
-        raise _CliError("PRECONDITION", str(exc))
-    except fixtures.FixtureError as exc:
-        raise _CliError("BAD_FILE", str(exc))
-
-
 # ---------------------------------------------------------------------------
 # file I/O
 
@@ -110,7 +100,7 @@ def _read_text(path: str) -> str:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise _CliError("BAD_FORMAT", f"{path}: {exc}")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise _CliError("BAD_FILE", f"cannot read {path}: {exc}")
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
@@ -119,10 +109,7 @@ def _read_square(path: str) -> Square:
     text = _read_text(path)
     looks_json = path.endswith(".json") or text.lstrip().startswith("{")
     try:
-        if looks_json:
-            sq, _name = parse_square_json(text)
-            return sq
-        return parse_square_csv(text)
+        return parse_square_json(text)[0] if looks_json else parse_square_csv(text)
     except FormatError as exc:
         raise _CliError("BAD_FORMAT", f"{path}: {exc}")
 
@@ -140,7 +127,7 @@ def _write_outputs(*outputs: tuple[str, str | None]) -> None:
         try:
             existed = os.path.exists(path)
             open(path, "a").close()
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
             for new in created:
                 os.remove(new)
             raise _CliError("BAD_FILE", f"cannot write {path}: {exc}")
@@ -226,7 +213,7 @@ def _cmd_verify(args: argparse.Namespace) -> None:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> None:
-    pair = _call(decompose, _read_square(args.file))
+    pair = decompose(_read_square(args.file))
     if (args.out_q, args.out_r) in ((None, None), ("-", "-")):
         # Both grids on stdout: one blank line between them, either way.
         _write_pair(pair)
@@ -240,9 +227,8 @@ def _cmd_decompose(args: argparse.Namespace) -> None:
 
 
 def _cmd_compose(args: argparse.Namespace) -> None:
-    q = _read_square(args.q)
-    r = _read_square(args.r)
-    _write_outputs((square_to_csv(compose(_call(AuxPair, q, r))), args.out))
+    pair = AuxPair(_read_square(args.q), _read_square(args.r))
+    _write_outputs((square_to_csv(compose(pair)), args.out))
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +281,7 @@ def _cmd_generate(args: argparse.Namespace) -> None:
                 "UNKNOWN_NAME",
                 f"unknown preset {args.preset!r}; choose from: {', '.join(known)}",
             )
-        obj = _call(patterns.preset, args.preset)
+        obj = patterns.preset(args.preset)
         if isinstance(obj, AuxPair):
             for flag, path in (("--report", args.report), ("--out", args.out)):
                 if path is not None:
@@ -315,10 +301,10 @@ def _cmd_generate(args: argparse.Namespace) -> None:
     else:
         q_arch, r_arch = _parse_archetypes(args.archetypes)
         q_seed = _parse_seed(args.q_seed, "--q-seed")
-        q_pattern = _call(patterns.SeedPattern, q_arch, args.order, q_seed)
+        q_pattern = patterns.SeedPattern(q_arch, args.order, q_seed)
         r_seed = _parse_seed(args.r_seed, "--r-seed")
-        r_pattern = _call(patterns.SeedPattern, r_arch, args.order, r_seed)
-        result = _call(patterns.generate, q_pattern, r_pattern)
+        r_pattern = patterns.SeedPattern(r_arch, args.order, r_seed)
+        result = patterns.generate(q_pattern, r_pattern)
         square, report = result.square, result.report
     outputs = [(square_to_csv(square), args.out)]
     if args.report is not None:
@@ -360,13 +346,7 @@ def _cmd_search(args: argparse.Namespace) -> None:
             f"a full order-{n} enumeration may run for days; "
             "pass --long-run to confirm",
         )
-    opts = _call(
-        SearchOptions,
-        order=n,
-        mode=mode,
-        node_budget=args.budget,
-        prune=not args.no_prune,
-    )
+    opts = SearchOptions(n, mode, node_budget=args.budget, prune=not args.no_prune)
     outcome = search_natural_franklin(opts)
     if mode is SearchMode.STREAM:
         for witness in outcome.witnesses:
@@ -394,7 +374,7 @@ def _cmd_fixtures(args: argparse.Namespace) -> None:
         e = fixtures.entry(args.name)
     except fixtures.FixtureError as exc:
         raise _CliError("UNKNOWN_NAME", str(exc))
-    obj = _call(fixtures.load, args.name)
+    obj = fixtures.load(args.name)
     out = [
         f"name: {e.name}",
         f"kind: {e.kind.value}",
@@ -518,6 +498,10 @@ def main(argv: list[str] | None = None) -> int:
             args.run(args)
         except _CliError as exc:
             error = exc
+        except fixtures.FixtureError as exc:
+            error = _CliError("BAD_FILE", str(exc))
+        except ValueError as exc:
+            error = _CliError("PRECONDITION", str(exc))
         # Before any error line, so a closed stdout always exits alike.
         sys.stdout.flush()
     except BrokenPipeError:

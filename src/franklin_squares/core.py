@@ -17,6 +17,13 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 
+def _require(name: str, value, kind: type = int):
+    """value, if it is a kind (an int is not a bool); else ValueError."""
+    if isinstance(value, kind) and not (kind is int and isinstance(value, bool)):
+        return value
+    raise ValueError(f"{name} must be {kind.__name__}, got {value!r}")
+
+
 def magic_constant(n: int) -> int:
     """Line-sum target of a natural order-n square: n(n^2 + 1)/2."""
     if n < 1:
@@ -47,8 +54,8 @@ class Square:
                     f"ragged square: expected {n} columns, got {len(row)}"
                 )
             for v in row:
-                if not isinstance(v, int) or isinstance(v, bool):
-                    raise ValueError(f"cell values must be integers, got {v!r}")
+                if type(v) is not int:
+                    _require("cell value", v)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]]) -> "Square":
@@ -90,7 +97,7 @@ class AuxPair:
 
 @dataclass(frozen=True)
 class IndexTargets:
-    """A line-sum target m for one order.
+    """A line-sum target m for one order, both ints (a bool is not).
 
     The half-line and subsquare conditions compare 2*sum == m and
     n*sum == 4*m (see lines.table), so odd targets such as 111 stay in
@@ -101,8 +108,9 @@ class IndexTargets:
     line_sum: int
 
     def __post_init__(self) -> None:
-        if self.order < 1:
+        if _require("order", self.order) < 1:
             raise ValueError(f"order must be >= 1, got {self.order}")
+        _require("line_sum", self.line_sum)
 
     @classmethod
     def natural(cls, n: int) -> "IndexTargets":

@@ -165,16 +165,12 @@ def _line_json(line: LineDescriptor) -> str:
     hit = _line_texts.get(id(line))
     if hit is not None and hit[0] is line:  # the entry holds line: its id is unique
         return hit[1]
-    cells = line.cells
-    flat = tuple([v for cell in cells for v in cell])
-    if not set(map(type, flat)) <= {int}:  # say, bool coordinates from check_lines
-        flat = tuple(map(_scalar, flat))
-    array = _array([_array(["%s", "%s"], 6)] * len(cells), 5) % flat
-    text = _FAILURE % (_quote(line.family.value), _scalar(line.shift), array)
-    if type(cells) is tuple:  # list cells could change under the cached text
-        if len(_line_texts) >= _SHARED_LINES:
-            _line_texts.clear()
-        _line_texts[id(line)] = line, text
+    flat = tuple([v for cell in line.cells for v in cell])
+    array = _array([_array(["%d", "%d"], 6)] * len(line.cells), 5) % flat
+    text = _FAILURE % (_quote(line.family.value), "%d" % line.shift, array)
+    if len(_line_texts) >= _SHARED_LINES:
+        _line_texts.clear()
+    _line_texts[id(line)] = line, text
     return text
 
 

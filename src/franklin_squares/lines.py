@@ -42,6 +42,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
+from .core import _require
+
 
 class LineFamily(Enum):
     ROW = "ROW"
@@ -78,15 +80,25 @@ HALF_LINE_FAMILIES = (
 
 @dataclass(frozen=True)
 class LineDescriptor:
-    """One concrete line: its family, its shift within the family, its cells."""
+    """One concrete line: its family, its shift within the family and its
+    cells, frozen into (row, column) tuples so that it hashes. Anything but
+    a LineFamily, an int shift and distinct int pairs raises ValueError."""
 
     family: LineFamily
     shift: int
     cells: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if len(set(self.cells)) != len(self.cells):
+        _require("family", self.family, LineFamily)
+        _require("shift", self.shift)
+        cells = tuple(map(tuple, self.cells))
+        for r, c in cells:  # a cell that is not a pair fails to unpack
+            if type(r) is not int or type(c) is not int:
+                _require("row", r)
+                _require("column", c)
+        if len(set(cells)) != len(cells):
             raise ValueError(f"duplicate cells in line {self.family} #{self.shift}")
+        object.__setattr__(self, "cells", cells)
 
 
 def _geometry(n: int, family: LineFamily) -> list[list[tuple[int, int]]]:
@@ -141,10 +153,8 @@ def family_lines(n: int, family: LineFamily) -> tuple[LineDescriptor, ...]:
     Subsquare shifts encode the anchor as r*n + c. Main and cross
     diagonals are single-line families with shift 0.
     """
-    return tuple(
-        LineDescriptor(family, shift, tuple(cells))
-        for shift, cells in enumerate(_geometry(n, family))
-    )
+    geometry = enumerate(_geometry(n, family))
+    return tuple(LineDescriptor(family, shift, cells) for shift, cells in geometry)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from operator import mul
 
 from . import fixtures
 from .composition import compose, is_orthogonal
-from .core import AuxPair, IndexTargets, Square, aux_constant, is_balanced
+from .core import AuxPair, IndexTargets, Square, _require, aux_constant, is_balanced
 from .lines import franklin_checks
 from .verify import PropertyReport, verify
 
@@ -288,8 +288,8 @@ def find_remainder_seeds(
     Franklin square at n(n-1)/2 (rows, columns, bent diagonals, half-lines
     and 2x2 subsquares) and is orthogonal to ``quotient``.
 
-    Seeds are permutations of 0..n-1, emitted in lexicographic order;
-    ``limit`` stops the search early. With ``pruned`` false the search
+    Seeds are permutations of 0..n-1, emitted in lexicographic order; an
+    int ``limit`` stops the search early. With ``pruned`` false the search
     scans every permutation outright and sums every Franklin line of each
     expanded grid from the line table, with no shortcuts. It is only
     tractable for small orders and exists as a cross-check: the pruned
@@ -301,13 +301,13 @@ def find_remainder_seeds(
     row: v is then ruled out for the row, and a quotient with such rows may
     admit no seed at all.
     """
-    if n < 4 or n % 4:
+    if _require("order", n) < 4 or n % 4:
         raise ValueError(f"order must be a positive multiple of 4, got {n}")
     if quotient.order != n:
         raise ValueError(f"quotient order {quotient.order} != {n}")
     if not is_balanced(quotient):
         raise ValueError("quotient square must be balanced")
-    if limit is not None and limit <= 0:
+    if limit is not None and _require("limit", limit) <= 0:
         return []
 
     # rows[v] is the row seed value v expands to. masks[r][v] has one bit,

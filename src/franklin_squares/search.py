@@ -41,7 +41,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Callable
 
-from .core import IndexTargets, Square, magic_constant
+from .core import IndexTargets, Square, _require, magic_constant
 from .lines import franklin_checks
 from .verify import verify
 
@@ -54,7 +54,7 @@ class SearchMode(Enum):
 
 @dataclass(frozen=True)
 class SearchOptions:
-    """Search parameters.
+    """Search parameters; each int field rejects a bool or a non-int.
 
     ``node_budget`` caps placements (a node is one accepted cell
     assignment, forced or free); the leaf that the budget-th placement
@@ -72,11 +72,11 @@ class SearchOptions:
     progress_interval: int = 100_000
 
     def __post_init__(self):
-        if self.order < 2 or self.order % 2:
+        if _require("order", self.order) < 2 or self.order % 2:
             raise ValueError(f"search order must be even and >= 2, got {self.order}")
-        if self.node_budget is not None and self.node_budget < 1:
+        if self.node_budget is not None and _require("node_budget", self.node_budget) < 1:
             raise ValueError("node_budget must be positive")
-        if self.progress_interval < 1:
+        if _require("progress_interval", self.progress_interval) < 1:
             raise ValueError("progress_interval must be positive")
 
 

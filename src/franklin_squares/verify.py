@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .core import IndexTargets, Square, is_balanced, is_natural
+from .core import IndexTargets, Square, _require, is_balanced, is_natural
 from .lines import Condition, LineDescriptor, LineFamily, table
 
 # Labels a square can carry, in report order; each names the
@@ -132,9 +132,8 @@ def _failures(
         if scale * actual != rhs:
             line = descriptors[k]
             if line is None:
-                line = descriptors[k] = LineDescriptor(
-                    family, shift, tuple(divmod(i, n) for i in cells)
-                )
+                pairs = [divmod(i, n) for i in cells]
+                line = descriptors[k] = LineDescriptor(family, shift, pairs)
             failures.append((line, actual))
     return tuple(failures)
 
@@ -193,9 +192,7 @@ def _evaluate(flat: list[int], n: int, cond: Condition, m: int) -> ConditionResu
     failures = _failures(
         flat, n, cond.lines, cond._descriptors, cond.scale, cond.mult * m
     )
-    if not failures:
-        return _clean_result(n, cond.name, m)
-    return _result(cond, m, failures)
+    return _result(cond, m, failures) if failures else _clean_result(n, cond.name, m)
 
 
 def _flat(sq: Square) -> list[int]:
@@ -210,18 +207,21 @@ def check_lines(
     condition: str = "lines",
 ) -> ConditionResult:
     """Sum each line over sq; a line fails when its (optionally doubled)
-    sum differs from the target."""
+    sum differs from the target. A non-int target (a bool is not an int), a
+    non-bool doubled, a non-str condition or a cell off the grid raises
+    ValueError."""
+    _require("target", target)
+    _require("doubled", doubled, bool)
+    _require("condition", condition, str)
     n = sq.order
     flat_lines = []
     for line in lines:
-        for r, c in line.cells:
-            if not (0 <= r < n and 0 <= c < n):
-                raise ValueError(
-                    f"line {line.family.value} #{line.shift} does not fit order {n}"
-                )
-        flat_lines.append(
-            (line.family, line.shift, tuple(r * n + c for r, c in line.cells))
-        )
+        flat = tuple([r * n + c for r, c in line.cells if 0 <= r < n and 0 <= c < n])
+        if len(flat) != len(line.cells):
+            raise ValueError(
+                f"line {line.family.value} #{line.shift} does not fit order {n}"
+            )
+        flat_lines.append((line.family, line.shift, flat))
     failures = sorted(
         _failures(_flat(sq), n, flat_lines, lines, 2 if doubled else 1, target),
         key=lambda f: (_FAMILY_ORDER[f[0].family], f[0].shift),

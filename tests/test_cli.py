@@ -306,6 +306,13 @@ def test_verify_output_bytes_are_pinned(capsys, filename):
     code, out, err = run(capsys, "verify", bundled(filename))
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == want_text
+    # --summary names the default text output; it cannot join --json.
+    assert run(capsys, "verify", bundled(filename), "--summary") == (0, out, "")
+    assert run(capsys, "verify", bundled(filename), "--json", "--summary") == (
+        2,
+        "",
+        "error: code=USAGE argument --summary: not allowed with argument --json\n",
+    )
 
 
 def test_pinned_outputs_cover_every_fixture_file():
@@ -1055,6 +1062,21 @@ def test_empty_path_flag_is_given(capsys, argv, exit_code, error_code):
     assert (code, out) == (exit_code, "")
     assert ERROR_LINE.match(err)
     assert f"code={error_code} " in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "grid\0.csv"),
+        ("compose", "--q", bundled("m6_euler_q.csv"), "--r", "r\0.csv"),
+        ("generate", "--preset", "f8_1769", "--out", "out\0.csv"),
+    ],
+)
+def test_path_with_a_nul_byte_is_bad_file(capsys, argv):
+    # open() raises ValueError, not OSError, for such a path.
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: code=BAD_FILE ") and "embedded null byte" in err
 
 
 def test_lone_empty_out_q_must_pair(capsys):

@@ -97,6 +97,12 @@ def test_index_targets_rejects_bad_order():
         IndexTargets(0, 1)
 
 
+@pytest.mark.parametrize("order,line_sum", [(8, 260.0), (2, True), (True, 5), (8.0, 260)])
+def test_index_targets_take_ints_not_bools(order, line_sum):
+    with pytest.raises(ValueError, match="must be int"):
+        IndexTargets(order, line_sum)
+
+
 def test_is_natural():
     assert is_natural(Square.from_rows([[4, 1], [2, 3]]))
     assert not is_natural(Square.from_rows([[1, 1], [2, 3]]))

@@ -221,28 +221,38 @@ def test_cached_line_text_carries_no_sum():
     assert '"actual": 12' in text and '"actual": 4' not in text
 
 
-def test_check_lines_report_with_unhashable_line_renders():
+def test_check_lines_list_cells_are_frozen_into_a_hashable_descriptor():
     sq = Square.from_rows([[1, 2], [3, 4]])
-    line = LineDescriptor(LineFamily.ROW, 0, [(0, 0), (0, 1)])
-    with pytest.raises(TypeError):
-        hash(line)
+    pairs = [(0, 0), [0, 1]]
+    line = LineDescriptor(LineFamily.ROW, 0, pairs)
+    assert line.cells == ((0, 0), (0, 1))
+    assert hash(line) == hash(LineDescriptor(LineFamily.ROW, 0, ((0, 0), (0, 1))))
     result = check_lines(sq, (line,), 5, condition='caf\u00e9 "rows"')
     report = replace(verify(sq, IndexTargets.natural(2)), conditions=(result,))
     text = _assert_stdlib_text(report)
     assert '"condition": "caf\\u00e9 \\"rows\\"",' in text
-    # List cells can change, so their text is not kept.
-    line.cells[1] = (1, 1)
-    _assert_stdlib_text(report)
+    # Later edits to the caller's list do not reach the descriptor.
+    pairs[1][1] = 1
+    pairs[0] = (1, 1)
+    assert line.cells == ((0, 0), (0, 1))
+    assert _assert_stdlib_text(report) == text
 
 
-def test_check_lines_values_render_as_the_stdlib_writes_them():
-    # check_lines passes these through: bool coordinates and shift, a bool
-    # target, an int for doubled and a non-str condition name.
+def test_check_lines_values_outside_the_report_schema_raise():
+    # Each would reach the JSON report as a value its schema does not have:
+    # bool coordinates and shift, a bool target, an int for doubled and an
+    # int condition name.
     sq = Square.from_rows([[1, 2], [3, 4]])
-    line = LineDescriptor(LineFamily.ROW, True, ((True, 0), (1, 1)))
-    result = check_lines(sq, (line,), True, doubled=1, condition=7)
-    report = replace(verify(sq, IndexTargets.natural(2)), conditions=(result,))
-    assert '"shift": true' in _assert_stdlib_text(report, target_inferred=0)
+    line = LineDescriptor(LineFamily.ROW, 0, ((0, 0), (1, 1)))
+    for build in (
+        lambda: LineDescriptor(LineFamily.ROW, True, ((0, 0), (1, 1))),
+        lambda: LineDescriptor(LineFamily.ROW, 0, ((True, 0), (1, 1))),
+        lambda: check_lines(sq, (line,), True),
+        lambda: check_lines(sq, (line,), 5, doubled=1),
+        lambda: check_lines(sq, (line,), 5, condition=7),
+    ):
+        with pytest.raises(ValueError):
+            build()
 
 
 def test_line_text_cache_is_bounded():

@@ -10,6 +10,7 @@ import franklin_squares
 from franklin_squares.lines import (
     BENT_FAMILIES,
     HALF_LINE_FAMILIES,
+    LineDescriptor,
     LineFamily,
     family_lines,
     franklin_checks,
@@ -147,6 +148,23 @@ def test_half_line_cells_split_at_midline():
     assert cells(4, LineFamily.HALF_ROW_RIGHT, 1) == ((1, 2), (1, 3))
     assert cells(4, LineFamily.HALF_COL_UPPER, 2) == ((0, 2), (1, 2))
     assert cells(4, LineFamily.HALF_COL_LOWER, 2) == ((2, 2), (3, 2))
+
+
+@pytest.mark.parametrize(
+    "family,shift,cells",
+    [
+        ("ROW", 0, ((0, 0), (0, 1))),
+        (LineFamily.ROW, 1.0, ((0, 0), (0, 1))),
+        (LineFamily.ROW, False, ((0, 0), (0, 1))),
+        (LineFamily.ROW, 0, ((0, 0), (0, 1.0))),
+        (LineFamily.ROW, 0, ((0, 0), (True, 1))),
+        (LineFamily.ROW, 0, ((0, 0), (0, 1, 2))),
+        (LineFamily.ROW, 0, [(0, 0), [0, 0]]),
+    ],
+)
+def test_line_descriptor_rejects_values_outside_its_types(family, shift, cells):
+    with pytest.raises(ValueError):
+        LineDescriptor(family, shift, cells)
 
 
 def test_odd_order_rejected_for_even_only_families():

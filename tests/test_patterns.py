@@ -442,6 +442,13 @@ def test_remainder_seed_search_limit():
     )
 
 
+@pytest.mark.parametrize("n,limit", [(8, 2.5), (8, True), (8.0, None)])
+def test_remainder_seed_search_takes_ints_not_bools(n, limit):
+    quotient = expand_quotient(canonical_row_seed(8), 8)
+    with pytest.raises(ValueError, match="must be int"):
+        find_remainder_seeds(n, quotient, limit=limit)
+
+
 def test_remainder_seed_search_empty_at_order_4():
     quotient = expand_quotient(canonical_row_seed(4), 4)
     assert find_remainder_seeds(4, quotient) == []

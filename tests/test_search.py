@@ -125,6 +125,24 @@ def test_options_validation():
         SearchOptions(order=4, progress_interval=0)
 
 
+@pytest.mark.parametrize(
+    "options",
+    [
+        {"order": 8.0},
+        {"order": True},
+        {"order": 4, "node_budget": 2.5},
+        {"order": 4, "node_budget": True},
+        {"order": 4, "progress_interval": 1.5},
+        {"order": 4, "progress_interval": True},
+    ],
+)
+def test_options_take_ints_not_bools(options):
+    # A budget of 2.5 would never equal the placement count, so the walk
+    # would not stop on it; True would act as a budget of 1.
+    with pytest.raises(ValueError, match="must be int"):
+        SearchOptions(**options)
+
+
 def test_walk_outcomes_are_pinned():
     # Exact outcomes of the walk: any change to the candidate order, the
     # pruning or the budget and progress checks moves at least one.
