@@ -48,8 +48,11 @@ class Archetype(Enum):
 def _expand(archetype: Archetype, seed, n: int) -> Square:
     """The square ``seed`` expands to under ``archetype``.
 
-    Raises ValueError when the order or the seed does not fit the archetype.
+    Raises ValueError when the archetype is not an Archetype, the order
+    not an int, or the order or the seed does not fit the archetype.
     """
+    _require("archetype", archetype, Archetype)
+    _require("order", n)
     seed = tuple(seed)
     A = Archetype
     if archetype is A.FOUR_ROW_CYCLE:
@@ -120,7 +123,7 @@ def canonical_row_seed(n: int) -> tuple[int, ...]:
     seed[j] = (j + 3n/4) mod n; the printed first rows at orders 8, 16,
     and 24 all follow it.
     """
-    if n < 4 or n % 4:
+    if _require("order", n) < 4 or n % 4:
         raise ValueError(f"order must be a positive multiple of 4, got {n}")
     return tuple((j + 3 * n // 4) % n for j in range(n))
 
@@ -272,9 +275,56 @@ def _leaf_forms(n: int) -> tuple[tuple[tuple[int, ...], int], ...] | None:
     return tuple(forms)
 
 
-def _meets_forms(seed, forms) -> bool:
-    """True when seed meets every (coef, t) form of _leaf_forms."""
-    return all(sum(map(mul, coef, seed)) == t for coef, t in forms)
+def _leaf_test(n: int) -> tuple[tuple[int, ...], int] | None:
+    """The forms of _leaf_forms packed into one exact test: (weights,
+    packed) such that a seed with values in 0..n-1 meets every form
+    exactly when sum(weights[r] * seed[r]) == packed. None when
+    _leaf_forms is None.
+
+    Let bound be at least |sum(coef * seed) - t| for every form (coef, t)
+    and every such seed; (n-1) * sum(|coef|) + |t| is. Form k is scaled by
+    B**k with B = 2 * bound + 1, so the packed sum minus packed is
+    sum(d_k * B**k), where d_k = sum(coef_k * seed) - t_k and |d_k| <= bound.
+    If some d_k is not 0, let j be the highest such k: |d_j * B**j| >= B**j,
+    while the lower terms together are at most bound * (B**j - 1) / (B - 1)
+    = (B**j - 1) / 2 in size, so the total is not 0. It is 0 exactly when
+    every d_k is, that is, when every form holds: balanced base-B digits
+    are unique.
+    """
+    forms = _leaf_forms(n)
+    if forms is None:
+        return None
+    spans = [(n - 1) * sum(map(abs, coef)) + abs(t) for coef, t in forms]
+    base = 2 * max(spans, default=0) + 1
+    weights, packed = [0] * n, 0
+    for k, (coef, t) in enumerate(forms):
+        scale = base**k
+        weights = [w + scale * x for w, x in zip(weights, coef)]
+        packed += scale * t
+    return tuple(weights), packed
+
+
+def _remainder_masks(n: int, quotient: Square) -> list[list[int | None]]:
+    """masks[r][v] has one bit, n*q + x, per value pair (q, x) that seed
+    value v puts in row r beside ``quotient``, or is None when two of
+    those pairs repeat and v can never sit in row r.
+
+    Value v puts x = v in the even columns and x = n-1-v in the odd ones.
+    With even and odd the sums of 2**(n*q) over a quotient row's even and
+    odd columns, (even << v) + (odd << (n-1-v)) is the sum of 2**(n*q + x)
+    over the row's n cells. A sum of n powers of two has n set bits
+    exactly when the powers are distinct: (a + b).bit_count() is at most
+    a.bit_count() + b.bit_count(), and a repeated power carries, losing a
+    bit. So the sum is the mask when it has n set bits, and the row
+    repeats a pair otherwise.
+    """
+    masks = []
+    for qrow in quotient.cells:
+        even = sum(1 << n * q for q in qrow[::2])
+        odd = sum(1 << n * q for q in qrow[1::2])
+        sums = [(even << v) + (odd << (n - 1 - v)) for v in range(n)]
+        masks.append([m if m.bit_count() == n else None for m in sums])
+    return masks
 
 
 def find_remainder_seeds(
@@ -293,8 +343,10 @@ def find_remainder_seeds(
     scans every permutation outright and sums every Franklin line of each
     expanded grid from the line table, with no shortcuts. It is only
     tractable for small orders and exists as a cross-check: the pruned
-    search checks the four linear forms of _leaf_forms instead, so the two
-    agreeing checks that algebra against lines.table.
+    search checks the four linear forms of _leaf_forms instead, packed
+    into the one exact test of _leaf_test, so the two agreeing checks that
+    algebra against lines.table. Both take their orthogonality masks from
+    _remainder_masks.
 
     Seed value v puts v and n-1-v alternately across its row, so a
     quotient row that repeats a value can repeat a value pair within that
@@ -307,24 +359,19 @@ def find_remainder_seeds(
         raise ValueError(f"quotient order {quotient.order} != {n}")
     if not is_balanced(quotient):
         raise ValueError("quotient square must be balanced")
+    _require("pruned", pruned, bool)
     if limit is not None and _require("limit", limit) <= 0:
         return []
 
-    # rows[v] is the row seed value v expands to. masks[r][v] has one bit,
-    # n*q + x, per value pair (q, x) that v puts in row r, or is None when
-    # the row repeats a pair and v can never sit there.
-    rows = expand_remainder(range(n), n).cells
-    masks = []
-    for qrow in quotient.cells:
-        pairs = [{n * q + x for q, x in zip(qrow, row)} for row in rows]
-        masks.append([sum(1 << i for i in p) if len(p) == n else None for p in pairs])
+    masks = _remainder_masks(n, quotient)
     if not pruned:
+        rows = expand_remainder(range(n), n).cells
         checks = franklin_checks(n, aux_constant(n))
         return _seed_search_unpruned(n, masks, rows, limit, checks)
-    forms = _leaf_forms(n)
-    if forms is None:
+    test = _leaf_test(n)
+    if test is None:
         return []
-    return _seed_search_pruned(n, masks, limit, forms)
+    return _seed_search_pruned(n, masks, limit, test)
 
 
 def _seed_search_unpruned(n, masks, rows, limit, checks):
@@ -344,7 +391,7 @@ def _seed_search_unpruned(n, masks, rows, limit, checks):
     return results
 
 
-def _seed_search_pruned(n, masks, limit, forms):
+def _seed_search_pruned(n, masks, limit, test):
     """Lexicographic backtracking with exact pruning.
 
     The walk carries the unused values as a sorted tuple and tries them
@@ -352,25 +399,27 @@ def _seed_search_pruned(n, masks, limit, forms):
     for the half-sum bound and the next row's candidates. It prunes
     partial seeds on (a) orthogonality to the quotient, checked row by
     row against the pairs already taken, and (b) feasibility of the upper
-    half-column sum: the first n/2 seed values must sum to n(n-1)/4. Both prunes reject only prefixes no completion of which
-    could be emitted. A full seed passes when it meets every linear form
-    of _leaf_forms (whole sum, upper and lower half sums, bent form), which
-    holds exactly when its expansion meets every Franklin line, so the
-    result matches the unpruned scan exactly.
+    half-column sum: the first n/2 seed values must sum to n(n-1)/4. Both
+    prunes reject only prefixes no completion of which could be emitted.
+
+    Row n-1 takes the one value left, so the frame for row n-2 checks that
+    value's mask and the leaf itself rather than recursing. A full seed
+    passes when it meets the packed test of _leaf_test, which holds
+    exactly when it meets every linear form of _leaf_forms (whole sum,
+    upper and lower half sums, bent form), and so exactly when its
+    expansion meets every Franklin line: the result matches the unpruned
+    scan exactly.
     """
+    weights, packed = test
     half = n // 2
     half_target = n * (n - 1) // 4
+    last_row = masks[n - 1]
     results: list[tuple[int, ...]] = []
 
     def walk(
         seed: tuple[int, ...], free: tuple[int, ...], taken: int, total: int
     ) -> bool:
         r = len(seed)
-        if r == n:
-            if _meets_forms(seed, forms):
-                results.append(seed)
-                return limit is not None and len(results) >= limit
-            return False
         row = masks[r]
         for k, v in enumerate(free):
             mask = row[v]
@@ -383,8 +432,18 @@ def _seed_search_pruned(n, masks, limit, forms):
                 need = half_target - total - v
                 if not sum(rest[:slots]) <= need <= sum(rest[len(rest) - slots:]):
                     continue
-            if walk(seed + (v,), rest, taken | mask, total + v):
-                return True
+            if len(rest) > 1:
+                if walk(seed + (v,), rest, taken | mask, total + v):
+                    return True
+                continue
+            last = last_row[rest[0]]
+            if last is None or last & (taken | mask):
+                continue
+            full = seed + (v,) + rest
+            if sum(map(mul, weights, full)) == packed:
+                results.append(full)
+                if limit is not None and len(results) >= limit:
+                    return True
         return False
 
     walk((), tuple(range(n)), 0, 0)

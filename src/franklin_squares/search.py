@@ -54,7 +54,8 @@ class SearchMode(Enum):
 
 @dataclass(frozen=True)
 class SearchOptions:
-    """Search parameters; each int field rejects a bool or a non-int.
+    """Search parameters; each int field rejects a bool or a non-int,
+    ``mode`` anything but a SearchMode and ``prune`` anything but a bool.
 
     ``node_budget`` caps placements (a node is one accepted cell
     assignment, forced or free); the leaf that the budget-th placement
@@ -74,6 +75,8 @@ class SearchOptions:
     def __post_init__(self):
         if _require("order", self.order) < 2 or self.order % 2:
             raise ValueError(f"search order must be even and >= 2, got {self.order}")
+        _require("mode", self.mode, SearchMode)
+        _require("prune", self.prune, bool)
         if self.node_budget is not None and _require("node_budget", self.node_budget) < 1:
             raise ValueError("node_budget must be positive")
         if _require("progress_interval", self.progress_interval) < 1:

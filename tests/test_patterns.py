@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import random
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,8 @@ from franklin_squares import fixtures, patterns
 from franklin_squares.lines import franklin_checks
 from franklin_squares.patterns import (
     _leaf_forms,
-    _meets_forms,
+    _leaf_test,
+    _remainder_masks,
     expand_block_pair,
     expand_four_row_cycle,
     expand_quotient,
@@ -329,7 +331,7 @@ def test_first_1000_order16_seeds_are_pinned():
     # Franklin seeds would send the limited search through all of 16!, so
     # fail fast on the preset's seed first.
     preset_seed = patterns._PRESET_SEEDS["f16_1769"][1].seed
-    assert _meets_forms(preset_seed, _leaf_forms(16))
+    assert _meets_packed_test(preset_seed, _leaf_test(16))
     quotient = expand_quotient(canonical_row_seed(16), 16)
     seeds = find_remainder_seeds(16, quotient, limit=1000)
     digest = hashlib.sha256(repr([list(s) for s in seeds]).encode()).hexdigest()
@@ -367,12 +369,18 @@ def test_a_seed_free_line_that_misses_admits_no_seed(monkeypatch):
         _leaf_forms.cache_clear()
 
 
+def _meets_packed_test(seed, test):
+    """The pruned seed search's leaf test, as its walk runs it."""
+    weights, packed = test
+    return sum(map(mul, weights, seed)) == packed
+
+
 def _leaf_verdicts(seed):
     """The seed search's leaf verdict and verify's Franklin verdict on the
     column-alternate expansion of seed; verify does not read the forms."""
     n = len(seed)
-    forms = _leaf_forms(n)
-    by_forms = forms is not None and _meets_forms(seed, forms)
+    test = _leaf_test(n)
+    by_forms = test is not None and _meets_packed_test(seed, test)
     report = verify(expand_remainder(seed, n), IndexTargets.balanced(n))
     return by_forms, report.franklin
 
@@ -426,6 +434,77 @@ def test_leaf_forms_match_verify_next_to_found_seeds(data):
     assert by_forms == by_verify
 
 
+def _form_extremes(n):
+    """For each leaf form, the seeds in 0..n-1 that take it furthest above
+    and below its target: these set the bound the packed test relies on."""
+    for coef, _ in _leaf_forms(n):
+        yield tuple(n - 1 if x > 0 else 0 for x in coef)
+        yield tuple(n - 1 if x < 0 else 0 for x in coef)
+
+
+@st.composite
+def _leaf_vectors(draw):
+    """Vectors with entries in 0..n-1, not only permutations: random ones,
+    the form extremes, and found seeds with a few entries changed, which
+    keep some forms and break others."""
+    kind = draw(st.sampled_from(["random", "extreme", "near"]))
+    if kind == "near":
+        vector = list(draw(st.sampled_from(_found_seeds())))
+        n = len(vector)
+        entry = st.integers(0, n - 1)
+        for i, v in draw(st.lists(st.tuples(entry, entry), max_size=3)):
+            vector[i] = v
+        return tuple(vector)
+    n = draw(st.sampled_from(LEAF_ORDERS))
+    if kind == "extreme":
+        return draw(st.sampled_from(list(_form_extremes(n))))
+    return tuple(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_leaf_vectors())
+def test_packed_leaf_test_agrees_with_the_four_forms(vector):
+    n = len(vector)
+    forms = _leaf_forms(n)
+    each = all(sum(map(mul, coef, vector)) == t for coef, t in forms)
+    assert _meets_packed_test(vector, _leaf_test(n)) == each
+
+
+def _pair_set_masks(n, quotient):
+    """masks[r][v] from its definition: one bit, n*q + x, per value pair
+    (q, x) that seed value v puts in row r, or None when a pair repeats."""
+    rows = expand_remainder(range(n), n).cells
+    masks = []
+    for qrow in quotient.cells:
+        pairs = [{n * q + x for q, x in zip(qrow, row)} for row in rows]
+        masks.append([sum(1 << i for i in p) if len(p) == n else None for p in pairs])
+    return masks
+
+
+@st.composite
+def _quotient_grids(draw):
+    """Even-order grids with values in 0..n-1 whose rows repeat values:
+    block-pair expansions, whose rows repeat every pair, and permutation
+    rows with a few cells overwritten, whose rows repeat some pairs and
+    not others."""
+    n = 2 * draw(st.integers(2, 8))
+    if draw(st.booleans()):
+        seed = draw(st.lists(st.integers(0, n - 1), min_size=n // 2, max_size=n // 2))
+        return expand_block_pair(seed, n)
+    rows = [list(draw(st.permutations(range(n)))) for _ in range(n)]
+    cell = st.integers(0, n - 1)
+    for r, c, v in draw(st.lists(st.tuples(cell, cell, cell), max_size=2 * n)):
+        rows[r][c] = v
+    return Square.from_rows(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_quotient_grids())
+def test_closed_form_masks_equal_the_pair_sets(quotient):
+    n = quotient.order
+    assert _remainder_masks(n, quotient) == _pair_set_masks(n, quotient)
+
+
 def test_remainder_seed_search_every_result_generates_franklin():
     quotient = expand_quotient(canonical_row_seed(8), 8)
     qp = SeedPattern(Archetype.ROW_ALTERNATE, 8, canonical_row_seed(8))
@@ -454,6 +533,31 @@ def test_remainder_seed_search_empty_at_order_4():
     assert find_remainder_seeds(4, quotient) == []
 
 
+def test_canonical_order12_quotient_admits_no_remainder_seed():
+    # The README's order-12 statement: an exhaustive search, about 1.3 s.
+    quotient = expand_quotient(canonical_row_seed(12), 12)
+    assert find_remainder_seeds(12, quotient) == []
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: SeedPattern("row_alternate", 8, range(8)),
+        lambda: SeedPattern(Archetype.ROW_ALTERNATE, 8.0, range(8)),
+        lambda: expand_quotient(canonical_row_seed(8), 8.0),
+        lambda: canonical_row_seed(8.0),
+        lambda: find_remainder_seeds(
+            8, expand_quotient(canonical_row_seed(8), 8), pruned=1
+        ),
+    ],
+    ids=["archetype_str", "pattern_order_float", "expand_order_float",
+         "canonical_order_float", "pruned_int"],
+)
+def test_seed_entry_points_reject_values_of_other_types(call):
+    with pytest.raises(ValueError, match=r"must be (Archetype|int|bool), got"):
+        call()
+
+
 def test_remainder_seed_search_preconditions():
     with pytest.raises(ValueError):
         find_remainder_seeds(6, expand_quotient((5, 0, 1, 2, 3, 4), 6))
@@ -463,6 +567,18 @@ def test_remainder_seed_search_preconditions():
     unbalanced = Square.from_rows([[0] * 8] * 8)
     with pytest.raises(ValueError):
         find_remainder_seeds(8, unbalanced)
+
+
+def test_a_last_row_that_clashes_admits_no_seed():
+    # The 768 seeds of this row-alternate quotient all fit its first seven
+    # rows; the new last row gives each of them a pair an earlier row took,
+    # row 6 alone for the 96 whose last two values are complements. Only
+    # the check on the forced last value can see either clash.
+    qrows = expand_quotient((0, 1, 2, 3, 5, 4, 7, 6), 8).cells
+    rows = qrows[:-1] + (tuple(range(8)),)
+    quotient = Square.from_rows(rows)
+    assert find_remainder_seeds(8, quotient) == []
+    assert find_remainder_seeds(8, quotient, pruned=False) == []
 
 
 @pytest.mark.parametrize(

@@ -143,6 +143,17 @@ def test_options_take_ints_not_bools(options):
         SearchOptions(**options)
 
 
+@pytest.mark.parametrize(
+    "options",
+    [{"mode": "first"}, {"mode": None}, {"prune": 1}, {"prune": None}],
+)
+def test_options_reject_a_mode_or_prune_of_another_type(options):
+    # A string mode is never SearchMode.FIRST, so the walk would not stop
+    # at the first witness.
+    with pytest.raises(ValueError, match="must be (SearchMode|bool)"):
+        SearchOptions(order=8, node_budget=1000, **options)
+
+
 def test_walk_outcomes_are_pinned():
     # Exact outcomes of the walk: any change to the candidate order, the
     # pruning or the budget and progress checks moves at least one.
