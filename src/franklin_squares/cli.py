@@ -55,7 +55,7 @@ from .formats import (
     square_to_csv,
     square_to_json,
 )
-from .search import SearchMode, SearchOptions, _check_tables, search_natural_franklin
+from .search import SearchMode, SearchOptions, _plan, search_natural_franklin
 from .verify import LABELS, PropertyReport, classify, verify
 
 _EXIT = {
@@ -291,7 +291,8 @@ def _cmd_generate(args: argparse.Namespace) -> None:
             _write_pair(obj)
             return
         square = obj
-        report = classify(square).report
+        outcome = classify(square)
+        report, inferred = outcome.report, outcome.target_inferred
     elif missing:
         raise _CliError(
             "USAGE",
@@ -305,10 +306,10 @@ def _cmd_generate(args: argparse.Namespace) -> None:
         r_seed = _parse_seed(args.r_seed, "--r-seed")
         r_pattern = patterns.SeedPattern(r_arch, args.order, r_seed)
         result = patterns.generate(q_pattern, r_pattern)
-        square, report = result.square, result.report
+        square, report, inferred = result.square, result.report, False
     outputs = [(square_to_csv(square), args.out)]
     if args.report is not None:
-        outputs.append((report_to_json(report) + "\n", args.report))
+        outputs.append((report_to_json(report, inferred) + "\n", args.report))
     _write_outputs(*outputs)
 
 
@@ -332,14 +333,14 @@ def _cmd_search(args: argparse.Namespace) -> None:
     n = args.order
     # A full enumeration at order >= 8 runs for a very long time; make the
     # caller acknowledge that.  First-witness runs, budgeted runs and
-    # orders the line table settles without search (no Franklin square
-    # can exist) are not full enumerations and need no flag.
+    # orders with no walk plan (no square can exist; a plan built here is
+    # the one the run walks) are not full enumerations and need no flag.
     if (
         mode is not SearchMode.FIRST
         and args.budget is None
         and n >= 8
         and not args.long_run
-        and _check_tables(n) is not None
+        and _plan(n, not args.no_prune) is not None
     ):
         raise _CliError(
             "LONG_RUN_REQUIRED",

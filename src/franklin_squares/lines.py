@@ -38,6 +38,7 @@ the table.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -82,7 +83,8 @@ HALF_LINE_FAMILIES = (
 class LineDescriptor:
     """One concrete line: its family, its shift within the family and its
     cells, frozen into (row, column) tuples so that it hashes. Anything but
-    a LineFamily, an int shift and distinct int pairs raises ValueError."""
+    a LineFamily, an int shift and a sequence of distinct int pairs raises
+    ValueError."""
 
     family: LineFamily
     shift: int
@@ -91,7 +93,10 @@ class LineDescriptor:
     def __post_init__(self) -> None:
         _require("family", self.family, LineFamily)
         _require("shift", self.shift)
-        cells = tuple(map(tuple, self.cells))
+        cells = tuple(
+            cell if type(cell) is tuple else tuple(_require("cell", cell, Sequence))
+            for cell in _require("cells", self.cells, Sequence)
+        )
         for r, c in cells:  # a cell that is not a pair fails to unpack
             if type(r) is not int or type(c) is not int:
                 _require("row", r)
@@ -157,7 +162,7 @@ def family_lines(n: int, family: LineFamily) -> tuple[LineDescriptor, ...]:
     return tuple(LineDescriptor(family, shift, cells) for shift, cells in geometry)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Condition:
     """One report section at one order: its lines and its target rule.
 
@@ -171,7 +176,8 @@ class Condition:
     ``_descriptors[k]`` is ``lines[k]`` as a LineDescriptor, or None until
     verify first reports that line failing; verify builds it then and
     every later report shares it, so each line gets one descriptor per
-    process, kept as long as the table.
+    process, kept as long as the table. Conditions compare by identity:
+    table(n) holds one per section, and verify keys shared results by it.
     """
 
     name: str
@@ -180,9 +186,7 @@ class Condition:
     mult: int = 1
     doubled: bool = False
     franklin: bool = False
-    _descriptors: list[LineDescriptor | None] = field(
-        init=False, repr=False, compare=False
-    )
+    _descriptors: list[LineDescriptor | None] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_descriptors", [None] * len(self.lines))

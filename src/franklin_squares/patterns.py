@@ -26,6 +26,7 @@ alternating C, D.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache, partial
@@ -49,11 +50,14 @@ def _expand(archetype: Archetype, seed, n: int) -> Square:
     """The square ``seed`` expands to under ``archetype``.
 
     Raises ValueError when the archetype is not an Archetype, the order
-    not an int, or the order or the seed does not fit the archetype.
+    not an int, the seed not an iterable of ints, or the order or the
+    seed does not fit the archetype.
     """
     _require("archetype", archetype, Archetype)
     _require("order", n)
-    seed = tuple(seed)
+    seed = tuple(_require("seed", seed, Iterable))
+    for v in seed:
+        _require("seed value", v)
     A = Archetype
     if archetype is A.FOUR_ROW_CYCLE:
         kind, least = "four-row-cycle", 4
@@ -104,7 +108,7 @@ class SeedPattern:
     seed: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", tuple(self.seed))
+        object.__setattr__(self, "seed", tuple(_require("seed", self.seed, Iterable)))
         # Expanding validates the seed: an invalid one raises here.
         self.expand()
 
@@ -355,7 +359,7 @@ def find_remainder_seeds(
     """
     if _require("order", n) < 4 or n % 4:
         raise ValueError(f"order must be a positive multiple of 4, got {n}")
-    if quotient.order != n:
+    if _require("quotient", quotient, Square).order != n:
         raise ValueError(f"quotient order {quotient.order} != {n}")
     if not is_balanced(quotient):
         raise ValueError("quotient square must be balanced")

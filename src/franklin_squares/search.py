@@ -18,11 +18,14 @@ accepts exactly the placements the completed-line check would; the row
 bound rejects some free candidates that the unpruned walk places and
 abandons by the end of the row, so ``nodes_visited`` can differ.
 
-Each cell carries the lines it closes, so a candidate is checked against
-those lines only. With pruning the walk recurses once per free cell (a
-cell that closes no line; 2n-5 of them at orders 4 to 40), and one loop
-places the free cell's value and then the forced cells after it;
-without pruning no cell is forced, so it recurses once per cell.
+What the walk reads at each cell is fixed per order and pruning mode,
+so ``_plan(n, prune)`` builds it once: each cell carries the lines it
+closes, and a candidate is checked against those lines only. With
+pruning the walk recurses once per free cell (a cell that closes no
+line; 2n-5 of them at orders 4 to 40), and one loop places the free
+cell's value and then the forced cells after it. Without pruning the
+plan makes every cell free and bounds no row, so the same walk
+recurses once per cell.
 
 ``search_natural_franklin`` is the one entry point. It settles an order
 in one of two ways: without search when the line sum is odd (a
@@ -102,37 +105,38 @@ class SearchOutcome:
 
 
 @lru_cache(maxsize=None)
-def _check_tables(n: int):
-    """The closing lines of each cell for row-major filling, or None when
-    no natural Franklin square of order n can exist.
+def _plan(n: int, prune: bool):
+    """What the row-major walk reads at each cell, or None when no
+    natural Franklin square of order n can exist.
 
-    Entry i lists the Franklin lines whose last filled cell is i, as (a
-    getter of the other cells, exact target), shortest first; with
-    pruning the first one derives the value of cell i. The sort is
-    stable, so among lines of equal length the one first in report order
-    derives it.
+    Each Franklin line closes at its last cell, as (a getter of its other
+    cells, exact target), shortest first and, among equal lengths, in
+    report order. The plan is (next_free, derive_at, checks_at,
+    row_bound). With pruning a cell that closes a line is forced: its
+    first closing line derives its value, the others are checked, and a
+    free cell's row bound counts the cells left in its row. Without
+    pruning every cell is free, checks every line it closes and has row
+    bound 0. next_free maps each free cell to the next, or to n*n.
     """
     lines = franklin_checks(n, magic_constant(n))
     if lines is None:
         return None
-    closing: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(n * n)]
-    for cells, target in lines:
-        last = max(cells)
-        closing[last].append((tuple(j for j in cells if j != last), target))
-    # A line's other cells are read by one itemgetter, so a line sum is
-    # sum(get(grid)). A one-cell getter would return a bare value (the
-    # order-4 half-lines have one other cell), so it reads a slice.
-    return tuple(
-        tuple(
-            (
-                itemgetter(*others)
-                if len(others) > 1
-                else itemgetter(slice(others[0], others[0] + 1)),
-                target,
-            )
-            for others, target in sorted(at, key=lambda line: len(line[0]))
-        )
-        for at in closing
+    n2 = n * n
+    closing: list[list] = [[] for _ in range(n2)]
+    for cells, target in sorted(lines, key=lambda line: len(line[0])):
+        *others, last = sorted(cells)
+        # A line sum is sum(get(grid)). A getter of one cell would return
+        # a bare value (order-4 half-lines have one other cell), so it
+        # reads a slice.
+        if len(others) == 1:
+            others = [slice(others[0], others[0] + 1)]
+        closing[last].append((itemgetter(*others), target))
+    free = [i for i in range(n2) if not (prune and closing[i])]
+    return (
+        dict(zip(free, free[1:] + [n2])),
+        tuple(at[0] if prune and at else None for at in closing),
+        tuple(tuple(at[1:] if prune else at) for at in closing),
+        tuple(n - 1 - i % n if prune else 0 for i in range(n2)),
     )
 
 
@@ -175,29 +179,18 @@ def _candidate_order(grid: list[int], used: list[bool], i: int, n: int) -> list[
     return buckets[0] + buckets[1] + buckets[2] + buckets[3]
 
 
-def _run_tree(opts: SearchOptions) -> SearchOutcome:
-    """Walk the tree; the outcome is exhausted unless the budget ran out
-    or FIRST found its witness."""
+def _run_tree(opts: SearchOptions, plan) -> SearchOutcome:
+    """Walk the tree that ``plan`` (see _plan) lays out; the outcome is
+    exhausted unless the budget ran out or FIRST found its witness."""
     n = opts.order
     mode = opts.mode
-    prune = opts.prune
     node_budget = opts.node_budget
     progress = opts.progress
     progress_interval = opts.progress_interval
     n2 = n * n
     m = magic_constant(n)
-    closing_at = _check_tables(n)
+    next_free, derive_at, checks_at, row_bound = plan
     natural_targets = IndexTargets.natural(n)
-
-    # With pruning a cell that closes a line is forced: its first closing
-    # line derives the value and the others are checked. Only the free
-    # cells recurse; one loop places the free cell's value and then the
-    # run of forced cells after it. Without pruning no cell is forced,
-    # every run is empty and each cell checks all the lines it closes.
-    free = [i for i in range(n2) if not (prune and closing_at[i])]
-    next_free = dict(zip(free, free[1:] + [n2]))
-    derive_at = [closing[0] if closing else None for closing in closing_at]
-    checks_at = [closing[1:] if prune else closing for closing in closing_at]
 
     grid = [0] * n2
     used = [False] * (n2 + 1)
@@ -210,8 +203,8 @@ def _run_tree(opts: SearchOptions) -> SearchOutcome:
         nonlocal nodes, count
         nxt = next_free[i]
         candidates = _candidate_order(grid, used, i, n)
-        remaining = n - 1 - i % n
-        if prune and remaining:
+        remaining = row_bound[i]
+        if remaining:
             # Row bound: the cells left in the row must still be able
             # to make up the gap to m.
             gap = m - sum(grid[i - i % n:i])
@@ -274,8 +267,9 @@ def search_natural_franklin(opts: SearchOptions) -> SearchOutcome:
     Every reported witness is re-verified through the property verifier
     before it is counted; nothing is trusted from search bookkeeping.
     """
-    if _check_tables(opts.order) is None:
+    plan = _plan(opts.order, opts.prune)
+    if plan is None:
         # Some Franklin target is not an integer (an odd m leaves the
         # half-lines none): no square exists, with no tree to walk.
         return SearchOutcome(count=0, exhausted=True, witnesses=(), nodes_visited=0)
-    return _run_tree(opts)
+    return _run_tree(opts, plan)

@@ -173,17 +173,16 @@ def _result(
     )
 
 
-# Bound on the shared failure-free results, one per (order, condition,
-# line sum), least recently used evicted first; one pass of the
-# benchmark's corpus workload uses 79.
+# Bound on the shared failure-free results, one per table condition (an
+# order and section) and line sum, least recently used evicted first;
+# one pass of the benchmark's corpus workload uses 79.
 _SHARED_RESULTS = 256
 
 
 @lru_cache(maxsize=_SHARED_RESULTS)
-def _clean_result(n: int, name: str, m: int) -> ConditionResult:
+def _clean_result(cond: Condition, m: int) -> ConditionResult:
     """The shared result of a table condition no line fails: PASSED, or
-    NOT_APPLICABLE where the condition has no lines at order n."""
-    cond = next(c for c in table(n) if c.name == name)
+    NOT_APPLICABLE where the condition has no lines at its order."""
     return _result(cond, m, ())
 
 
@@ -192,7 +191,7 @@ def _evaluate(flat: list[int], n: int, cond: Condition, m: int) -> ConditionResu
     failures = _failures(
         flat, n, cond.lines, cond._descriptors, cond.scale, cond.mult * m
     )
-    return _result(cond, m, failures) if failures else _clean_result(n, cond.name, m)
+    return _result(cond, m, failures) if failures else _clean_result(cond, m)
 
 
 def _flat(sq: Square) -> list[int]:

@@ -653,6 +653,18 @@ COMMAND_DIGESTS = {
         "413aad9ca24528d4fd477ff62ea245f90f5d0c3dc985151c0ba954ac5092a631",
         {},
     ),
+    "search --order 8 --no-prune": (
+        3,
+        EMPTY,
+        "413aad9ca24528d4fd477ff62ea245f90f5d0c3dc985151c0ba954ac5092a631",
+        {},
+    ),
+    "search --order 10": (
+        0,
+        "ba69f6a380831cdaa0f4dcea269af069ab07b4bb8a359fee43ae34b7e5f0cda4",
+        EMPTY,
+        {},
+    ),
 }
 
 
@@ -1171,6 +1183,25 @@ def test_corrupted_bundled_fixture_is_bad_file(capsys, monkeypatch, argv):
     assert (code, out) == (2, "")
     assert ERROR_LINE.match(err)
     assert err.startswith("error: code=BAD_FILE fixture file m6_euler.csv ")
+
+
+def test_generate_preset_report_keeps_an_inferred_target(capsys, tmp_path, monkeypatch):
+    # A stored preset grid that is neither natural nor balanced: classify
+    # infers its target from the first row, and --report says so as
+    # verify --json does.
+    grid = tmp_path / "m6_euler.csv"
+    grid.write_text(
+        "".join(",".join(str((6 * r + c) % 7 + 1) for c in range(6)) + "\n" for r in range(6))
+    )
+    monkeypatch.setenv(fixtures.ENV_VAR, str(tmp_path))
+    report = tmp_path / "report.json"
+    argv = ("generate", "--preset", "m6_euler", "--out", str(tmp_path / "out.csv"))
+    code, _, err = run(capsys, *argv, "--report", str(report))
+    assert (code, err) == (0, "")
+    code, out, _ = run(capsys, "verify", str(grid), "--json")
+    assert code == 0
+    assert (json.loads(out)["line_sum"], json.loads(out)["target_inferred"]) == (21, True)
+    assert report.read_bytes() == out.encode()
 
 
 @pytest.mark.parametrize(

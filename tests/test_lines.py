@@ -160,6 +160,8 @@ def test_half_line_cells_split_at_midline():
         (LineFamily.ROW, 0, ((0, 0), (True, 1))),
         (LineFamily.ROW, 0, ((0, 0), (0, 1, 2))),
         (LineFamily.ROW, 0, [(0, 0), [0, 0]]),
+        (LineFamily.ROW, 0, [5]),
+        (LineFamily.ROW, 0, 7),
     ],
 )
 def test_line_descriptor_rejects_values_outside_its_types(family, shift, cells):
@@ -285,7 +287,7 @@ def test_franklin_checks_targets():
 def test_importing_the_package_builds_no_table():
     code = (
         "import sys, franklin_squares.cli, franklin_squares.lines as lines; "
-        "from franklin_squares import patterns; "
+        "from franklin_squares import patterns, search; "
         "from franklin_squares.verify import _clean_result; "
         "from franklin_squares.formats import _line_texts; "
         # Failing-line descriptors hang on the table, so none exist either.
@@ -293,6 +295,7 @@ def test_importing_the_package_builds_no_table():
         "assert _clean_result.cache_info().currsize == 0; "
         "assert _line_texts == {}; "
         "assert patterns._leaf_forms.cache_info().currsize == 0; "
+        "assert search._plan.cache_info().currsize == 0; "
         "assert 'concurrent.futures' not in sys.modules"
     )
     src = str(Path(franklin_squares.__file__).parents[1])

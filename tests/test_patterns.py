@@ -540,21 +540,31 @@ def test_canonical_order12_quotient_admits_no_remainder_seed():
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call,kind",
     [
-        lambda: SeedPattern("row_alternate", 8, range(8)),
-        lambda: SeedPattern(Archetype.ROW_ALTERNATE, 8.0, range(8)),
-        lambda: expand_quotient(canonical_row_seed(8), 8.0),
-        lambda: canonical_row_seed(8.0),
-        lambda: find_remainder_seeds(
-            8, expand_quotient(canonical_row_seed(8), 8), pruned=1
+        (lambda: SeedPattern("row_alternate", 8, range(8)), "Archetype"),
+        (lambda: SeedPattern(Archetype.ROW_ALTERNATE, 8.0, range(8)), "int"),
+        (lambda: expand_quotient(canonical_row_seed(8), 8.0), "int"),
+        (lambda: canonical_row_seed(8.0), "int"),
+        (
+            lambda: find_remainder_seeds(
+                8, expand_quotient(canonical_row_seed(8), 8), pruned=1
+            ),
+            "bool",
         ),
+        (lambda: SeedPattern(Archetype.ROW_ALTERNATE, 8, 5), "Iterable"),
+        (lambda: SeedPattern(Archetype.ROW_ALTERNATE, 2, (1, "a")), "int"),
+        (lambda: SeedPattern(Archetype.ROW_ALTERNATE, 2, (0, True)), "int"),
+        (lambda: SeedPattern(Archetype.BLOCK_PAIR, 4, ("a", "b")), "int"),
+        (lambda: find_remainder_seeds(8, [[0] * 8] * 8), "Square"),
     ],
     ids=["archetype_str", "pattern_order_float", "expand_order_float",
-         "canonical_order_float", "pruned_int"],
+         "canonical_order_float", "pruned_int", "seed_int",
+         "seed_mixed_types", "seed_bool_value", "block_pair_seed_str",
+         "quotient_list"],
 )
-def test_seed_entry_points_reject_values_of_other_types(call):
-    with pytest.raises(ValueError, match=r"must be (Archetype|int|bool), got"):
+def test_seed_entry_points_reject_values_of_other_types(call, kind):
+    with pytest.raises(ValueError, match=rf"must be {kind}, got"):
         call()
 
 

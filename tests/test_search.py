@@ -13,7 +13,9 @@ from franklin_squares import (
     verify,
 )
 from franklin_squares import search
+from franklin_squares.core import magic_constant
 from franklin_squares.formats import square_to_csv
+from franklin_squares.lines import franklin_checks
 
 
 def test_odd_line_sum_orders_settle_instantly():
@@ -226,6 +228,58 @@ def test_unpruned_walk_progress_is_pinned():
         (4999, 54), (9998, 49), (14997, 52), (19996, 50), (24995, 52),
         (29994, 48), (34993, 50), (39992, 48), (44991, 49), (49990, 48),
     ]
+
+
+def _plan_lines(n, prune):
+    """Each line the plan derives or checks, as (bitmask of its cells,
+    target), asserting that it closes at the cell that reads it."""
+    _, derive_at, checks_at, _ = search._plan(n, prune)
+    bits = [1 << j for j in range(n * n)]
+    found = []
+    for i, (derive, checks) in enumerate(zip(derive_at, checks_at)):
+        for get, target in ((derive,) if derive else ()) + checks:
+            others = sum(get(bits))
+            assert others < bits[i]
+            found.append((others | bits[i], target))
+    return sorted(found)
+
+
+def _franklin_lines(n):
+    lines = franklin_checks(n, magic_constant(n))
+    return sorted((sum(1 << j for j in cells), target) for cells, target in lines)
+
+
+@pytest.mark.parametrize("n", range(4, 41, 4))
+def test_pruned_plan_forces_all_but_2n_minus_5_cells(n):
+    next_free, derive_at, checks_at, row_bound = search._plan(n, True)
+    free = sorted(next_free)
+    assert len(free) == 2 * n - 5
+    assert [next_free[i] for i in free] == free[1:] + [n * n]
+    # A forced cell is derived by its shortest closing line; a free cell
+    # closes none and bounds the cells left in its row.
+    for i, (derive, checks) in enumerate(zip(derive_at, checks_at)):
+        assert (derive is None) == (i in next_free)
+        if derive is not None:
+            length = len(derive[0](range(n * n)))
+            assert all(len(get(range(n * n))) >= length for get, _ in checks)
+    assert [row_bound[i] for i in free] == [n - 1 - i % n for i in free]
+    if n <= 12:
+        assert _plan_lines(n, True) == _franklin_lines(n)
+
+
+@pytest.mark.parametrize("n", (4, 8, 12))
+def test_unpruned_plan_frees_every_cell_and_checks_every_line(n):
+    next_free, derive_at, checks_at, row_bound = search._plan(n, False)
+    assert next_free == {i: i + 1 for i in range(n * n)}
+    assert set(derive_at) == {None}
+    assert set(row_bound) == {0}
+    assert _plan_lines(n, False) == _franklin_lines(n)
+
+
+@pytest.mark.parametrize("n", [*range(2, 39, 4), *range(1, 40, 2)])
+def test_no_plan_where_no_natural_franklin_square_exists(n):
+    assert search._plan(n, True) is None
+    assert search._plan(n, False) is None
 
 
 def _reference_candidate_order(grid, used, i, n):
