@@ -20,12 +20,19 @@ abandons by the end of the row, so ``nodes_visited`` can differ.
 
 What the walk reads at each cell is fixed per order and pruning mode,
 so ``_plan(n, prune)`` builds it once: each cell carries the lines it
-closes, and a candidate is checked against those lines only. With
-pruning the walk recurses once per free cell (a cell that closes no
-line; 2n-5 of them at orders 4 to 40), and one loop places the free
-cell's value and then the forced cells after it. Without pruning the
-plan makes every cell free and bounds no row, so the same walk
-recurses once per cell.
+closes, less every line that the lines enforced before it imply. The
+Franklin lines are far from independent, so once each forced cell's
+deriving line holds, all other lines but two hold as well; exact
+elimination over the free cells finds which, and the walk checks only
+those two, closing at cells (n/2-1, n/2) and (n-1, 0): 2 of the 91
+lines at order 8 that derive nothing. The row bound likewise stays
+only where some candidate can fail it, late in row 0 ((0, 6) at
+order 8). With pruning the walk recurses once per free cell (a cell
+that closes no line; 2n-5 of them at orders 4 to 40), and one loop
+places the free cell's value and then the forced cells after it.
+Without pruning the plan makes every cell free, checks the pruned
+plan's deriving lines and kept checks at the same cells, and bounds no
+row, so the same walk recurses once per cell.
 
 ``search_natural_franklin`` is the one entry point. It settles an order
 in one of two ways: without search when the line sum is odd (a
@@ -38,11 +45,13 @@ square of that order exists.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from itertools import filterfalse
+from math import gcd
 from operator import itemgetter
-from typing import Callable
 
 from .core import IndexTargets, Square, _require, magic_constant
 from .lines import franklin_checks
@@ -58,7 +67,8 @@ class SearchMode(Enum):
 @dataclass(frozen=True)
 class SearchOptions:
     """Search parameters; each int field rejects a bool or a non-int,
-    ``mode`` anything but a SearchMode and ``prune`` anything but a bool.
+    ``mode`` anything but a SearchMode, ``prune`` anything but a bool
+    and ``progress`` anything but None or a callable.
 
     ``node_budget`` caps placements (a node is one accepted cell
     assignment, forced or free); the leaf that the budget-th placement
@@ -84,6 +94,8 @@ class SearchOptions:
             raise ValueError("node_budget must be positive")
         if _require("progress_interval", self.progress_interval) < 1:
             raise ValueError("progress_interval must be positive")
+        if self.progress is not None:
+            _require("progress", self.progress, Callable)
 
 
 @dataclass(frozen=True)
@@ -109,14 +121,23 @@ def _plan(n: int, prune: bool):
     """What the row-major walk reads at each cell, or None when no
     natural Franklin square of order n can exist.
 
-    Each Franklin line closes at its last cell, as (a getter of its other
-    cells, exact target), shortest first and, among equal lengths, in
-    report order. The plan is (next_free, derive_at, checks_at,
-    row_bound). With pruning a cell that closes a line is forced: its
-    first closing line derives its value, the others are checked, and a
-    free cell's row bound counts the cells left in its row. Without
-    pruning every cell is free, checks every line it closes and has row
-    bound 0. next_free maps each free cell to the next, or to n*n.
+    Each Franklin line closes at its last cell, shortest first and, among
+    equal lengths, in report order. A cell that closes a line is forced:
+    its first closing line derives its value. Of the other closing lines
+    the walk checks only those that _kept_lines cannot prove implied: two
+    at every order from 4 to 40, closing at cells (n/2-1, n/2) and
+    (n-1, 0). Each line dropped is an exact combination of deriving lines
+    and kept checks that close no later than it does, so wherever those
+    hold it holds too and checking it could reject nothing.
+
+    The plan is (next_free, derive_at, checks_at, row_bound); a line is
+    (a getter of its other cells, exact target). With pruning a free
+    cell's row bound counts the cells left in its row where the bound
+    can reject a candidate (see _row_bound) and is 0 elsewhere. Without
+    pruning every cell is free, checks its deriving line and its kept
+    checks, and has row bound 0; the walk then enforces the same lines
+    at the same cells. next_free maps each free cell to the next, or to
+    n*n.
     """
     lines = franklin_checks(n, magic_constant(n))
     if lines is None:
@@ -124,20 +145,148 @@ def _plan(n: int, prune: bool):
     n2 = n * n
     closing: list[list] = [[] for _ in range(n2)]
     for cells, target in sorted(lines, key=lambda line: len(line[0])):
-        *others, last = sorted(cells)
+        closing[max(cells)].append((cells, target))
+    kept = _kept_lines(closing)
+
+    def read(j, cells, target):
+        others = [c for c in cells if c != j]
         # A line sum is sum(get(grid)). A getter of one cell would return
         # a bare value (order-4 half-lines have one other cell), so it
         # reads a slice.
         if len(others) == 1:
             others = [slice(others[0], others[0] + 1)]
-        closing[last].append((itemgetter(*others), target))
-    free = [i for i in range(n2) if not (prune and closing[i])]
+        return itemgetter(*others), target
+
+    at = [tuple(read(j, *line) for line in lines) for j, lines in enumerate(kept)]
+    if not prune:
+        return (
+            {i: i + 1 for i in range(n2)},
+            (None,) * n2,
+            tuple(at),
+            (0,) * n2,
+        )
+    free = [i for i in range(n2) if not at[i]]
     return (
         dict(zip(free, free[1:] + [n2])),
-        tuple(at[0] if prune and at else None for at in closing),
-        tuple(tuple(at[1:] if prune else at) for at in closing),
-        tuple(n - 1 - i % n if prune else 0 for i in range(n2)),
+        tuple(lines[0] if lines else None for lines in at),
+        tuple(lines[1:] for lines in at),
+        tuple(0 if at[i] else _row_bound(n, i) for i in range(n2)),
     )
+
+
+def _kept_lines(closing: list[list]) -> list[list]:
+    """closing (per cell, the (cells, target) lines that close there,
+    deriving line first) less every check the lines before it imply.
+
+    Each cell value is an affine form over the free cells, those that
+    close no line: a free cell is its own variable, and a forced cell is
+    its deriving line's target minus the line's other cells. A check's
+    residual, the sum of its cells less its target, is then a form too,
+    and the check holds exactly when the residual is 0. It is implied
+    when the residual reduces to 0 against the residuals of the checks
+    kept before it in walk order (exact integer row reduction), and is
+    dropped. A residual that reduces to a nonzero constant fails on every
+    branch; it is kept.
+
+    A form packs into one int: the k-th free cell's coefficient times
+    2**(width*k) and the constant times 2**(width*f), f free cells. No
+    coefficient of a line's residual can exceed the line's reach, the sum
+    of its cells' reaches (a free cell's is 1, a forced cell's the sum
+    over its deriving line's other cells), so with room for the largest
+    reach and a sign the fields never carry into each other.
+    """
+    n2 = len(closing)
+    free = [i for i in range(n2) if not closing[i]]
+    reach = [1] * n2
+    for j, lines in enumerate(closing):
+        if lines:
+            cells, _ = lines[0]
+            reach[j] = sum(reach[c] for c in cells if c != j)
+    most = max(sum(reach[c] for c in cells) for lines in closing for cells, _ in lines)
+    width = most.bit_length() + 1
+    f = len(free)
+    half = 1 << (width - 1)
+    bias = sum(half << width * k for k in range(f))
+    mask = (1 << width) - 1
+    one = 1 << (width * f)
+    form = [0] * n2
+    for k, i in enumerate(free):
+        form[i] = 1 << (width * k)
+    basis: list[tuple[int, list[int]]] = []
+    kept = []
+    for j, lines in enumerate(closing):
+        if not lines:
+            kept.append(lines)
+            continue
+        (cells, target), *checks = lines
+        form[j] = target * one - sum([form[c] for c in cells if c != j])
+        kept.append([lines[0]])
+        for cells, target in checks:
+            residual = sum([form[c] for c in cells]) - target * one
+            if not residual:
+                continue
+            t = residual + bias
+            row = [(t >> width * k & mask) - half for k in range(f)]
+            row.append(t >> width * f)
+            for p, pivot_row in basis:
+                if row[p]:
+                    a, b = row[p], pivot_row[p]
+                    row = [x * b - y * a for x, y in zip(row, pivot_row)]
+            if not any(row):
+                continue
+            kept[j].append((cells, target))
+            p = next((k for k in range(f) if row[k]), None)
+            if p is not None:
+                g = gcd(*row)
+                basis.append((p, [x // g for x in row]))
+    return kept
+
+
+def _row_bound(n: int, i: int) -> int:
+    """The cells left in free cell i's row when the row bound can reject
+    a candidate there, else 0.
+
+    The bound admits v when the row's sum s through cell i, v included,
+    leaves the rest of the row a reachable gap: m - left*n² <= s <= m -
+    left, with left cells to go. s is the sum of c+1 distinct values
+    from 1..n² at column c. From column n/2 on the closed half-row pins
+    its n/2 cells to m/2, so s is m/2 plus the values placed after it.
+    Where every such sum already lies in range, the bound never rejects.
+    """
+    m = magic_constant(n)
+    n2 = n * n
+    c = i % n
+    left = n - 1 - c
+    base, k = (0, c + 1) if c < n // 2 else (m // 2, c + 1 - n // 2)
+    low = base + k * (k + 1) // 2
+    high = base + k * (2 * n2 - k + 1) // 2
+    return left if low < m - left * n2 or high > m - left else 0
+
+
+# Bounded: a 2M-placement order-8 count fills 263 entries of 64 values.
+@lru_cache(maxsize=1024)
+def _value_order(n: int, row0: bool, seen: int, want: int) -> tuple[int, ...]:
+    """Every value 1..n² in (penalty, v) order, for a row-0 cell or a
+    column cell; seen is a bitmask of the blocks placed earlier in row 0
+    or of the offsets placed earlier in column 0, and want the wanted
+    offset (row 0, -1 for none) or block (column 0). See
+    _candidate_order."""
+    if row0:
+        block_penalty = [2 * (seen >> b & 1) for b in range(n)]
+        offset_penalty = [int(want >= 0 and x != want) for x in range(n)]
+    else:
+        offset_penalty = [2 * (seen >> x & 1) for x in range(n)]
+        block_penalty = [int(b != want) for b in range(n)]
+    # A candidate's penalty is its block's plus its offset's, 0 to 3;
+    # one ascending pass fills a bucket per penalty, which gives the
+    # (penalty, v) order without a sort.
+    buckets: tuple[list[int], ...] = ([], [], [], [])
+    v = 1
+    for bp in block_penalty:
+        for op in offset_penalty:
+            buckets[bp + op].append(v)
+            v += 1
+    return tuple(buckets[0] + buckets[1] + buckets[2] + buckets[3])
 
 
 def _candidate_order(grid: list[int], used: list[bool], i: int, n: int) -> list[int]:
@@ -149,34 +298,23 @@ def _candidate_order(grid: list[int], used: list[bool], i: int, n: int) -> list[
     # x <-> n-1-x, and the first column keeps offsets distinct while
     # blocks alternate. Preferring such candidates finds a witness
     # early; the order stays exhaustive, so nothing is ever skipped.
-    # A candidate's penalty is its block's plus its offset's, 0 to 3;
-    # one ascending pass fills a bucket per penalty, which gives the
-    # (penalty, v) order without a sort.
+    # The full order depends only on the blocks or offsets seen and one
+    # wanted value, so _value_order caches it per those, and the used
+    # values are filtered out here.
     r, c = divmod(i, n)
+    seen = 0
     if r == 0:
-        row_blocks = {(grid[j] - 1) // n for j in range(c)}
-        block_penalty = [2 if b in row_blocks else 0 for b in range(n)]
-        if c >= 1:
-            want_off = n - 1 - (grid[i - 1] - 1) % n
-            offset_penalty = [int(x != want_off) for x in range(n)]
-        else:
-            offset_penalty = [0] * n
+        for j in range(c):
+            seen |= 1 << (grid[j] - 1) // n
+        want = n - 1 - (grid[i - 1] - 1) % n if c >= 1 else -1
     else:
-        col_offsets = {(grid[k * n] - 1) % n for k in range(r)}
-        offset_penalty = [2 if x in col_offsets else 0 for x in range(n)]
+        for k in range(0, i - c, n):
+            seen |= 1 << (grid[k] - 1) % n
         if r >= 2:
-            want_block = (grid[(r - 2) * n] - 1) // n
+            want = (grid[i - c - 2 * n] - 1) // n
         else:
-            want_block = n - 1 - (grid[0] - 1) // n
-        block_penalty = [int(b != want_block) for b in range(n)]
-    buckets: tuple[list[int], ...] = ([], [], [], [])
-    v = 1
-    for bp in block_penalty:
-        for op in offset_penalty:
-            if not used[v]:
-                buckets[bp + op].append(v)
-            v += 1
-    return buckets[0] + buckets[1] + buckets[2] + buckets[3]
+            want = n - 1 - (grid[0] - 1) // n
+    return list(filterfalse(used.__getitem__, _value_order(n, r == 0, seen, want)))
 
 
 def _run_tree(opts: SearchOptions, plan) -> SearchOutcome:
@@ -197,10 +335,21 @@ def _run_tree(opts: SearchOptions, plan) -> SearchOutcome:
     witnesses: list[Square] = []
     nodes = count = 0
 
+    def next_stop(after: int) -> int:
+        """The first node count past ``after`` that is due a progress
+        call or is the budget, or 0 (never reached): the walk tests
+        one count per placement for both."""
+        stops = [node_budget] if node_budget is not None else []
+        if progress is not None:
+            stops.append(after - after % progress_interval + progress_interval)
+        return min(stops, default=0)
+
+    mark = next_stop(0)
+
     def walk(i: int) -> bool:
         """Place each value free cell i admits, then the forced run after
         it, and walk on; True stops the run."""
-        nonlocal nodes, count
+        nonlocal nodes, count, mark
         nxt = next_free[i]
         candidates = _candidate_order(grid, used, i, n)
         remaining = row_bound[i]
@@ -214,8 +363,9 @@ def _run_tree(opts: SearchOptions, plan) -> SearchOutcome:
         for v in candidates:
             # Place v at cell i, then each forced cell up to nxt with the
             # value its first closing line derives. j is the cell to place
-            # next, so cells i .. j-1 hold this branch's values. The run
-            # also ends at the budget-th placement.
+            # next, so cells i .. j-1 hold this branch's values. A cell's
+            # kept checks run before it is placed; most cells have none.
+            # The run also ends at the budget-th placement.
             j = i
             while True:
                 for get, target in checks_at[j]:
@@ -225,10 +375,15 @@ def _run_tree(opts: SearchOptions, plan) -> SearchOutcome:
                     grid[j] = v
                     used[v] = True
                     nodes += 1
-                    if progress is not None and nodes % progress_interval == 0:
-                        progress(nodes, j)
+                    if nodes == mark:
+                        if progress is not None and nodes % progress_interval == 0:
+                            progress(nodes, j)
+                        if nodes == node_budget:
+                            j += 1
+                            break
+                        mark = next_stop(nodes)
                     j += 1
-                    if j < nxt and nodes != node_budget:
+                    if j < nxt:
                         get, target = derive_at[j]
                         v = target - sum(get(grid))
                         if 0 < v <= n2 and not used[v]:

@@ -1,4 +1,5 @@
 import hashlib
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -156,6 +157,14 @@ def test_options_reject_a_mode_or_prune_of_another_type(options):
         SearchOptions(order=8, node_budget=1000, **options)
 
 
+@pytest.mark.parametrize("progress", [5, "print", True])
+def test_options_reject_a_progress_that_is_not_callable(progress):
+    # The walk would call it at the progress_interval-th placement and
+    # raise TypeError there, or never with a large enough interval.
+    with pytest.raises(ValueError, match="progress must be Callable, got"):
+        SearchOptions(order=4, progress=progress, progress_interval=10)
+
+
 def test_walk_outcomes_are_pinned():
     # Exact outcomes of the walk: any change to the candidate order, the
     # pruning or the budget and progress checks moves at least one.
@@ -231,22 +240,73 @@ def test_unpruned_walk_progress_is_pinned():
 
 
 def _plan_lines(n, prune):
-    """Each line the plan derives or checks, as (bitmask of its cells,
-    target), asserting that it closes at the cell that reads it."""
+    """Each line the plan derives or checks at each cell, as (bitmask of
+    its cells, target), asserting that it closes at the cell that reads
+    it."""
     _, derive_at, checks_at, _ = search._plan(n, prune)
     bits = [1 << j for j in range(n * n)]
-    found = []
+    at = []
     for i, (derive, checks) in enumerate(zip(derive_at, checks_at)):
+        found = []
         for get, target in ((derive,) if derive else ()) + checks:
             others = sum(get(bits))
             assert others < bits[i]
             found.append((others | bits[i], target))
-    return sorted(found)
+        at.append(found)
+    return at
 
 
 def _franklin_lines(n):
     lines = franklin_checks(n, magic_constant(n))
     return sorted((sum(1 << j for j in cells), target) for cells, target in lines)
+
+
+def _lines_the_plan_misses(n, prune):
+    """The Franklin lines that are neither plan lines nor an exact
+    combination, target included, of the plan lines that close at or
+    before their last cell. Fraction elimination, pivoting each row on
+    its last cell."""
+
+    def row(mask, target):
+        r = {j: Fraction(1) for j in range(n * n) if mask >> j & 1}
+        r[-1] = Fraction(target)
+        return r
+
+    def reduce(r):
+        """Reduce r in place; its last cell left, or None if it has none."""
+        while True:
+            p = max((k for k, x in r.items() if x and k >= 0), default=None)
+            if p is None or p not in basis:
+                return p
+            f = r[p] / basis[p][p]
+            for k, x in basis[p].items():
+                r[k] = r.get(k, 0) - f * x
+
+    plan_at = _plan_lines(n, prune)
+    franklin_at = [[] for _ in range(n * n)]
+    for mask, target in _franklin_lines(n):
+        franklin_at[mask.bit_length() - 1].append((mask, target))
+    basis = {}
+    missed = []
+    for j in range(n * n):
+        for mask, target in plan_at[j]:
+            r = row(mask, target)
+            p = reduce(r)
+            if p is not None:
+                basis[p] = r
+        for mask, target in franklin_at[j]:
+            r = row(mask, target)
+            if reduce(r) is not None or r[-1]:
+                missed.append((divmod(j, n), mask, target))
+    return missed
+
+
+def _check_cells(n, checks_at):
+    return [divmod(j, n) for j, checks in enumerate(checks_at) for _ in checks]
+
+
+# Free cells of row 0 where the row bound can reject a candidate.
+ROW_BOUND_CELLS = {4: [], 8: [(0, 6)], 12: [(0, 9), (0, 10)]}
 
 
 @pytest.mark.parametrize("n", range(4, 41, 4))
@@ -256,24 +316,38 @@ def test_pruned_plan_forces_all_but_2n_minus_5_cells(n):
     assert len(free) == 2 * n - 5
     assert [next_free[i] for i in free] == free[1:] + [n * n]
     # A forced cell is derived by its shortest closing line; a free cell
-    # closes none and bounds the cells left in its row.
+    # closes none.
     for i, (derive, checks) in enumerate(zip(derive_at, checks_at)):
         assert (derive is None) == (i in next_free)
         if derive is not None:
             length = len(derive[0](range(n * n)))
             assert all(len(get(range(n * n))) >= length for get, _ in checks)
-    assert [row_bound[i] for i in free] == [n - 1 - i % n for i in free]
+    # The deriving lines imply every other line but two, one closing in
+    # the middle of the grid and one at the foot of column 0.
+    assert _check_cells(n, checks_at) == [(n // 2 - 1, n // 2), (n - 1, 0)]
+    # The row bound stays only late in row 0, where it counts the cells
+    # left in the row.
+    bound = [i for i in range(n * n) if row_bound[i]]
+    assert all(i in next_free and row_bound[i] == n - 1 - i % n for i in bound)
+    bound = [divmod(i, n) for i in bound]
+    assert all(r == 0 and c > n // 2 for r, c in bound)
+    if n in ROW_BOUND_CELLS:
+        assert bound == ROW_BOUND_CELLS[n]
     if n <= 12:
-        assert _plan_lines(n, True) == _franklin_lines(n)
+        assert _lines_the_plan_misses(n, True) == []
 
 
 @pytest.mark.parametrize("n", (4, 8, 12))
 def test_unpruned_plan_frees_every_cell_and_checks_every_line(n):
+    # Every line is checked or implied by the lines checked before it:
+    # the unpruned plan checks each pruned deriving line and kept check
+    # at the same cell, in the same order.
     next_free, derive_at, checks_at, row_bound = search._plan(n, False)
     assert next_free == {i: i + 1 for i in range(n * n)}
     assert set(derive_at) == {None}
     assert set(row_bound) == {0}
-    assert _plan_lines(n, False) == _franklin_lines(n)
+    assert _plan_lines(n, False) == _plan_lines(n, True)
+    assert _lines_the_plan_misses(n, False) == []
 
 
 @pytest.mark.parametrize("n", [*range(2, 39, 4), *range(1, 40, 2)])
@@ -307,15 +381,21 @@ def _reference_candidate_order(grid, used, i, n):
 @given(st.data())
 def test_candidate_order_lists_every_unused_value_once(data):
     # Row 0 and column 0 are the free cells; an interior cell takes the
-    # column-0 branch, as it does in the unpruned walk.
-    n = data.draw(st.sampled_from([4, 8]))
+    # column-0 branch, as it does in the unpruned walk. The full order is
+    # cached per placed prefix, so a second call with more values used
+    # reads the cache and must still leave out exactly the used values.
+    n = data.draw(st.sampled_from([4, 8, 12, 16]))
     values = data.draw(st.permutations(range(1, n * n + 1)))
     i = data.draw(st.integers(0, n * n - 1))
     grid = list(values[:i]) + [0] * (n * n - i)
     used = [False] * (n * n + 1)
     for v in values[:i]:
         used[v] = True
-    order = search._candidate_order(grid, used, i, n)
-    assert sorted(order) == [v for v in range(1, n * n + 1) if not used[v]]
-    assert len(set(order)) == len(order)
-    assert order == _reference_candidate_order(grid, used, i, n)
+    more = data.draw(st.lists(st.sampled_from(values[i:]), max_size=3))
+    for extra in [None, None, *more]:
+        if extra is not None:
+            used[extra] = True
+        order = search._candidate_order(grid, used, i, n)
+        assert sorted(order) == [v for v in range(1, n * n + 1) if not used[v]]
+        assert len(set(order)) == len(order)
+        assert order == _reference_candidate_order(grid, used, i, n)
