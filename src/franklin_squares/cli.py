@@ -25,7 +25,8 @@ the required property):
        BAD_FORMAT         a square file is not UTF-8, or not valid CSV or JSON
     3  PRECONDITION       wrong order, out-of-range values, odd search order
        UNKNOWN_NAME       unknown preset, fixture or archetype name
-       LONG_RUN_REQUIRED  a full enumeration at order >= 8 without --long-run
+       LONG_RUN_REQUIRED  an unbudgeted search at order >= 8 without
+                          --long-run, but for FIRST at order 8
   141                     stdout was closed before all output was written
                           (``| head``); nothing is printed to stderr
 
@@ -331,14 +332,17 @@ def _positive_int(raw: str) -> int:
 def _cmd_search(args: argparse.Namespace) -> None:
     mode = SearchMode(args.mode)
     n = args.order
-    # A full enumeration at order >= 8 runs for a very long time; make the
-    # caller acknowledge that.  First-witness runs, budgeted runs and
-    # orders with no walk plan (no square can exist; a plan built here is
-    # the one the run walks) are not full enumerations and need no flag.
+    # An unbudgeted walk at order >= 8 can run for a very long time; make
+    # the caller acknowledge that.  Budgeted runs and orders with no walk
+    # plan (no square can exist; a plan built here is the one the run
+    # walks) need no flag, and neither does FIRST at order 8, whose
+    # witness comes at placement 100.  At orders 12 and 16 FIRST finds no
+    # witness in its first 200k placements and may walk the whole tree,
+    # so larger orders are gated.
     if (
-        mode is not SearchMode.FIRST
-        and args.budget is None
+        args.budget is None
         and n >= 8
+        and (mode is not SearchMode.FIRST or n > 8)
         and not args.long_run
         and _plan(n, not args.no_prune) is not None
     ):
@@ -476,7 +480,7 @@ def _build_parser() -> _Parser:
     p_sea.add_argument(
         "--no-prune",
         action="store_true",
-        help="disable forcing and bound pruning (cross-check mode)",
+        help="disable forced-value pruning (cross-check mode)",
     )
     p_sea.set_defaults(run=_cmd_search)
 

@@ -42,6 +42,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from math import gcd
 
 from .core import _require
 
@@ -248,3 +249,28 @@ def franklin_checks(n: int, m: int) -> tuple[tuple[tuple[int, ...], int], ...] |
         for c in conditions
         for _family, _shift, cells in c.lines
     )
+
+
+def independent(basis: list[tuple[int, list[int]]], row: list[int]) -> bool:
+    """Reduce ``row``, an affine form (integer coefficients, then a
+    constant), against ``basis`` and report whether anything is left.
+
+    Nothing is left exactly when row is a combination of the rows the
+    basis accepted before, so it is 0 wherever they all are. What is left
+    joins the basis as (pivot, row), pivoting on its first nonzero entry;
+    a row left with only its constant is 0 nowhere, inconsistent with the
+    basis. Both walks use this to find the few lines they must check.
+    Exact ints: each step cross-multiplies, and a joining row is divided
+    by its gcd.
+    """
+    for p, pivot_row in basis:
+        a = row[p]
+        if a:
+            b = pivot_row[p]
+            row = [x * b - y * a for x, y in zip(row, pivot_row)]
+    if not any(row):
+        return False
+    g = gcd(*row)
+    p = next(k for k, x in enumerate(row) if x)
+    basis.append((p, [x // g for x in row]))
+    return True

@@ -35,7 +35,7 @@ from operator import mul
 from . import fixtures
 from .composition import compose, is_orthogonal
 from .core import AuxPair, IndexTargets, Square, _require, aux_constant, is_balanced
-from .lines import franklin_checks
+from .lines import franklin_checks, independent
 from .verify import PropertyReport, verify
 
 
@@ -241,71 +241,60 @@ def _leaf_passes(seed, rows, checks) -> bool:
 @lru_cache(maxsize=None)
 def _leaf_forms(n: int) -> tuple[tuple[tuple[int, ...], int], ...] | None:
     """The Franklin lines of a column-alternate expansion as linear forms in
-    its seed: each (coef, t) holds when sum(coef[r] * seed[r]) == t.
+    its seed, reduced to the independent ones: each (coef, t) holds when
+    sum(coef[r] * seed[r]) == t, and a seed meets every line exactly when
+    it meets every form.
 
     Cell (r, c) is base[c] + sign[c] * seed[r], read off the expansion of
     0..n-1, so every line sum is affine in the seed. At orders divisible
     by 4, rows, half-rows, subsquares and the BENT_DOWN and BENT_UP lines
     meet each row they touch in as many even columns as odd ones, so each
     seed value comes in once as v and once as n-1-v: their seed terms
-    cancel and the line reduces to 0 = 0. Four forms are left: columns
-    give the whole seed summing to n(n-1)/2, half-columns its upper and
-    lower halves summing to half that, and BENT_RIGHT and BENT_LEFT the
-    bent form, signed + - + - ... on the upper rows and - + - + ... on the
-    lower rows, summing to 0. Forms are sign-normalised (first nonzero
-    coefficient positive) and deduplicated, in report order.
+    cancel and the line reduces to 0 = 0. Columns give the whole seed
+    summing to n(n-1)/2, BENT_RIGHT and BENT_LEFT the bent form, signed
+    + - + - ... on the upper rows and - + - + ... on the lower rows,
+    summing to 0, and half-columns the upper and lower halves summing to
+    half the whole. lines.independent keeps each form, in report order,
+    that the forms before it do not imply: the lower half is the whole
+    less the upper half, so three are left.
 
-    None when a line whose sum does not depend on the seed misses its
-    target: then no seed passes.
+    None when the lines cannot all hold, as when a line whose sum does
+    not depend on the seed misses its target: then no seed passes.
     """
     rows = expand_remainder(range(n), n).cells
     base = rows[0]
     sign = [y - x for x, y in zip(rows[0], rows[1])]
-    forms: dict[tuple[tuple[int, ...], int], None] = {}
+    basis: list[tuple[int, list[int]]] = []
+    forms = []
     for cells, target in franklin_checks(n, aux_constant(n)):
         coef = [0] * n
         for i in cells:
             r, c = divmod(i, n)
             coef[r] += sign[c]
             target -= base[c]
-        lead = next((x for x in coef if x), 0)
-        if not lead:
-            if target:
+        if independent(basis, [*coef, -target]):
+            if basis[-1][0] == n:  # only the constant is left
                 return None
-            continue
-        if lead < 0:
-            coef, target = [-x for x in coef], -target
-        forms[tuple(coef), target] = None
+            forms.append((tuple(coef), target))
     return tuple(forms)
 
 
-def _leaf_test(n: int) -> tuple[tuple[int, ...], int] | None:
-    """The forms of _leaf_forms packed into one exact test: (weights,
-    packed) such that a seed with values in 0..n-1 meets every form
-    exactly when sum(weights[r] * seed[r]) == packed. None when
-    _leaf_forms is None.
+def _leaf_checks(n: int) -> tuple[tuple[tuple[int, ...], int], ...] | None:
+    """The forms of _leaf_forms that the pruned seed walk does not meet by
+    construction, or None when _leaf_forms is None.
 
-    Let bound be at least |sum(coef * seed) - t| for every form (coef, t)
-    and every such seed; (n-1) * sum(|coef|) + |t| is. Form k is scaled by
-    B**k with B = 2 * bound + 1, so the packed sum minus packed is
-    sum(d_k * B**k), where d_k = sum(coef_k * seed) - t_k and |d_k| <= bound.
-    If some d_k is not 0, let j be the highest such k: |d_j * B**j| >= B**j,
-    while the lower terms together are at most bound * (B**j - 1) / (B - 1)
-    = (B**j - 1) / 2 in size, so the total is not 0. It is 0 exactly when
-    every d_k is, that is, when every form holds: balanced base-B digits
-    are unique.
+    Every full seed of the walk is a permutation of 0..n-1, so it sums
+    to n(n-1)/2, and the half bound pins its upper half to n(n-1)/4; the
+    leaf checks only the forms independent of those two.
     """
     forms = _leaf_forms(n)
     if forms is None:
         return None
-    spans = [(n - 1) * sum(map(abs, coef)) + abs(t) for coef, t in forms]
-    base = 2 * max(spans, default=0) + 1
-    weights, packed = [0] * n, 0
-    for k, (coef, t) in enumerate(forms):
-        scale = base**k
-        weights = [w + scale * x for w, x in zip(weights, coef)]
-        packed += scale * t
-    return tuple(weights), packed
+    h, whole = n // 2, n * (n - 1) // 2
+    basis: list[tuple[int, list[int]]] = []
+    independent(basis, [1] * n + [-whole])
+    independent(basis, [1] * h + [0] * h + [-(whole // 2)])
+    return tuple((coef, t) for coef, t in forms if independent(basis, [*coef, -t]))
 
 
 def _remainder_masks(n: int, quotient: Square) -> list[list[int | None]]:
@@ -347,10 +336,9 @@ def find_remainder_seeds(
     scans every permutation outright and sums every Franklin line of each
     expanded grid from the line table, with no shortcuts. It is only
     tractable for small orders and exists as a cross-check: the pruned
-    search checks the four linear forms of _leaf_forms instead, packed
-    into the one exact test of _leaf_test, so the two agreeing checks that
-    algebra against lines.table. Both take their orthogonality masks from
-    _remainder_masks.
+    search checks the linear forms of _leaf_checks instead, so the two
+    agreeing checks that algebra against lines.table. Both take their
+    orthogonality masks from _remainder_masks.
 
     Seed value v puts v and n-1-v alternately across its row, so a
     quotient row that repeats a value can repeat a value pair within that
@@ -372,10 +360,10 @@ def find_remainder_seeds(
         rows = expand_remainder(range(n), n).cells
         checks = franklin_checks(n, aux_constant(n))
         return _seed_search_unpruned(n, masks, rows, limit, checks)
-    test = _leaf_test(n)
-    if test is None:
+    checks = _leaf_checks(n)
+    if checks is None:
         return []
-    return _seed_search_pruned(n, masks, limit, test)
+    return _seed_search_pruned(n, masks, limit, checks)
 
 
 def _seed_search_unpruned(n, masks, rows, limit, checks):
@@ -395,7 +383,7 @@ def _seed_search_unpruned(n, masks, rows, limit, checks):
     return results
 
 
-def _seed_search_pruned(n, masks, limit, test):
+def _seed_search_pruned(n, masks, limit, checks):
     """Lexicographic backtracking with exact pruning.
 
     The walk carries the unused values as a sorted tuple and tries them
@@ -408,13 +396,12 @@ def _seed_search_pruned(n, masks, limit, test):
 
     Row n-1 takes the one value left, so the frame for row n-2 checks that
     value's mask and the leaf itself rather than recursing. A full seed
-    passes when it meets the packed test of _leaf_test, which holds
-    exactly when it meets every linear form of _leaf_forms (whole sum,
-    upper and lower half sums, bent form), and so exactly when its
-    expansion meets every Franklin line: the result matches the unpruned
-    scan exactly.
+    passes when it meets every form of _leaf_checks. Being a permutation
+    that passed the half bound, it already meets the whole and upper-half
+    sums, so it passes exactly when it meets every form of _leaf_forms,
+    that is, exactly when its expansion meets every Franklin line: the
+    result matches the unpruned scan exactly.
     """
-    weights, packed = test
     half = n // 2
     half_target = n * (n - 1) // 4
     last_row = masks[n - 1]
@@ -444,7 +431,10 @@ def _seed_search_pruned(n, masks, limit, test):
             if last is None or last & (taken | mask):
                 continue
             full = seed + (v,) + rest
-            if sum(map(mul, weights, full)) == packed:
+            for coef, t in checks:
+                if sum(map(mul, coef, full)) != t:
+                    break
+            else:
                 results.append(full)
                 if limit is not None and len(results) >= limit:
                     return True

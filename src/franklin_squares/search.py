@@ -7,32 +7,28 @@ check line (row, column, half-line, bent diagonal, 2x2 subsquare) misses
 its target. Those completed-line rejections are always on; they are what
 makes the unpruned cross-check runnable at all.
 
-With pruning enabled the engine additionally (a) derives the value of any
-cell that is the last open cell of some check line instead of trying all
-candidates — for row-major order that pins every interior cell below the
-first row via its 2x2 subsquare — and (b) bounds the current row's partial
-sum against what the remaining cells could still contribute. Both prunes
-reject only branches that a completed-line check would reject later, so
-pruned and unpruned searches accept identical squares. A derived value
-accepts exactly the placements the completed-line check would; the row
-bound rejects some free candidates that the unpruned walk places and
-abandons by the end of the row, so ``nodes_visited`` can differ.
+With pruning enabled the engine also derives the value of any cell that
+is the last open cell of some check line instead of trying all
+candidates; for row-major order that pins every interior cell below the
+first row via its 2x2 subsquare. A derived value is accepted exactly
+where the completed-line check would accept it, so pruned and unpruned
+walks place the same values at the same cells: they accept the same
+squares with the same ``nodes_visited`` and progress calls.
 
 What the walk reads at each cell is fixed per order and pruning mode,
 so ``_plan(n, prune)`` builds it once: each cell carries the lines it
 closes, less every line that the lines enforced before it imply. The
 Franklin lines are far from independent, so once each forced cell's
 deriving line holds, all other lines but two hold as well; exact
-elimination over the free cells finds which, and the walk checks only
-those two, closing at cells (n/2-1, n/2) and (n-1, 0): 2 of the 91
-lines at order 8 that derive nothing. The row bound likewise stays
-only where some candidate can fail it, late in row 0 ((0, 6) at
-order 8). With pruning the walk recurses once per free cell (a cell
-that closes no line; 2n-5 of them at orders 4 to 40), and one loop
-places the free cell's value and then the forced cells after it.
-Without pruning the plan makes every cell free, checks the pruned
-plan's deriving lines and kept checks at the same cells, and bounds no
-row, so the same walk recurses once per cell.
+elimination over the free cells (lines.independent) finds which, and
+the walk checks only those two, closing at cells (n/2-1, n/2) and
+(n-1, 0): 2 of the 91 lines at order 8 that derive nothing. With
+pruning the walk recurses once per free cell (a cell that closes no
+line; 2n-5 of them at orders 4 to 40), and one loop places the free
+cell's value and then the forced cells after it. Without pruning the
+plan makes every cell free and checks the pruned plan's deriving lines
+and kept checks at the same cells, so the same walk recurses once per
+cell.
 
 ``search_natural_franklin`` is the one entry point. It settles an order
 in one of two ways: without search when the line sum is odd (a
@@ -50,11 +46,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from itertools import filterfalse
-from math import gcd
 from operator import itemgetter
 
 from .core import IndexTargets, Square, _require, magic_constant
-from .lines import franklin_checks
+from .lines import franklin_checks, independent
 from .verify import verify
 
 
@@ -130,14 +125,11 @@ def _plan(n: int, prune: bool):
     and kept checks that close no later than it does, so wherever those
     hold it holds too and checking it could reject nothing.
 
-    The plan is (next_free, derive_at, checks_at, row_bound); a line is
-    (a getter of its other cells, exact target). With pruning a free
-    cell's row bound counts the cells left in its row where the bound
-    can reject a candidate (see _row_bound) and is 0 elsewhere. Without
-    pruning every cell is free, checks its deriving line and its kept
-    checks, and has row bound 0; the walk then enforces the same lines
-    at the same cells. next_free maps each free cell to the next, or to
-    n*n.
+    The plan is (next_free, derive_at, checks_at); a line is (a getter of
+    its other cells, exact target). Without pruning every cell is free
+    and checks its deriving line and its kept checks; the walk then
+    enforces the same lines at the same cells. next_free maps each free
+    cell to the next, or to n*n.
     """
     lines = franklin_checks(n, magic_constant(n))
     if lines is None:
@@ -159,18 +151,12 @@ def _plan(n: int, prune: bool):
 
     at = [tuple(read(j, *line) for line in lines) for j, lines in enumerate(kept)]
     if not prune:
-        return (
-            {i: i + 1 for i in range(n2)},
-            (None,) * n2,
-            tuple(at),
-            (0,) * n2,
-        )
+        return {i: i + 1 for i in range(n2)}, (None,) * n2, tuple(at)
     free = [i for i in range(n2) if not at[i]]
     return (
         dict(zip(free, free[1:] + [n2])),
         tuple(lines[0] if lines else None for lines in at),
         tuple(lines[1:] for lines in at),
-        tuple(0 if at[i] else _row_bound(n, i) for i in range(n2)),
     )
 
 
@@ -180,38 +166,22 @@ def _kept_lines(closing: list[list]) -> list[list]:
 
     Each cell value is an affine form over the free cells, those that
     close no line: a free cell is its own variable, and a forced cell is
-    its deriving line's target minus the line's other cells. A check's
+    its deriving line's target minus the line's other cells. A form is a
+    list of the free cells' coefficients, then the constant. A check's
     residual, the sum of its cells less its target, is then a form too,
     and the check holds exactly when the residual is 0. It is implied
-    when the residual reduces to 0 against the residuals of the checks
-    kept before it in walk order (exact integer row reduction), and is
-    dropped. A residual that reduces to a nonzero constant fails on every
-    branch; it is kept.
-
-    A form packs into one int: the k-th free cell's coefficient times
-    2**(width*k) and the constant times 2**(width*f), f free cells. No
-    coefficient of a line's residual can exceed the line's reach, the sum
-    of its cells' reaches (a free cell's is 1, a forced cell's the sum
-    over its deriving line's other cells), so with room for the largest
-    reach and a sign the fields never carry into each other.
+    when lines.independent reduces the residual to nothing against the
+    residuals of the checks kept before it in walk order, and is dropped.
+    A residual left with only a constant fails on every branch; it is
+    kept.
     """
     n2 = len(closing)
     free = [i for i in range(n2) if not closing[i]]
-    reach = [1] * n2
-    for j, lines in enumerate(closing):
-        if lines:
-            cells, _ = lines[0]
-            reach[j] = sum(reach[c] for c in cells if c != j)
-    most = max(sum(reach[c] for c in cells) for lines in closing for cells, _ in lines)
-    width = most.bit_length() + 1
     f = len(free)
-    half = 1 << (width - 1)
-    bias = sum(half << width * k for k in range(f))
-    mask = (1 << width) - 1
-    one = 1 << (width * f)
-    form = [0] * n2
+    form: list[list[int]] = [[]] * n2
     for k, i in enumerate(free):
-        form[i] = 1 << (width * k)
+        form[i] = [0] * (f + 1)
+        form[i][k] = 1
     basis: list[tuple[int, list[int]]] = []
     kept = []
     for j, lines in enumerate(closing):
@@ -219,48 +189,15 @@ def _kept_lines(closing: list[list]) -> list[list]:
             kept.append(lines)
             continue
         (cells, target), *checks = lines
-        form[j] = target * one - sum([form[c] for c in cells if c != j])
+        form[j] = [-sum(col) for col in zip(*[form[c] for c in cells if c != j])]
+        form[j][f] += target
         kept.append([lines[0]])
         for cells, target in checks:
-            residual = sum([form[c] for c in cells]) - target * one
-            if not residual:
-                continue
-            t = residual + bias
-            row = [(t >> width * k & mask) - half for k in range(f)]
-            row.append(t >> width * f)
-            for p, pivot_row in basis:
-                if row[p]:
-                    a, b = row[p], pivot_row[p]
-                    row = [x * b - y * a for x, y in zip(row, pivot_row)]
-            if not any(row):
-                continue
-            kept[j].append((cells, target))
-            p = next((k for k in range(f) if row[k]), None)
-            if p is not None:
-                g = gcd(*row)
-                basis.append((p, [x // g for x in row]))
+            residual = [sum(col) for col in zip(*[form[c] for c in cells])]
+            residual[f] -= target
+            if independent(basis, residual):
+                kept[j].append((cells, target))
     return kept
-
-
-def _row_bound(n: int, i: int) -> int:
-    """The cells left in free cell i's row when the row bound can reject
-    a candidate there, else 0.
-
-    The bound admits v when the row's sum s through cell i, v included,
-    leaves the rest of the row a reachable gap: m - left*n² <= s <= m -
-    left, with left cells to go. s is the sum of c+1 distinct values
-    from 1..n² at column c. From column n/2 on the closed half-row pins
-    its n/2 cells to m/2, so s is m/2 plus the values placed after it.
-    Where every such sum already lies in range, the bound never rejects.
-    """
-    m = magic_constant(n)
-    n2 = n * n
-    c = i % n
-    left = n - 1 - c
-    base, k = (0, c + 1) if c < n // 2 else (m // 2, c + 1 - n // 2)
-    low = base + k * (k + 1) // 2
-    high = base + k * (2 * n2 - k + 1) // 2
-    return left if low < m - left * n2 or high > m - left else 0
 
 
 # Bounded: a 2M-placement order-8 count fills 263 entries of 64 values.
@@ -277,16 +214,13 @@ def _value_order(n: int, row0: bool, seen: int, want: int) -> tuple[int, ...]:
     else:
         offset_penalty = [2 * (seen >> x & 1) for x in range(n)]
         block_penalty = [int(b != want) for b in range(n)]
-    # A candidate's penalty is its block's plus its offset's, 0 to 3;
-    # one ascending pass fills a bucket per penalty, which gives the
-    # (penalty, v) order without a sort.
-    buckets: tuple[list[int], ...] = ([], [], [], [])
-    v = 1
-    for bp in block_penalty:
-        for op in offset_penalty:
-            buckets[bp + op].append(v)
-            v += 1
-    return tuple(buckets[0] + buckets[1] + buckets[2] + buckets[3])
+
+    def penalty(v):
+        block, offset = divmod(v - 1, n)
+        return block_penalty[block] + offset_penalty[offset]
+
+    # sorted is stable: values of equal penalty stay in ascending order.
+    return tuple(sorted(range(1, n * n + 1), key=penalty))
 
 
 def _candidate_order(grid: list[int], used: list[bool], i: int, n: int) -> list[int]:
@@ -326,8 +260,7 @@ def _run_tree(opts: SearchOptions, plan) -> SearchOutcome:
     progress = opts.progress
     progress_interval = opts.progress_interval
     n2 = n * n
-    m = magic_constant(n)
-    next_free, derive_at, checks_at, row_bound = plan
+    next_free, derive_at, checks_at = plan
     natural_targets = IndexTargets.natural(n)
 
     grid = [0] * n2
@@ -351,16 +284,7 @@ def _run_tree(opts: SearchOptions, plan) -> SearchOutcome:
         it, and walk on; True stops the run."""
         nonlocal nodes, count, mark
         nxt = next_free[i]
-        candidates = _candidate_order(grid, used, i, n)
-        remaining = row_bound[i]
-        if remaining:
-            # Row bound: the cells left in the row must still be able
-            # to make up the gap to m.
-            gap = m - sum(grid[i - i % n:i])
-            candidates = [
-                v for v in candidates if remaining <= gap - v <= remaining * n2
-            ]
-        for v in candidates:
+        for v in _candidate_order(grid, used, i, n):
             # Place v at cell i, then each forced cell up to nxt with the
             # value its first closing line derives. j is the cell to place
             # next, so cells i .. j-1 hold this branch's values. A cell's

@@ -951,14 +951,24 @@ def test_search_order_8_needs_long_run_flag(capsys):
 
 
 def test_search_first_mode_skips_long_run_gate(capsys):
-    code, out, _ = run(
-        capsys, "search", "--order", "8", "--mode", "first",
-        "--budget", "200000",
-    )
+    # At order 8 the first witness comes at placement 100.
+    code, out, _ = run(capsys, "search", "--order", "8", "--mode", "first")
     assert code == 0
     outcome = json.loads(out)
     assert outcome["count"] == 1
     assert len(outcome["witnesses"][0]["cells"]) == 64
+
+
+@pytest.mark.parametrize("order", ["12", "16"])
+@pytest.mark.parametrize("no_prune", [[], ["--no-prune"]])
+def test_search_first_mode_above_order_8_needs_long_run_flag(capsys, order, no_prune):
+    # FIRST finds no witness early at these orders: an unbudgeted run
+    # could print nothing for days.
+    code, out, err = run(
+        capsys, "search", "--order", order, "--mode", "first", *no_prune
+    )
+    assert (code, out) == (3, "")
+    assert "code=LONG_RUN_REQUIRED" in err
 
 
 def test_search_budget_skips_long_run_gate(capsys):

@@ -109,7 +109,8 @@ def commands(draw):
         n = draw(st.integers(-2, 12))
         argv = ["search", "--order", str(n)]
         argv += ["--mode", draw(st.sampled_from(["count", "first", "stream"]))]
-        # A budget-free run at order >= 8 could take days (FIRST is not gated).
+        # A budget-free run at order >= 8 could take days (FIRST at order 8
+        # is not gated).
         if n >= 8 or draw(st.booleans()):
             argv += ["--budget", str(draw(st.integers(1, 2000)))]
         argv += draw(st.sampled_from([[], ["--no-prune"]]))

@@ -2,9 +2,12 @@ import hashlib
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import franklin_squares
 from franklin_squares.lines import (
@@ -14,6 +17,7 @@ from franklin_squares.lines import (
     LineFamily,
     family_lines,
     franklin_checks,
+    independent,
     table,
 )
 
@@ -301,3 +305,62 @@ def test_importing_the_package_builds_no_table():
     src = str(Path(franklin_squares.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def _rank(rows):
+    """The rank of integer rows over the rationals, by Fraction elimination."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col] / rows[rank][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def _affine_rows(draw):
+    """Rows of one width (coefficients, then a constant): random rows,
+    integer combinations of earlier rows, the same with the constant moved
+    (inconsistent with them), and rows with only a constant."""
+    width = draw(st.integers(1, 6))
+    small = st.integers(-3, 3)
+    rows = []
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(["random", "combination", "shifted", "constant"]))
+        if kind in ("combination", "shifted") and rows:
+            row = [0] * (width + 1)
+            for earlier in draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3)):
+                k = draw(small)
+                row = [x + k * y for x, y in zip(row, earlier)]
+            if kind == "shifted":
+                row[width] += draw(st.integers(1, 5))
+        elif kind == "constant":
+            row = [0] * width + [draw(small)]
+        else:
+            row = draw(st.lists(small, min_size=width + 1, max_size=width + 1))
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_affine_rows())
+def test_independent_agrees_with_a_fraction_rank(rows):
+    # A row is independent exactly when it raises the rank of the rows
+    # accepted before it; it is left with only its constant exactly when
+    # it raises that rank but not the rank of their coefficients.
+    basis, accepted = [], []
+    for row in rows:
+        grows = _rank(accepted + [row]) > _rank(accepted)
+        assert independent(basis, list(row)) == grows
+        if grows:
+            coefs = [r[:-1] for r in accepted]
+            only_constant = _rank(coefs + [row[:-1]]) == _rank(coefs)
+            assert (basis[-1][0] == len(row) - 1) == only_constant
+            accepted.append(row)

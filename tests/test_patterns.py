@@ -26,8 +26,8 @@ from franklin_squares import (
 from franklin_squares import fixtures, patterns
 from franklin_squares.lines import franklin_checks
 from franklin_squares.patterns import (
+    _leaf_checks,
     _leaf_forms,
-    _leaf_test,
     _remainder_masks,
     expand_block_pair,
     expand_four_row_cycle,
@@ -331,7 +331,7 @@ def test_first_1000_order16_seeds_are_pinned():
     # Franklin seeds would send the limited search through all of 16!, so
     # fail fast on the preset's seed first.
     preset_seed = patterns._PRESET_SEEDS["f16_1769"][1].seed
-    assert _meets_packed_test(preset_seed, _leaf_test(16))
+    assert _meets(preset_seed, _leaf_checks(16))
     quotient = expand_quotient(canonical_row_seed(16), 16)
     seeds = find_remainder_seeds(16, quotient, limit=1000)
     digest = hashlib.sha256(repr([list(s) for s in seeds]).encode()).hexdigest()
@@ -341,17 +341,28 @@ def test_first_1000_order16_seeds_are_pinned():
 LEAF_ORDERS = (4, 8, 12, 16, 24)
 
 
-@pytest.mark.parametrize("n", LEAF_ORDERS)
-def test_leaf_forms_are_the_four_seed_forms(n):
-    # Built here from their statement, not from the line table.
+def _statement_forms(n):
+    """The four seed forms as _leaf_forms states them, built from that
+    statement rather than from the line table: whole sum, bent form,
+    upper half, lower half."""
     h, m = n // 2, n * (n - 1) // 2
     bent = tuple((-1) ** (r + (r >= h)) for r in range(n))
-    assert _leaf_forms(n) == (
+    return (
         ((1,) * n, m),
         (bent, 0),
         ((1,) * h + (0,) * h, m // 2),
         ((0,) * h + (1,) * h, m // 2),
     )
+
+
+@pytest.mark.parametrize("n", range(4, 25, 4))
+def test_leaf_forms_are_the_four_seed_forms(n):
+    # The lower half is the whole less the upper half, so it goes; the
+    # walk meets the whole and upper-half sums itself, so its leaf checks
+    # the bent form alone.
+    whole, bent, upper, _lower = _statement_forms(n)
+    assert _leaf_forms(n) == (whole, bent, upper)
+    assert _leaf_checks(n) == (bent,)
 
 
 def test_a_seed_free_line_that_misses_admits_no_seed(monkeypatch):
@@ -369,18 +380,23 @@ def test_a_seed_free_line_that_misses_admits_no_seed(monkeypatch):
         _leaf_forms.cache_clear()
 
 
-def _meets_packed_test(seed, test):
-    """The pruned seed search's leaf test, as its walk runs it."""
-    weights, packed = test
-    return sum(map(mul, weights, seed)) == packed
+def _meets(vector, forms):
+    """True when vector meets every (coef, t) form."""
+    return all(sum(map(mul, coef, vector)) == t for coef, t in forms)
 
 
 def _leaf_verdicts(seed):
-    """The seed search's leaf verdict and verify's Franklin verdict on the
-    column-alternate expansion of seed; verify does not read the forms."""
+    """The seed search's verdict on a permutation seed, its leaf checks
+    and the upper-half sum its walk enforces, and verify's Franklin
+    verdict on the column-alternate expansion of seed; verify does not
+    read the forms."""
     n = len(seed)
-    test = _leaf_test(n)
-    by_forms = test is not None and _meets_packed_test(seed, test)
+    checks = _leaf_checks(n)
+    by_forms = (
+        checks is not None
+        and _meets(seed, checks)
+        and sum(seed[: n // 2]) == n * (n - 1) // 4
+    )
     report = verify(expand_remainder(seed, n), IndexTargets.balanced(n))
     return by_forms, report.franklin
 
@@ -435,9 +451,9 @@ def test_leaf_forms_match_verify_next_to_found_seeds(data):
 
 
 def _form_extremes(n):
-    """For each leaf form, the seeds in 0..n-1 that take it furthest above
-    and below its target: these set the bound the packed test relies on."""
-    for coef, _ in _leaf_forms(n):
+    """For each of the four seed forms, the vectors in 0..n-1 that take it
+    furthest above and below its target."""
+    for coef, _ in _statement_forms(n):
         yield tuple(n - 1 if x > 0 else 0 for x in coef)
         yield tuple(n - 1 if x < 0 else 0 for x in coef)
 
@@ -463,11 +479,9 @@ def _leaf_vectors(draw):
 
 @settings(max_examples=500, deadline=None)
 @given(_leaf_vectors())
-def test_packed_leaf_test_agrees_with_the_four_forms(vector):
+def test_three_leaf_forms_agree_with_the_four_seed_forms(vector):
     n = len(vector)
-    forms = _leaf_forms(n)
-    each = all(sum(map(mul, coef, vector)) == t for coef, t in forms)
-    assert _meets_packed_test(vector, _leaf_test(n)) == each
+    assert _meets(vector, _leaf_forms(n)) == _meets(vector, _statement_forms(n))
 
 
 def _pair_set_masks(n, quotient):
