@@ -32,7 +32,8 @@ the required property):
 
 A path flag is given whenever it appears, even with an empty value: an
 empty path is a file that cannot be written (BAD_FILE), and ``-`` is
-stdout. A command writes all of its files or none of them. main() maps
+stdout. Two path flags that name the same file are USAGE. A command
+writes all of its files or none of them. main() maps
 each library ValueError to PRECONDITION and each fixtures.FixtureError to
 BAD_FILE; a command maps only the faults that take another code.
 """
@@ -40,6 +41,7 @@ BAD_FILE; a command maps only the faults that take another code.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -119,21 +121,28 @@ def _write_outputs(*outputs: tuple[str, str | None]) -> None:
     """Write each (text, path), files first; None or '-' is stdout.
 
     Every file is opened for append (no truncation, no need to exist)
-    before anything is written, so a path that fails leaves no new file,
-    no changed file and no stdout.
+    before anything is written, so a path that fails, or two paths that
+    name the same file, leave no new file, no changed file and no stdout.
     """
     files = [(text, path) for text, path in outputs if path not in (None, "-")]
     created = []
+
+    def fail(code, message):
+        for new in created:
+            os.remove(new)
+        raise _CliError(code, message)
+
     for _, path in files:
         try:
             existed = os.path.exists(path)
             open(path, "a").close()
         except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
-            for new in created:
-                os.remove(new)
-            raise _CliError("BAD_FILE", f"cannot write {path}: {exc}")
+            fail("BAD_FILE", f"cannot write {path}: {exc}")
         if not existed:
             created.append(path)
+    for (_, a), (_, b) in itertools.combinations(files, 2):
+        if os.path.samefile(a, b):
+            fail("USAGE", f"{a} and {b} name the same file")
     for text, path in files:
         try:
             with open(path, "w", encoding="utf-8") as fh:

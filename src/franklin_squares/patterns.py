@@ -29,7 +29,7 @@ import itertools
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from operator import mul
 
 from . import fixtures
@@ -110,15 +110,12 @@ class SeedPattern:
     def __post_init__(self):
         object.__setattr__(self, "seed", tuple(_require("seed", self.seed, Iterable)))
         # Expanding validates the seed: an invalid one raises here.
-        self.expand()
+        square = _expand(self.archetype, self.seed, self.order)
+        object.__setattr__(self, "_square", square)
 
     def expand(self) -> Square:
         """The square the seed expands to, built once per pattern."""
         return self._square
-
-    @cached_property
-    def _square(self) -> Square:
-        return _expand(self.archetype, self.seed, self.order)
 
 
 def canonical_row_seed(n: int) -> tuple[int, ...]:
@@ -239,11 +236,11 @@ def _leaf_passes(seed, rows, checks) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _leaf_forms(n: int) -> tuple[tuple[tuple[int, ...], int], ...] | None:
+def _leaf_checks(n: int) -> tuple[tuple[tuple[int, ...], int], ...] | None:
     """The Franklin lines of a column-alternate expansion as linear forms in
-    its seed, reduced to the independent ones: each (coef, t) holds when
-    sum(coef[r] * seed[r]) == t, and a seed meets every line exactly when
-    it meets every form.
+    its seed, less those the pruned seed walk meets by construction: each
+    (coef, t) holds when sum(coef[r] * seed[r]) == t, and a seed of the
+    walk meets every line exactly when it meets every form.
 
     Cell (r, c) is base[c] + sign[c] * seed[r], read off the expansion of
     0..n-1, so every line sum is affine in the seed. At orders divisible
@@ -251,20 +248,26 @@ def _leaf_forms(n: int) -> tuple[tuple[tuple[int, ...], int], ...] | None:
     meet each row they touch in as many even columns as odd ones, so each
     seed value comes in once as v and once as n-1-v: their seed terms
     cancel and the line reduces to 0 = 0. Columns give the whole seed
-    summing to n(n-1)/2, BENT_RIGHT and BENT_LEFT the bent form, signed
+    summing to n(n-1)/2, half-columns the upper and lower halves summing
+    to half the whole, and BENT_RIGHT and BENT_LEFT the bent form, signed
     + - + - ... on the upper rows and - + - + ... on the lower rows,
-    summing to 0, and half-columns the upper and lower halves summing to
-    half the whole. lines.independent keeps each form, in report order,
-    that the forms before it do not imply: the lower half is the whole
-    less the upper half, so three are left.
+    summing to 0. Every seed of the walk is a permutation of 0..n-1,
+    which meets the whole sum, and passed the half bound, which pins its
+    upper half. lines.independent starts from those two sums and keeps
+    each line's form, in report order, that the forms before it do not
+    imply: the bent form alone.
 
-    None when the lines cannot all hold, as when a line whose sum does
-    not depend on the seed misses its target: then no seed passes.
+    None when the lines cannot all hold beside those two sums, as when a
+    line whose sum does not depend on the seed misses its target: then
+    no seed passes.
     """
     rows = expand_remainder(range(n), n).cells
     base = rows[0]
     sign = [y - x for x, y in zip(rows[0], rows[1])]
+    h, whole = n // 2, n * (n - 1) // 2
     basis: list[tuple[int, list[int]]] = []
+    independent(basis, [1] * n + [-whole])
+    independent(basis, [1] * h + [0] * h + [-(whole // 2)])
     forms = []
     for cells, target in franklin_checks(n, aux_constant(n)):
         coef = [0] * n
@@ -277,24 +280,6 @@ def _leaf_forms(n: int) -> tuple[tuple[tuple[int, ...], int], ...] | None:
                 return None
             forms.append((tuple(coef), target))
     return tuple(forms)
-
-
-def _leaf_checks(n: int) -> tuple[tuple[tuple[int, ...], int], ...] | None:
-    """The forms of _leaf_forms that the pruned seed walk does not meet by
-    construction, or None when _leaf_forms is None.
-
-    Every full seed of the walk is a permutation of 0..n-1, so it sums
-    to n(n-1)/2, and the half bound pins its upper half to n(n-1)/4; the
-    leaf checks only the forms independent of those two.
-    """
-    forms = _leaf_forms(n)
-    if forms is None:
-        return None
-    h, whole = n // 2, n * (n - 1) // 2
-    basis: list[tuple[int, list[int]]] = []
-    independent(basis, [1] * n + [-whole])
-    independent(basis, [1] * h + [0] * h + [-(whole // 2)])
-    return tuple((coef, t) for coef, t in forms if independent(basis, [*coef, -t]))
 
 
 def _remainder_masks(n: int, quotient: Square) -> list[list[int | None]]:
@@ -395,12 +380,10 @@ def _seed_search_pruned(n, masks, limit, checks):
     prunes reject only prefixes no completion of which could be emitted.
 
     Row n-1 takes the one value left, so the frame for row n-2 checks that
-    value's mask and the leaf itself rather than recursing. A full seed
-    passes when it meets every form of _leaf_checks. Being a permutation
-    that passed the half bound, it already meets the whole and upper-half
-    sums, so it passes exactly when it meets every form of _leaf_forms,
-    that is, exactly when its expansion meets every Franklin line: the
-    result matches the unpruned scan exactly.
+    value's mask and the leaf itself rather than recursing. A full seed,
+    a permutation that passed the half bound, passes when it meets every
+    form of _leaf_checks, that is, exactly when its expansion meets every
+    Franklin line: the result matches the unpruned scan exactly.
     """
     half = n // 2
     half_target = n * (n - 1) // 4

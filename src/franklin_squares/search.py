@@ -2,33 +2,34 @@
 
 The search fills cells in row-major order (a fixed, documented constant —
 chosen so half-rows, 2x2 subsquares, and bent diagonals close early) with
-unused values from 1..n², rejecting a branch the moment any fully placed
-check line (row, column, half-line, bent diagonal, 2x2 subsquare) misses
-its target. Those completed-line rejections are always on; they are what
-makes the unpruned cross-check runnable at all.
+unused values from 1..n². Without pruning it tries every candidate at
+every cell and rejects a branch the moment any fully placed check line
+(row, column, half-line, bent diagonal, 2x2 subsquare) misses its
+target: every line is checked at the cell where it closes, and nothing
+is taken from the elimination below, so this walk is the cross-check.
 
-With pruning enabled the engine also derives the value of any cell that
-is the last open cell of some check line instead of trying all
-candidates; for row-major order that pins every interior cell below the
-first row via its 2x2 subsquare. A derived value is accepted exactly
-where the completed-line check would accept it, so pruned and unpruned
-walks place the same values at the same cells: they accept the same
-squares with the same ``nodes_visited`` and progress calls.
+With pruning enabled the engine instead derives the value of any cell
+that is the last open cell of some check line; for row-major order that
+pins every interior cell below the first row via its 2x2 subsquare. A
+derived value is accepted exactly where the completed-line checks would
+accept it, so pruned and unpruned walks place the same values at the
+same cells: they accept the same squares with the same
+``nodes_visited`` and progress calls.
 
 What the walk reads at each cell is fixed per order and pruning mode,
-so ``_plan(n, prune)`` builds it once: each cell carries the lines it
-closes, less every line that the lines enforced before it imply. The
-Franklin lines are far from independent, so once each forced cell's
-deriving line holds, all other lines but two hold as well; exact
+so ``_plan(n, prune)`` builds it once. With pruning each cell carries
+the lines it closes, less every line that the lines enforced before it
+imply. The Franklin lines are far from independent, so once each forced
+cell's deriving line holds, all other lines but two hold as well; exact
 elimination over the free cells (lines.independent) finds which, and
 the walk checks only those two, closing at cells (n/2-1, n/2) and
-(n-1, 0): 2 of the 91 lines at order 8 that derive nothing. With
-pruning the walk recurses once per free cell (a cell that closes no
-line; 2n-5 of them at orders 4 to 40), and one loop places the free
-cell's value and then the forced cells after it. Without pruning the
-plan makes every cell free and checks the pruned plan's deriving lines
-and kept checks at the same cells, so the same walk recurses once per
-cell.
+(n-1, 0): 2 of the 91 lines at order 8 that derive nothing. The walk
+recurses once per free cell (a cell that closes no line; 2n-5 of them
+at orders 4 to 40), and one loop places the free cell's value and then
+the forced cells after it. Without pruning the plan makes every cell
+free and checks every line it closes, 144 lines at order 8, so the
+same walk recurses once per cell and a wrong elimination would show as
+a difference between the two walks.
 
 ``search_natural_franklin`` is the one entry point. It settles an order
 in one of two ways: without search when the line sum is odd (a
@@ -117,19 +118,20 @@ def _plan(n: int, prune: bool):
     natural Franklin square of order n can exist.
 
     Each Franklin line closes at its last cell, shortest first and, among
-    equal lengths, in report order. A cell that closes a line is forced:
-    its first closing line derives its value. Of the other closing lines
-    the walk checks only those that _kept_lines cannot prove implied: two
-    at every order from 4 to 40, closing at cells (n/2-1, n/2) and
-    (n-1, 0). Each line dropped is an exact combination of deriving lines
-    and kept checks that close no later than it does, so wherever those
-    hold it holds too and checking it could reject nothing.
+    equal lengths, in report order. With pruning a cell that closes a
+    line is forced: its first closing line derives its value. Of the
+    other closing lines the walk checks only those that _kept_lines
+    cannot prove implied: two at every order from 4 to 40, closing at
+    cells (n/2-1, n/2) and (n-1, 0). Each line dropped is an exact
+    combination of deriving lines and kept checks that close no later
+    than it does, so wherever those hold it holds too and checking it
+    could reject nothing.
 
     The plan is (next_free, derive_at, checks_at); a line is (a getter of
     its other cells, exact target). Without pruning every cell is free
-    and checks its deriving line and its kept checks; the walk then
-    enforces the same lines at the same cells. next_free maps each free
-    cell to the next, or to n*n.
+    and checks every line it closes, with no elimination, so the two
+    walks agree only if _kept_lines dropped nothing that could reject.
+    next_free maps each free cell to the next, or to n*n.
     """
     lines = franklin_checks(n, magic_constant(n))
     if lines is None:
@@ -138,7 +140,7 @@ def _plan(n: int, prune: bool):
     closing: list[list] = [[] for _ in range(n2)]
     for cells, target in sorted(lines, key=lambda line: len(line[0])):
         closing[max(cells)].append((cells, target))
-    kept = _kept_lines(closing)
+    kept = _kept_lines(closing) if prune else closing
 
     def read(j, cells, target):
         others = [c for c in cells if c != j]

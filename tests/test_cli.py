@@ -647,6 +647,18 @@ COMMAND_DIGESTS = {
         "fb52300ea2b961ef9d60c089686f1f8bfbfa8280ec38c9177305497242005824",
         {},
     ),
+    "decompose {data}/f8_1769.csv --out-q {tmp}/a.csv --out-r {tmp}/a.csv": (
+        2,
+        EMPTY,
+        "4a1fad5c4f9edb326cdf9f26acbfd177d020673fecdc1314918a362fcf32ca69",
+        {},
+    ),
+    "generate --preset f8_1769 --out {tmp}/b --report {tmp}/b": (
+        2,
+        EMPTY,
+        "ec28a95c1ed43c20fbcbd4d49e2e0a868beead781d8e63919ba7ef6e4e9c03c9",
+        {},
+    ),
     "search --order 8": (
         3,
         EMPTY,
@@ -1138,6 +1150,38 @@ def test_two_file_command_writes_both_or_neither(capsys, tmp_path, argv, existed
     assert sorted(p.name for p in tmp_path.iterdir()) == (["q.csv"] if existed else [])
     if existed:
         assert first.read_text() == "old bytes\n"
+
+
+@pytest.mark.parametrize("existed", [False, True])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (
+            "decompose", bundled("f8_1769.csv"),
+            "--out-q", "{tmp}/a.csv", "--out-r", "{tmp}/a.csv",
+        ),
+        (
+            "decompose", bundled("f8_1769.csv"),
+            "--out-q", "{tmp}/a.csv", "--out-r", "{tmp}/./a.csv",
+        ),
+        (
+            "generate", "--preset", "f8_1769",
+            "--out", "{tmp}/a.csv", "--report", "{tmp}/a.csv",
+        ),
+    ],
+)
+def test_two_outputs_that_name_one_file_write_neither(capsys, tmp_path, argv, existed):
+    # The second write would replace the first, so the command refuses.
+    shared = tmp_path / "a.csv"
+    if existed:
+        shared.write_text("old bytes\n")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: code=USAGE {argv[-3]} and {argv[-1]} name the same file\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["a.csv"] if existed else [])
+    if existed:
+        assert shared.read_text() == "old bytes\n"
 
 
 def break_fixture_dir(tmp_path, monkeypatch, fault):

@@ -84,13 +84,23 @@ def commands(draw):
                                  "preset", "search", "fixtures"]))
     inputs = (draw(square_bytes()), draw(square_bytes()))
     opt = lambda flag, values: [flag, draw(values)] if draw(st.booleans()) else []
+
+    def outputs(first, second):
+        """Each of two output flags or not; given both, now and then they
+        share a path, spelled the same or through ./."""
+        argv = opt(first, OUTPUTS) + opt(second, OUTPUTS)
+        if len(argv) == 4 and draw(st.booleans()):
+            shared = argv[1].replace("{tmp}/", "{tmp}/./")
+            argv[3] = draw(st.sampled_from([argv[1], shared]))
+        return argv
+
     if kind == "verify":
         argv = ["verify", "{in0}"]
         argv += draw(st.sampled_from([[], ["--json"], ["--summary"], ["--json", "--summary"]]))
         argv += opt("--target", st.sampled_from(["natural", "balanced", "34", "-7", "x"]))
         argv += opt("--require", st.sampled_from(LABELS + ("nope",)))
     elif kind == "decompose":
-        argv = ["decompose", "{in0}"] + opt("--out-q", OUTPUTS) + opt("--out-r", OUTPUTS)
+        argv = ["decompose", "{in0}"] + outputs("--out-q", "--out-r")
     elif kind == "compose":
         r = draw(st.sampled_from(["{in1}", "{in1}", "{tmp}/missing.csv", "", "\0"]))
         argv = ["compose", "--q", "{in0}", "--r", r] + opt("--out", OUTPUTS)
@@ -100,11 +110,11 @@ def commands(draw):
             "generate", "--order", str(draw(st.integers(-4, 12))),
             "--q-seed", _seed(draw), "--r-seed", _seed(draw),
             "--archetypes", f"{draw(archetypes)},{draw(archetypes)}",
-        ] + opt("--out", OUTPUTS) + opt("--report", OUTPUTS)
+        ] + outputs("--out", "--report")
     elif kind == "preset":
         names = st.sampled_from(patterns.preset_names() + ["nope"])
         argv = ["generate", "--preset", draw(names)]
-        argv += opt("--out", OUTPUTS) + opt("--report", OUTPUTS)
+        argv += outputs("--out", "--report")
     elif kind == "search":
         n = draw(st.integers(-2, 12))
         argv = ["search", "--order", str(n)]
@@ -179,6 +189,12 @@ def _run(argv, inputs, stdin_slot, no_fixtures):
 @example((["compose", "--q", "{in0}", "--r", "{in1}"], (b"0\n", b"0,1\n1,0\n")), False)
 @example((["fixtures", "show", "f8_1769"], (b"", b"")), True)
 @example((["generate", "--preset", "m6_euler_aux"], (b"", b"")), True)
+# Two output paths name the file that exists.
+@example(
+    (["decompose", "{in0}", "--out-q", "{tmp}/old.csv", "--out-r", "{tmp}/./old.csv"],
+     (b"1,2\n3,4\n", b"")),
+    False,
+)
 # The first output file is new and the second cannot be written.
 @example(
     (["decompose", "{in0}", "--out-q", "{tmp}/new.csv", "--out-r", "{tmp}/no/dir.csv"],

@@ -298,7 +298,7 @@ def test_importing_the_package_builds_no_table():
         "assert lines.table.cache_info().currsize == 0; "
         "assert _clean_result.cache_info().currsize == 0; "
         "assert _line_texts == {}; "
-        "assert patterns._leaf_forms.cache_info().currsize == 0; "
+        "assert patterns._leaf_checks.cache_info().currsize == 0; "
         "assert search._plan.cache_info().currsize == 0; "
         "assert 'concurrent.futures' not in sys.modules"
     )

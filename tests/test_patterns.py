@@ -27,7 +27,6 @@ from franklin_squares import fixtures, patterns
 from franklin_squares.lines import franklin_checks
 from franklin_squares.patterns import (
     _leaf_checks,
-    _leaf_forms,
     _remainder_masks,
     expand_block_pair,
     expand_four_row_cycle,
@@ -342,7 +341,7 @@ LEAF_ORDERS = (4, 8, 12, 16, 24)
 
 
 def _statement_forms(n):
-    """The four seed forms as _leaf_forms states them, built from that
+    """The four seed forms as _leaf_checks states them, built from that
     statement rather than from the line table: whole sum, bent form,
     upper half, lower half."""
     h, m = n // 2, n * (n - 1) // 2
@@ -355,13 +354,12 @@ def _statement_forms(n):
     )
 
 
-@pytest.mark.parametrize("n", range(4, 25, 4))
+@pytest.mark.parametrize("n", range(4, 33, 4))
 def test_leaf_forms_are_the_four_seed_forms(n):
-    # The lower half is the whole less the upper half, so it goes; the
-    # walk meets the whole and upper-half sums itself, so its leaf checks
-    # the bent form alone.
-    whole, bent, upper, _lower = _statement_forms(n)
-    assert _leaf_forms(n) == (whole, bent, upper)
+    # The walk meets the whole and upper-half sums itself, and the lower
+    # half is the whole less the upper half, so its leaf checks the bent
+    # form alone.
+    _whole, bent, _upper, _lower = _statement_forms(n)
     assert _leaf_checks(n) == (bent,)
 
 
@@ -372,12 +370,12 @@ def test_a_seed_free_line_that_misses_admits_no_seed(monkeypatch):
     row, target = checks[0]
     missed = checks + ((row, target + 1),)
     monkeypatch.setattr(patterns, "franklin_checks", lambda n, m: missed)
-    _leaf_forms.cache_clear()
+    _leaf_checks.cache_clear()
     try:
-        assert _leaf_forms(n) is None
+        assert _leaf_checks(n) is None
         assert find_remainder_seeds(n, expand_quotient(canonical_row_seed(n), n)) == []
     finally:
-        _leaf_forms.cache_clear()
+        _leaf_checks.cache_clear()
 
 
 def _meets(vector, forms):
@@ -479,9 +477,16 @@ def _leaf_vectors(draw):
 
 @settings(max_examples=500, deadline=None)
 @given(_leaf_vectors())
-def test_three_leaf_forms_agree_with_the_four_seed_forms(vector):
-    n = len(vector)
-    assert _meets(vector, _leaf_forms(n)) == _meets(vector, _statement_forms(n))
+def test_leaf_checks_agree_with_the_four_seed_forms_on_the_walks_sums(vector):
+    # The walk's seeds meet the whole and upper-half sums, so move the
+    # vector onto both: its first entry makes up the upper half and its
+    # middle entry the lower half.
+    n, h = len(vector), len(vector) // 2
+    half = n * (n - 1) // 4
+    vector = list(vector)
+    vector[0] += half - sum(vector[:h])
+    vector[h] += half - sum(vector[h:])
+    assert _meets(vector, _leaf_checks(n)) == _meets(vector, _statement_forms(n))
 
 
 def _pair_set_masks(n, quotient):

@@ -359,16 +359,38 @@ def test_pruned_plan_forces_all_but_2n_minus_5_cells(n):
         assert _lines_the_plan_misses(n, True) == []
 
 
-@pytest.mark.parametrize("n", (4, 8, 12))
+# SHA-256 of repr(_plan_lines(n, True)): the deriving line and kept
+# checks of each cell, so any change to what the pruned walk reads shows.
+PRUNED_PLAN_DIGESTS = {
+    4: "134d90fb1f4325bde505c3729e1ad9b6bfa81de132d83554e20c1ede8962c420",
+    8: "aab40f56c198dd7a8aa442dc60d8eec4377e0a2a5224e696c0160bf1720e9117",
+    12: "65ee94e75586277cca64b90e246c00c4c649a7f8158224112c20b6c0deed2212",
+    16: "4e3ed4c300ea4de403f60380b2dc7b278cacd2e1b19a8e368f2d09c5a48ceb4c",
+    20: "31d51efa4b9e35139847b4701aaa542da8367dfd4344170ef16d405ce9edeee2",
+    24: "a305e31026d91f6634cdb6ecb20f493b44a2c4080ce29387d9235976e82a5e4c",
+    28: "5f24e6bfe4337b02be1d41d578f4aaea9f5096bc49ed883245186057260fdc48",
+    32: "f6aa6c44e4ad2ad6afd4f46cb152be97881b74e51a043a5d98a2950ec1ba6e6b",
+    36: "292eb89b7cb0da80cbb99e6de60da06afa8b64a8ea82ca056e904aee60f2909c",
+    40: "cf1d5696992d886e7db02da83f14f8e84d8d32c4cee61431f38838c6c3db34f7",
+}
+
+
+@pytest.mark.parametrize("n", sorted(PRUNED_PLAN_DIGESTS))
+def test_pruned_plan_is_pinned(n):
+    digest = hashlib.sha256(repr(_plan_lines(n, True)).encode()).hexdigest()
+    assert digest == PRUNED_PLAN_DIGESTS[n]
+
+
+@pytest.mark.parametrize("n", range(4, 41, 4))
 def test_unpruned_plan_frees_every_cell_and_checks_every_line(n):
-    # Every line is checked or implied by the lines checked before it:
-    # the unpruned plan checks each pruned deriving line and kept check
-    # at the same cell, in the same order.
+    # No elimination: each Franklin line is checked at the cell where it
+    # closes (_plan_lines asserts that), so the unpruned walk shares
+    # nothing with the pruned plan's choice of lines.
     next_free, derive_at, checks_at = search._plan(n, False)
     assert next_free == {i: i + 1 for i in range(n * n)}
     assert set(derive_at) == {None}
-    assert _plan_lines(n, False) == _plan_lines(n, True)
-    assert _lines_the_plan_misses(n, False) == []
+    checked = [line for lines in _plan_lines(n, False) for line in lines]
+    assert sorted(checked) == _franklin_lines(n)
 
 
 @pytest.mark.parametrize("n", [*range(2, 39, 4), *range(1, 40, 2)])
