@@ -23,7 +23,8 @@ the required property):
                           file is missing, corrupted, does not parse or
                           does not hold its registered grid
        BAD_FORMAT         a square file is not UTF-8, or not valid CSV or JSON
-    3  PRECONDITION       wrong order, out-of-range values, odd search order
+    3  PRECONDITION       wrong order, out-of-range values, odd search order,
+                          an input too large to hold in memory
        UNKNOWN_NAME       unknown preset, fixture or archetype name
        LONG_RUN_REQUIRED  an unbudgeted search at order >= 8 without
                           --long-run, but for FIRST at order 8
@@ -34,8 +35,9 @@ A path flag is given whenever it appears, even with an empty value: an
 empty path is a file that cannot be written (BAD_FILE), and ``-`` is
 stdout. Two path flags that name the same file are USAGE. A command
 writes all of its files or none of them. main() maps
-each library ValueError to PRECONDITION and each fixtures.FixtureError to
-BAD_FILE; a command maps only the faults that take another code.
+each library ValueError and each MemoryError to PRECONDITION and each
+fixtures.FixtureError to BAD_FILE; a command maps only the faults that
+take another code.
 """
 
 from __future__ import annotations
@@ -516,6 +518,10 @@ def main(argv: list[str] | None = None) -> int:
             error = _CliError("BAD_FILE", str(exc))
         except ValueError as exc:
             error = _CliError("PRECONDITION", str(exc))
+        except MemoryError:
+            # An order too large to lay out (search --order 100000) fails
+            # at once, in the first table sized n*n.
+            error = _CliError("PRECONDITION", "input too large: out of memory")
         # Before any error line, so a closed stdout always exits alike.
         sys.stdout.flush()
     except BrokenPipeError:

@@ -26,10 +26,13 @@ the walk checks only those two, closing at cells (n/2-1, n/2) and
 (n-1, 0): 2 of the 91 lines at order 8 that derive nothing. The walk
 recurses once per free cell (a cell that closes no line; 2n-5 of them
 at orders 4 to 40), and one loop places the free cell's value and then
-the forced cells after it. Without pruning the plan makes every cell
-free and checks every line it closes, 144 lines at order 8, so the
-same walk recurses once per cell and a wrong elimination would show as
-a difference between the two walks.
+the forced cells after it. At n-1 free cells the next cell's deriving
+line runs through the free cell, so its value is a base, fixed for the
+visit, less the free value: a value whose forced one is out of range or
+used is counted as its placement by one subtraction and never placed.
+Without pruning the plan makes every cell free and checks every line it
+closes, 144 lines at order 8, so the same walk recurses once per cell
+and a wrong elimination would show as a difference between the walks.
 
 ``search_natural_franklin`` is the one entry point. It settles an order
 in one of two ways: without search when the line sum is odd (a
@@ -127,11 +130,13 @@ def _plan(n: int, prune: bool):
     than it does, so wherever those hold it holds too and checking it
     could reject nothing.
 
-    The plan is (next_free, derive_at, checks_at); a line is (a getter of
-    its other cells, exact target). Without pruning every cell is free
-    and checks every line it closes, with no elimination, so the two
-    walks agree only if _kept_lines dropped nothing that could reject.
-    next_free maps each free cell to the next, or to n*n.
+    The plan is (next_free, derive_at, checks_at, first_at); a line is
+    (a getter of its other cells, exact target). first_at holds, at each
+    free cell i whose next cell is forced by a line through i, that line
+    less cells i and i+1. Without pruning every cell is free and checks
+    every line it closes, with no elimination and no first_at entry, so
+    the two walks agree only if _kept_lines dropped nothing that could
+    reject. next_free maps each free cell to the next, or to n*n.
     """
     lines = franklin_checks(n, magic_constant(n))
     if lines is None:
@@ -142,23 +147,28 @@ def _plan(n: int, prune: bool):
         closing[max(cells)].append((cells, target))
     kept = _kept_lines(closing) if prune else closing
 
-    def read(j, cells, target):
-        others = [c for c in cells if c != j]
+    def read(skip, cells, target):
+        others = [c for c in cells if c not in skip]
         # A line sum is sum(get(grid)). A getter of one cell would return
-        # a bare value (order-4 half-lines have one other cell), so it
-        # reads a slice.
-        if len(others) == 1:
-            others = [slice(others[0], others[0] + 1)]
+        # a bare value (order-4 half-lines have one other cell), and
+        # itemgetter needs a cell, so those read slices.
+        if len(others) < 2:
+            others = [slice(c, c + 1) for c in others] or [slice(0)]
         return itemgetter(*others), target
 
-    at = [tuple(read(j, *line) for line in lines) for j, lines in enumerate(kept)]
+    at = [tuple(read((j,), *line) for line in lines) for j, lines in enumerate(kept)]
     if not prune:
-        return {i: i + 1 for i in range(n2)}, (None,) * n2, tuple(at)
+        return {i: i + 1 for i in range(n2)}, (None,) * n2, tuple(at), (None,) * n2
     free = [i for i in range(n2) if not at[i]]
+    first_at = [None] * n2
+    for i in free:
+        if i + 1 < n2 and kept[i + 1] and i in kept[i + 1][0][0]:
+            first_at[i] = read((i, i + 1), *kept[i + 1][0])
     return (
         dict(zip(free, free[1:] + [n2])),
         tuple(lines[0] if lines else None for lines in at),
         tuple(lines[1:] for lines in at),
+        tuple(first_at),
     )
 
 
@@ -255,14 +265,21 @@ def _candidate_order(grid: list[int], used: list[bool], i: int, n: int) -> list[
 
 def _run_tree(opts: SearchOptions, plan) -> SearchOutcome:
     """Walk the tree that ``plan`` (see _plan) lays out; the outcome is
-    exhausted unless the budget ran out or FIRST found its witness."""
+    exhausted unless the budget ran out or FIRST found its witness.
+
+    A value v at a free cell with a first_at entry whose forced value
+    base - v is out of range, used or v counts as one placement, with no
+    grid write, used mark or unwind: the full loop's net effect. A value
+    whose placement reaches ``mark`` (the next node count due a progress
+    call or the budget stop) takes the full loop all the same.
+    """
     n = opts.order
     mode = opts.mode
     node_budget = opts.node_budget
     progress = opts.progress
     progress_interval = opts.progress_interval
     n2 = n * n
-    next_free, derive_at, checks_at = plan
+    next_free, derive_at, checks_at, first_at = plan
     natural_targets = IndexTargets.natural(n)
 
     grid = [0] * n2
@@ -286,7 +303,15 @@ def _run_tree(opts: SearchOptions, plan) -> SearchOutcome:
         it, and walk on; True stops the run."""
         nonlocal nodes, count, mark
         nxt = next_free[i]
+        first = first_at[i]
+        if first is not None:  # Fixed for this visit: it reads cells before i.
+            base = first[1] - sum(first[0](grid))
         for v in _candidate_order(grid, used, i, n):
+            if first is not None and nodes + 1 != mark:
+                w = base - v
+                if not 0 < w <= n2 or used[w] or w == v:
+                    nodes += 1
+                    continue
             # Place v at cell i, then each forced cell up to nxt with the
             # value its first closing line derives. j is the cell to place
             # next, so cells i .. j-1 hold this branch's values. A cell's

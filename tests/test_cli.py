@@ -677,6 +677,12 @@ COMMAND_DIGESTS = {
         EMPTY,
         {},
     ),
+    "search --order 100000 --budget 1": (
+        3,
+        EMPTY,
+        "6450ddeccc45f4f961558f9fd8e79c4ea8fef0ac5d2a313305ee4cf006c53bf4",
+        {},
+    ),
 }
 
 
@@ -1030,6 +1036,16 @@ def test_search_odd_order(capsys):
     code, _, err = run(capsys, "search", "--order", "5")
     assert code == 3
     assert "code=PRECONDITION" in err
+
+
+def test_search_order_too_large_for_memory(capsys):
+    # The line table asks for 10**10 cell indexes at once and fails at
+    # once; orders that fit but exhaust memory slowly are not probed.
+    assert run(capsys, "search", "--order", "100000", "--budget", "1") == (
+        3,
+        "",
+        "error: code=PRECONDITION input too large: out of memory\n",
+    )
 
 
 def test_search_invalid_mode(capsys):

@@ -277,7 +277,7 @@ def _plan_lines(n, prune):
     """Each line the plan derives or checks at each cell, as (bitmask of
     its cells, target), asserting that it closes at the cell that reads
     it."""
-    _, derive_at, checks_at = search._plan(n, prune)
+    _, derive_at, checks_at, _ = search._plan(n, prune)
     bits = [1 << j for j in range(n * n)]
     at = []
     for i, (derive, checks) in enumerate(zip(derive_at, checks_at)):
@@ -341,7 +341,7 @@ def _check_cells(n, checks_at):
 
 @pytest.mark.parametrize("n", range(4, 41, 4))
 def test_pruned_plan_forces_all_but_2n_minus_5_cells(n):
-    next_free, derive_at, checks_at = search._plan(n, True)
+    next_free, derive_at, checks_at, _ = search._plan(n, True)
     free = sorted(next_free)
     assert len(free) == 2 * n - 5
     assert [next_free[i] for i in free] == free[1:] + [n * n]
@@ -386,11 +386,81 @@ def test_unpruned_plan_frees_every_cell_and_checks_every_line(n):
     # No elimination: each Franklin line is checked at the cell where it
     # closes (_plan_lines asserts that), so the unpruned walk shares
     # nothing with the pruned plan's choice of lines.
-    next_free, derive_at, checks_at = search._plan(n, False)
+    next_free, derive_at, checks_at, _ = search._plan(n, False)
     assert next_free == {i: i + 1 for i in range(n * n)}
     assert set(derive_at) == {None}
     checked = [line for lines in _plan_lines(n, False) for line in lines]
     assert sorted(checked) == _franklin_lines(n)
+
+
+@pytest.mark.parametrize("n", range(4, 41, 4))
+def test_first_value_entries_sit_where_a_line_forces_the_next_cell(n):
+    # An entry sits at each free cell whose next cell is forced by a line
+    # through it, and holds that line less both cells.
+    next_free, derive_at, _, first_at = search._plan(n, True)
+    bits = [1 << j for j in range(n * n)]
+    entries = [i for i, first in enumerate(first_at) if first is not None]
+    assert len(entries) == n - 1
+    for i in next_free:
+        derive = derive_at[i + 1] if i + 1 < n * n else None
+        through = derive is not None and sum(derive[0](bits)) & bits[i]
+        assert (i in entries) == bool(through)
+        if through:
+            get, target = first_at[i]
+            assert target == derive[1]
+            assert sum(get(bits)) | bits[i] == sum(derive[0](bits))
+    if n == 8:
+        assert [divmod(i, n) for i in entries] == [
+            (0, 2), (0, 6), (1, 0), (2, 0), (4, 0), (5, 0), (6, 0),
+        ]
+    # The unpruned walk rejects no value by subtraction.
+    assert set(search._plan(n, False)[3]) == {None}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_first_value_entry_agrees_with_its_deriving_line(data):
+    # The walk takes base once per visit of free cell i and rejects v
+    # when base - v could not be placed at cell i + 1. base reads only
+    # cells before i, and is what cell i + 1's deriving line leaves.
+    n = data.draw(st.sampled_from([4, 8, 12, 16]))
+    _, derive_at, _, first_at = search._plan(n, True)
+    bits = [1 << j for j in range(n * n)]
+    grid = data.draw(st.lists(st.integers(-n**4, n**4), min_size=n * n, max_size=n * n))
+    for i, first in enumerate(first_at):
+        if first is None:
+            continue
+        get, target = first
+        assert sum(get(bits)) < bits[i]
+        base = target - sum(get(grid))
+        v = data.draw(st.integers(1, n * n))
+        grid[i] = v
+        get, target = derive_at[i + 1]
+        assert target - sum(get(grid)) == base - v
+
+
+def test_budgets_and_marks_on_rejected_values_match_the_unpruned_walk():
+    # The order-8 FIRST walk rejects cell (0, 2)'s values by subtraction
+    # at placements 3-6, so a budget or progress mark there must still
+    # place, report and stop as the full loop does.
+    for budget in range(1, 121):
+        runs = []
+        for prune in (True, False):
+            calls = []
+            outcome = search_natural_franklin(
+                SearchOptions(
+                    order=8,
+                    mode=SearchMode.FIRST,
+                    node_budget=budget,
+                    prune=prune,
+                    progress=lambda nodes, depth: calls.append((nodes, depth)),
+                    progress_interval=3,
+                )
+            )
+            runs.append((outcome, calls))
+        assert runs[0] == runs[1]
+        assert outcome.nodes_visited == min(budget, 100)
+        assert len(calls) == outcome.nodes_visited // 3
 
 
 @pytest.mark.parametrize("n", [*range(2, 39, 4), *range(1, 40, 2)])
