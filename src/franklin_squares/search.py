@@ -25,11 +25,16 @@ elimination over the free cells (lines.independent) finds which, and
 the walk checks only those two, closing at cells (n/2-1, n/2) and
 (n-1, 0): 2 of the 91 lines at order 8 that derive nothing. The walk
 recurses once per free cell (a cell that closes no line; 2n-5 of them
-at orders 4 to 40), and one loop places the free cell's value and then
-the forced cells after it. At n-1 free cells the next cell's deriving
-line runs through the free cell, so its value is a base, fixed for the
-visit, less the free value: a value whose forced one is out of range or
-used is counted as its placement by one subtraction and never placed.
+at orders 4 to 40), and one loop places the free cell's value x and
+then the forced run after it. Within a visit each run cell's value is
+base + coef·x: coef is fixed per order (±1 from order 8 on), and base
+reads only cells before the free cell. The first value to reach a run
+cell derives it from its line and stores its base; every later value
+takes one multiply-add, with no line sum. The first run cell's base is
+taken as the visit starts, so a value whose forced successor is out of
+range or used is counted as its placement by one subtraction and never
+placed. A run's placements are counted in one step, and one helper
+makes the progress calls and the budget stop that a count reaches.
 Without pruning the plan makes every cell free and checks every line it
 closes, 144 lines at order 8, so the same walk recurses once per cell
 and a wrong elimination would show as a difference between the walks.
@@ -130,13 +135,18 @@ def _plan(n: int, prune: bool):
     than it does, so wherever those hold it holds too and checking it
     could reject nothing.
 
-    The plan is (next_free, derive_at, checks_at, first_at); a line is
-    (a getter of its other cells, exact target). first_at holds, at each
-    free cell i whose next cell is forced by a line through i, that line
-    less cells i and i+1. Without pruning every cell is free and checks
-    every line it closes, with no elimination and no first_at entry, so
+    The plan is (next_free, derive_at, checks_at, coef_at); a line is
+    (a getter of its other cells, exact target). next_free maps each
+    free cell to the next, or to n*n; the forced cells between are the
+    free cell's run. Within one visit of free cell i each run cell's
+    value is base + coef·x in i's value x, where base reads only cells
+    before i: coef_at holds coef, found by deriving each run with 1 at
+    i, 0 at every other cell and the targets dropped. It is ±1 at every
+    forced cell at orders 8 to 40 (order 4 has two 0s) and 0 at free
+    cells. Without pruning every cell is free and checks every line it
+    closes, with no elimination and no runs, so coef_at is all 0 and
     the two walks agree only if _kept_lines dropped nothing that could
-    reject. next_free maps each free cell to the next, or to n*n.
+    reject.
     """
     lines = franklin_checks(n, magic_constant(n))
     if lines is None:
@@ -147,8 +157,8 @@ def _plan(n: int, prune: bool):
         closing[max(cells)].append((cells, target))
     kept = _kept_lines(closing) if prune else closing
 
-    def read(skip, cells, target):
-        others = [c for c in cells if c not in skip]
+    def read(j, cells, target):
+        others = [c for c in cells if c != j]
         # A line sum is sum(get(grid)). A getter of one cell would return
         # a bare value (order-4 half-lines have one other cell), and
         # itemgetter needs a cell, so those read slices.
@@ -156,19 +166,23 @@ def _plan(n: int, prune: bool):
             others = [slice(c, c + 1) for c in others] or [slice(0)]
         return itemgetter(*others), target
 
-    at = [tuple(read((j,), *line) for line in lines) for j, lines in enumerate(kept)]
+    at = [tuple(read(j, *line) for line in lines) for j, lines in enumerate(kept)]
     if not prune:
-        return {i: i + 1 for i in range(n2)}, (None,) * n2, tuple(at), (None,) * n2
+        return {i: i + 1 for i in range(n2)}, (None,) * n2, tuple(at), (0,) * n2
     free = [i for i in range(n2) if not at[i]]
-    first_at = [None] * n2
+    next_free = dict(zip(free, free[1:] + [n2]))
+    coef_at = [0] * n2
     for i in free:
-        if i + 1 < n2 and kept[i + 1] and i in kept[i + 1][0][0]:
-            first_at[i] = read((i, i + 1), *kept[i + 1][0])
+        x = [0] * n2
+        x[i] = 1
+        for j in range(i + 1, next_free[i]):
+            get, _ = at[j][0]
+            x[j] = coef_at[j] = -sum(get(x))
     return (
-        dict(zip(free, free[1:] + [n2])),
+        next_free,
         tuple(lines[0] if lines else None for lines in at),
         tuple(lines[1:] for lines in at),
-        tuple(first_at),
+        tuple(coef_at),
     )
 
 
@@ -267,11 +281,16 @@ def _run_tree(opts: SearchOptions, plan) -> SearchOutcome:
     """Walk the tree that ``plan`` (see _plan) lays out; the outcome is
     exhausted unless the budget ran out or FIRST found its witness.
 
-    A value v at a free cell with a first_at entry whose forced value
-    base - v is out of range, used or v counts as one placement, with no
-    grid write, used mark or unwind: the full loop's net effect. A value
-    whose placement reaches ``mark`` (the next node count due a progress
-    call or the budget stop) takes the full loop all the same.
+    base[j] is run cell j's value less coef_at[j]·x, for the free value
+    x of the visit that placed it. A visit of free cell i takes base[i+1]
+    as it starts and learns cells i+2 .. known-1 as its values reach
+    them; a later visit of i learns them anew, and no other visit writes
+    a cell of i's run. A value x whose forced successor is out of range,
+    used or x counts as one placement, with no grid write, used mark or
+    unwind: the full loop's net effect. Placements are counted per run,
+    with no test of ``mark`` (the next node count due a progress call or
+    the budget stop) per placement: tally serves a run whose count
+    reaches it.
     """
     n = opts.order
     mode = opts.mode
@@ -279,44 +298,70 @@ def _run_tree(opts: SearchOptions, plan) -> SearchOutcome:
     progress = opts.progress
     progress_interval = opts.progress_interval
     n2 = n * n
-    next_free, derive_at, checks_at, first_at = plan
+    next_free, derive_at, checks_at, coef_at = plan
     natural_targets = IndexTargets.natural(n)
 
     grid = [0] * n2
     used = [False] * (n2 + 1)
+    base = [0] * n2
     witnesses: list[Square] = []
     nodes = count = 0
 
     def next_stop(after: int) -> int:
         """The first node count past ``after`` that is due a progress
-        call or is the budget, or 0 (never reached): the walk tests
-        one count per placement for both."""
+        call or is the budget; with neither, a count 2**62 on, which
+        no walk reaches."""
         stops = [node_budget] if node_budget is not None else []
         if progress is not None:
             stops.append(after - after % progress_interval + progress_interval)
-        return min(stops, default=0)
+        return min(stops, default=after + (1 << 62))
 
     mark = next_stop(0)
 
+    def tally(j: int) -> int:
+        """nodes counts a run of placements that ends at cell j - 1 and
+        has reached mark. Call progress for each due placement in the
+        run, with its cell; return j, or at the budget the cell after
+        the budget-th placement, with nodes cut back to the budget."""
+        nonlocal nodes, mark
+        while mark <= nodes:
+            cell = j - 1 - (nodes - mark)
+            if progress is not None and mark % progress_interval == 0:
+                progress(mark, cell)
+            if mark == node_budget:
+                nodes = mark
+                return cell + 1
+            mark = next_stop(mark)
+        return j
+
     def walk(i: int) -> bool:
-        """Place each value free cell i admits, then the forced run after
-        it, and walk on; True stops the run."""
-        nonlocal nodes, count, mark
+        """Place each value x free cell i admits, then the forced run
+        after it, and walk on; True stops the run."""
+        nonlocal nodes, count
         nxt = next_free[i]
-        first = first_at[i]
-        if first is not None:  # Fixed for this visit: it reads cells before i.
-            base = first[1] - sum(first[0](grid))
-        for v in _candidate_order(grid, used, i, n):
-            if first is not None and nodes + 1 != mark:
-                w = base - v
-                if not 0 < w <= n2 or used[w] or w == v:
+        run = i + 1 < nxt
+        if run:  # With 0 at cell i, cell i + 1's line sum leaves its base.
+            grid[i] = 0
+            get, target = derive_at[i + 1]
+            first = base[i + 1] = target - sum(get(grid))
+            coef = coef_at[i + 1]
+        known = i + 2
+        for x in _candidate_order(grid, used, i, n):
+            if run:
+                v = first + coef * x
+                if not 0 < v <= n2 or used[v] or v == x:
                     nodes += 1
+                    if nodes >= mark:
+                        tally(i + 1)
+                        if nodes == node_budget:
+                            return True
                     continue
-            # Place v at cell i, then each forced cell up to nxt with the
-            # value its first closing line derives. j is the cell to place
-            # next, so cells i .. j-1 hold this branch's values. A cell's
-            # kept checks run before it is placed; most cells have none.
-            # The run also ends at the budget-th placement.
+            # Place x at cell i, then each forced cell up to nxt with the
+            # value its first closing line derives. j is the cell to
+            # place next, so cells i .. j-1 hold this branch's values. A
+            # cell's kept checks run before it is placed; most cells
+            # have none.
+            v = x
             j = i
             while True:
                 for get, target in checks_at[j]:
@@ -325,21 +370,21 @@ def _run_tree(opts: SearchOptions, plan) -> SearchOutcome:
                 else:
                     grid[j] = v
                     used[v] = True
-                    nodes += 1
-                    if nodes == mark:
-                        if progress is not None and nodes % progress_interval == 0:
-                            progress(nodes, j)
-                        if nodes == node_budget:
-                            j += 1
-                            break
-                        mark = next_stop(nodes)
                     j += 1
                     if j < nxt:
-                        get, target = derive_at[j]
-                        v = target - sum(get(grid))
+                        if j < known:
+                            v = base[j] + coef_at[j] * x
+                        else:
+                            get, target = derive_at[j]
+                            v = target - sum(get(grid))
+                            base[j] = v - coef_at[j] * x
+                            known = j + 1
                         if 0 < v <= n2 and not used[v]:
                             continue
                 break
+            nodes += j - i
+            if nodes >= mark:
+                j = tally(j)
             if j == n2:
                 square = Square.from_rows(grid[r:r + n] for r in range(0, n2, n))
                 report = verify(square, natural_targets)
@@ -349,7 +394,7 @@ def _run_tree(opts: SearchOptions, plan) -> SearchOutcome:
                         witnesses.append(square)
                     if mode is SearchMode.FIRST:
                         return True
-            # The one budget stop: it follows the leaf, so the square the
+            # The budget stop follows the leaf, so the square the
             # budget-th placement completes is counted.
             if nodes == node_budget or (j == nxt < n2 and walk(nxt)):
                 return True

@@ -394,49 +394,56 @@ def test_unpruned_plan_frees_every_cell_and_checks_every_line(n):
 
 
 @pytest.mark.parametrize("n", range(4, 41, 4))
-def test_first_value_entries_sit_where_a_line_forces_the_next_cell(n):
-    # An entry sits at each free cell whose next cell is forced by a line
-    # through it, and holds that line less both cells.
-    next_free, derive_at, _, first_at = search._plan(n, True)
-    bits = [1 << j for j in range(n * n)]
-    entries = [i for i, first in enumerate(first_at) if first is not None]
-    assert len(entries) == n - 1
-    for i in next_free:
-        derive = derive_at[i + 1] if i + 1 < n * n else None
-        through = derive is not None and sum(derive[0](bits)) & bits[i]
-        assert (i in entries) == bool(through)
-        if through:
-            get, target = first_at[i]
-            assert target == derive[1]
-            assert sum(get(bits)) | bits[i] == sum(derive[0](bits))
+def test_run_coefficients_are_0_at_free_cells_and_unit_at_forced_cells(n):
+    # A run cell's value is base + coef·x in its free cell's value x.
+    # coef is 0 at free cells, ±1 at forced ones but for two order-4
+    # cells whose lines miss the run's free cell, and 0 everywhere
+    # without pruning, where there are no runs.
+    next_free, derive_at, _, coef_at = search._plan(n, True)
+    for j, coef in enumerate(coef_at):
+        if j in next_free:
+            assert coef == 0
+        else:
+            assert coef in ((-1, 0, 1) if n == 4 else (-1, 1))
+    if n == 4:
+        zeros = [j for j, coef in enumerate(coef_at) if coef == 0 and derive_at[j]]
+        assert [divmod(j, n) for j in zeros] == [(1, 0), (1, 1)]
+    # n-1 free cells have a forced successor, each derived by a line
+    # through the free cell.
+    runs = [i for i in sorted(next_free) if i + 1 < next_free[i]]
+    assert len(runs) == n - 1
+    assert all(coef_at[i + 1] == -1 for i in runs)
     if n == 8:
-        assert [divmod(i, n) for i in entries] == [
+        assert [divmod(i, n) for i in runs] == [
             (0, 2), (0, 6), (1, 0), (2, 0), (4, 0), (5, 0), (6, 0),
         ]
-    # The unpruned walk rejects no value by subtraction.
-    assert set(search._plan(n, False)[3]) == {None}
+    assert set(search._plan(n, False)[3]) == {0}
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_first_value_entry_agrees_with_its_deriving_line(data):
-    # The walk takes base once per visit of free cell i and rejects v
-    # when base - v could not be placed at cell i + 1. base reads only
-    # cells before i, and is what cell i + 1's deriving line leaves.
+def test_run_cells_are_their_base_plus_coef_times_the_free_value(data):
+    # The walk learns base_j = v - coef_j·x from the first value x to
+    # reach run cell j, and takes base_j + coef_j·y for every later
+    # value y: deriving the run cell by cell from y must agree. The base
+    # of the first run cell, taken with 0 at the free cell, must too.
     n = data.draw(st.sampled_from([4, 8, 12, 16]))
-    _, derive_at, _, first_at = search._plan(n, True)
-    bits = [1 << j for j in range(n * n)]
+    next_free, derive_at, _, coef_at = search._plan(n, True)
     grid = data.draw(st.lists(st.integers(-n**4, n**4), min_size=n * n, max_size=n * n))
-    for i, first in enumerate(first_at):
-        if first is None:
-            continue
-        get, target = first
-        assert sum(get(bits)) < bits[i]
-        base = target - sum(get(grid))
-        v = data.draw(st.integers(1, n * n))
-        grid[i] = v
-        get, target = derive_at[i + 1]
-        assert target - sum(get(grid)) == base - v
+    i = data.draw(st.sampled_from([i for i in sorted(next_free) if i + 1 < next_free[i]]))
+
+    def run(x):
+        grid[i] = x
+        for j in range(i + 1, next_free[i]):
+            get, target = derive_at[j]
+            grid[j] = target - sum(get(grid))
+        return grid[i + 1:next_free[i]]
+
+    x, y = data.draw(st.lists(st.integers(1, n * n), min_size=2, max_size=2))
+    coefs = coef_at[i + 1:next_free[i]]
+    bases = [v - coef * x for v, coef in zip(run(x), coefs)]
+    assert run(y) == [b + coef * y for b, coef in zip(bases, coefs)]
+    assert run(0) == bases
 
 
 def test_budgets_and_marks_on_rejected_values_match_the_unpruned_walk():
@@ -461,6 +468,19 @@ def test_budgets_and_marks_on_rejected_values_match_the_unpruned_walk():
         assert runs[0] == runs[1]
         assert outcome.nodes_visited == min(budget, 100)
         assert len(calls) == outcome.nodes_visited // 3
+
+
+@pytest.mark.parametrize("interval", [1, 3, 7])
+def test_marks_inside_deep_forced_runs_match_the_unpruned_walk(interval):
+    # The pruned walk counts a forced run's placements in one step, so a
+    # progress mark or the budget can fall on any cell of a run, deep in
+    # the grid: each must report and stop as the unpruned walk, which
+    # places one cell per step, does.
+    for budget in [*range(1, 131), 997, 5003, 20011]:
+        pruned = _walk_with_progress(8, budget, True, interval)
+        assert pruned == _walk_with_progress(8, budget, False, interval)
+        assert pruned[0].nodes_visited == budget
+        assert len(pruned[1]) == budget // interval
 
 
 @pytest.mark.parametrize("n", [*range(2, 39, 4), *range(1, 40, 2)])
