@@ -27,11 +27,11 @@ the walk checks only those two, closing at cells (n/2-1, n/2) and
 recurses once per free cell (a cell that closes no line; 2n-5 of them
 at orders 4 to 40), and one loop places the free cell's value x and
 then the forced run after it. Within a visit each run cell's value is
-base + coef·x: coef is fixed per order (±1 from order 8 on), and base
-reads only cells before the free cell. The first value to reach a run
-cell derives it from its line and stores its base; every later value
-takes one multiply-add, with no line sum. The first run cell's base is
-taken as the visit starts, so a value whose forced successor is out of
+base + coef·x: coef is fixed per order (±1 from order 8 on) and comes
+from the elimination, and base reads only cells before the free cell.
+As the visit starts it derives each run cell's base once, from its line
+with 0 at the free cell; every value then takes one multiply-add per
+run cell, with no line sum. A value whose forced successor is out of
 range or used is counted as its placement by one subtraction and never
 placed. A run's placements are counted in one step, and one helper
 makes the progress calls and the budget stop that a count reaches.
@@ -140,13 +140,13 @@ def _plan(n: int, prune: bool):
     free cell to the next, or to n*n; the forced cells between are the
     free cell's run. Within one visit of free cell i each run cell's
     value is base + coef·x in i's value x, where base reads only cells
-    before i: coef_at holds coef, found by deriving each run with 1 at
-    i, 0 at every other cell and the targets dropped. It is ±1 at every
-    forced cell at orders 8 to 40 (order 4 has two 0s) and 0 at free
-    cells. Without pruning every cell is free and checks every line it
-    closes, with no elimination and no runs, so coef_at is all 0 and
-    the two walks agree only if _kept_lines dropped nothing that could
-    reject.
+    before i: coef_at holds coef, the coefficient of i in the cell's
+    affine form from _kept_lines. It is ±1 at every forced cell at
+    orders 8 to 40 (order 4 has two 0s) and 0 at free cells; the walk
+    derives base as each visit starts. Without pruning every cell is
+    free and checks every line it closes, with no elimination and no
+    runs, so coef_at is all 0 and the two walks agree only if
+    _kept_lines dropped nothing that could reject.
     """
     lines = franklin_checks(n, magic_constant(n))
     if lines is None:
@@ -155,15 +155,16 @@ def _plan(n: int, prune: bool):
     closing: list[list] = [[] for _ in range(n2)]
     for cells, target in sorted(lines, key=lambda line: len(line[0])):
         closing[max(cells)].append((cells, target))
-    kept = _kept_lines(closing) if prune else closing
+    kept, form = _kept_lines(closing) if prune else (closing, None)
 
     def read(j, cells, target):
         others = [c for c in cells if c != j]
         # A line sum is sum(get(grid)). A getter of one cell would return
-        # a bare value (order-4 half-lines have one other cell), and
-        # itemgetter needs a cell, so those read slices.
-        if len(others) < 2:
-            others = [slice(c, c + 1) for c in others] or [slice(0)]
+        # a bare value, not a sequence (order-4 half-lines have one other
+        # cell), so that cell is read as a slice. Every line has 2 cells
+        # or more.
+        if len(others) == 1:
+            others = [slice(others[0], others[0] + 1)]
         return itemgetter(*others), target
 
     at = [tuple(read(j, *line) for line in lines) for j, lines in enumerate(kept)]
@@ -172,12 +173,9 @@ def _plan(n: int, prune: bool):
     free = [i for i in range(n2) if not at[i]]
     next_free = dict(zip(free, free[1:] + [n2]))
     coef_at = [0] * n2
-    for i in free:
-        x = [0] * n2
-        x[i] = 1
+    for k, i in enumerate(free):
         for j in range(i + 1, next_free[i]):
-            get, _ = at[j][0]
-            x[j] = coef_at[j] = -sum(get(x))
+            coef_at[j] = form[j][k]
     return (
         next_free,
         tuple(lines[0] if lines else None for lines in at),
@@ -186,9 +184,10 @@ def _plan(n: int, prune: bool):
     )
 
 
-def _kept_lines(closing: list[list]) -> list[list]:
+def _kept_lines(closing: list[list]) -> tuple[list[list], list[list[int]]]:
     """closing (per cell, the (cells, target) lines that close there,
-    deriving line first) less every check the lines before it imply.
+    deriving line first) less every check the lines before it imply,
+    and each cell's affine form over the free cells.
 
     Each cell value is an affine form over the free cells, those that
     close no line: a free cell is its own variable, and a forced cell is
@@ -223,7 +222,7 @@ def _kept_lines(closing: list[list]) -> list[list]:
             residual[f] -= target
             if independent(basis, residual):
                 kept[j].append((cells, target))
-    return kept
+    return kept, form
 
 
 # Bounded: a 2M-placement order-8 count fills 263 entries of 64 values.
@@ -282,15 +281,14 @@ def _run_tree(opts: SearchOptions, plan) -> SearchOutcome:
     exhausted unless the budget ran out or FIRST found its witness.
 
     base[j] is run cell j's value less coef_at[j]·x, for the free value
-    x of the visit that placed it. A visit of free cell i takes base[i+1]
-    as it starts and learns cells i+2 .. known-1 as its values reach
-    them; a later visit of i learns them anew, and no other visit writes
-    a cell of i's run. A value x whose forced successor is out of range,
-    used or x counts as one placement, with no grid write, used mark or
-    unwind: the full loop's net effect. Placements are counted per run,
-    with no test of ``mark`` (the next node count due a progress call or
-    the budget stop) per placement: tally serves a run whose count
-    reaches it.
+    x of the visit that places it. A visit of free cell i derives the
+    bases of its whole run as it starts, in cell order with 0 at cell i,
+    and no other visit writes a cell of i's run. A value x whose forced
+    successor is out of range, used or x counts as one placement, with
+    no grid write, used mark or unwind: the full loop's net effect.
+    Placements are counted per run, with no test of ``mark`` (the next
+    node count due a progress call or the budget stop) per placement:
+    tally serves a run whose count reaches it.
     """
     n = opts.order
     mode = opts.mode
@@ -339,13 +337,15 @@ def _run_tree(opts: SearchOptions, plan) -> SearchOutcome:
         after it, and walk on; True stops the run."""
         nonlocal nodes, count
         nxt = next_free[i]
+        # With 0 at cell i each run cell's deriving line leaves its base.
+        grid[i] = 0
+        for j in range(i + 1, nxt):
+            get, target = derive_at[j]
+            grid[j] = base[j] = target - sum(get(grid))
         run = i + 1 < nxt
-        if run:  # With 0 at cell i, cell i + 1's line sum leaves its base.
-            grid[i] = 0
-            get, target = derive_at[i + 1]
-            first = base[i + 1] = target - sum(get(grid))
+        if run:
+            first = base[i + 1]
             coef = coef_at[i + 1]
-        known = i + 2
         for x in _candidate_order(grid, used, i, n):
             if run:
                 v = first + coef * x
@@ -372,13 +372,7 @@ def _run_tree(opts: SearchOptions, plan) -> SearchOutcome:
                     used[v] = True
                     j += 1
                     if j < nxt:
-                        if j < known:
-                            v = base[j] + coef_at[j] * x
-                        else:
-                            get, target = derive_at[j]
-                            v = target - sum(get(grid))
-                            base[j] = v - coef_at[j] * x
-                            known = j + 1
+                        v = base[j] + coef_at[j] * x
                         if 0 < v <= n2 and not used[v]:
                             continue
                 break

@@ -393,6 +393,21 @@ def test_unpruned_plan_frees_every_cell_and_checks_every_line(n):
     assert sorted(checked) == _franklin_lines(n)
 
 
+def _substituted_coefficients(n):
+    """Each cell's coef by substitution: each free cell's run derived
+    cell by cell with 1 at the free cell, 0 at every other cell and the
+    targets dropped."""
+    next_free, derive_at, _, _ = search._plan(n, True)
+    coef_at = [0] * (n * n)
+    for i in next_free:
+        x = [0] * (n * n)
+        x[i] = 1
+        for j in range(i + 1, next_free[i]):
+            get, _ = derive_at[j]
+            x[j] = coef_at[j] = -sum(get(x))
+    return coef_at
+
+
 @pytest.mark.parametrize("n", range(4, 41, 4))
 def test_run_coefficients_are_0_at_free_cells_and_unit_at_forced_cells(n):
     # A run cell's value is base + coef·x in its free cell's value x.
@@ -400,6 +415,8 @@ def test_run_coefficients_are_0_at_free_cells_and_unit_at_forced_cells(n):
     # cells whose lines miss the run's free cell, and 0 everywhere
     # without pruning, where there are no runs.
     next_free, derive_at, _, coef_at = search._plan(n, True)
+    # _plan reads coef from the elimination's affine forms.
+    assert list(coef_at) == _substituted_coefficients(n)
     for j, coef in enumerate(coef_at):
         if j in next_free:
             assert coef == 0
@@ -423,10 +440,10 @@ def test_run_coefficients_are_0_at_free_cells_and_unit_at_forced_cells(n):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_run_cells_are_their_base_plus_coef_times_the_free_value(data):
-    # The walk learns base_j = v - coef_j·x from the first value x to
-    # reach run cell j, and takes base_j + coef_j·y for every later
-    # value y: deriving the run cell by cell from y must agree. The base
-    # of the first run cell, taken with 0 at the free cell, must too.
+    # As a visit of free cell i starts, the walk derives each run cell
+    # j with 0 at cell i and keeps that value as base_j; every value x
+    # of the visit then takes base_j + coef_j·x. Deriving the run cell
+    # by cell from x must agree, whatever the cells before i hold.
     n = data.draw(st.sampled_from([4, 8, 12, 16]))
     next_free, derive_at, _, coef_at = search._plan(n, True)
     grid = data.draw(st.lists(st.integers(-n**4, n**4), min_size=n * n, max_size=n * n))
@@ -439,11 +456,10 @@ def test_run_cells_are_their_base_plus_coef_times_the_free_value(data):
             grid[j] = target - sum(get(grid))
         return grid[i + 1:next_free[i]]
 
-    x, y = data.draw(st.lists(st.integers(1, n * n), min_size=2, max_size=2))
     coefs = coef_at[i + 1:next_free[i]]
-    bases = [v - coef * x for v, coef in zip(run(x), coefs)]
-    assert run(y) == [b + coef * y for b, coef in zip(bases, coefs)]
-    assert run(0) == bases
+    bases = run(0)
+    x = data.draw(st.integers(1, n * n))
+    assert run(x) == [b + coef * x for b, coef in zip(bases, coefs)]
 
 
 def test_budgets_and_marks_on_rejected_values_match_the_unpruned_walk():
