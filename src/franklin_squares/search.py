@@ -8,6 +8,12 @@ every cell and rejects a branch the moment any fully placed check line
 target: every line is checked at the cell where it closes, and nothing
 is taken from the elimination below, so this walk is the cross-check.
 
+Free cells try values structure-first. Split v-1 base n into the
+quotient and remainder of M = n·Q + R + 1: row 0 prefers quotients
+not yet placed in it and remainders that alternate x <-> n-1-x, and
+column 0 is row 0 with quotient and remainder swapped. The order only
+sorts, so both walks stay exhaustive.
+
 With pruning enabled the engine instead derives the value of any cell
 that is the last open cell of some check line; for row-major order that
 pins every interior cell below the first row via its 2x2 subsquare. A
@@ -135,14 +141,18 @@ def _plan(n: int, prune: bool):
     than it does, so wherever those hold it holds too and checking it
     could reject nothing.
 
-    The plan is (next_free, derive_at, checks_at, coef_at); a line is
-    (a getter of its other cells, exact target). next_free maps each
-    free cell to the next, or to n*n; the forced cells between are the
-    free cell's run. Within one visit of free cell i each run cell's
-    value is base + coef·x in i's value x, where base reads only cells
-    before i: coef_at holds coef, the coefficient of i in the cell's
-    affine form from _kept_lines. It is ±1 at every forced cell at
-    orders 8 to 40 (order 4 has two 0s) and 0 at free cells; the walk
+    The plan is (next_free, derive_at, checks_at, coef_at), one shape
+    for both modes; a line is (a getter of its other cells, exact
+    target). The free cells are listed once, here, and _kept_lines
+    writes its forms over that list. next_free maps each free cell to
+    the next, or to n*n; the forced cells between are the free cell's
+    run. derive_at is None at a free cell and a forced cell's deriving
+    line elsewhere; checks_at holds all of a free cell's lines and the
+    rest of a forced cell's. Within one visit of free cell i each run
+    cell's value is base + coef·x in i's value x, where base reads only
+    cells before i: coef_at holds coef, the coefficient of i in the
+    cell's affine form from _kept_lines. It is ±1 at every forced cell
+    at orders 8 to 40 (order 4 has two 0s) and 0 at free cells; the walk
     derives base as each visit starts. Without pruning every cell is
     free and checks every line it closes, with no elimination and no
     runs, so coef_at is all 0 and the two walks agree only if
@@ -155,7 +165,8 @@ def _plan(n: int, prune: bool):
     closing: list[list] = [[] for _ in range(n2)]
     for cells, target in sorted(lines, key=lambda line: len(line[0])):
         closing[max(cells)].append((cells, target))
-    kept, form = _kept_lines(closing) if prune else (closing, None)
+    free = [i for i in range(n2) if not (prune and closing[i])]
+    kept, form = _kept_lines(closing, free) if prune else (closing, None)
 
     def read(j, cells, target):
         others = [c for c in cells if c != j]
@@ -167,32 +178,29 @@ def _plan(n: int, prune: bool):
             others = [slice(others[0], others[0] + 1)]
         return itemgetter(*others), target
 
-    at = [tuple(read(j, *line) for line in lines) for j, lines in enumerate(kept)]
-    if not prune:
-        return {i: i + 1 for i in range(n2)}, (None,) * n2, tuple(at), (0,) * n2
-    free = [i for i in range(n2) if not at[i]]
+    checks_at = [tuple(read(j, *line) for line in kept[j]) for j in range(n2)]
     next_free = dict(zip(free, free[1:] + [n2]))
+    derive_at = [None] * n2
     coef_at = [0] * n2
     for k, i in enumerate(free):
         for j in range(i + 1, next_free[i]):
+            derive_at[j], checks_at[j] = checks_at[j][0], checks_at[j][1:]
             coef_at[j] = form[j][k]
-    return (
-        next_free,
-        tuple(lines[0] if lines else None for lines in at),
-        tuple(lines[1:] for lines in at),
-        tuple(coef_at),
-    )
+    return next_free, tuple(derive_at), tuple(checks_at), tuple(coef_at)
 
 
-def _kept_lines(closing: list[list]) -> tuple[list[list], list[list[int]]]:
+def _kept_lines(
+    closing: list[list], free: list[int]
+) -> tuple[list[list], list[list[int]]]:
     """closing (per cell, the (cells, target) lines that close there,
     deriving line first) less every check the lines before it imply,
     and each cell's affine form over the free cells.
 
     Each cell value is an affine form over the free cells, those that
-    close no line: a free cell is its own variable, and a forced cell is
-    its deriving line's target minus the line's other cells. A form is a
-    list of the free cells' coefficients, then the constant. A check's
+    close no line, which free lists in cell order: a free cell is its
+    own variable, and a forced cell is its deriving line's target minus
+    the line's other cells. A form is a list of the free cells'
+    coefficients in that order, then the constant. A check's
     residual, the sum of its cells less its target, is then a form too,
     and the check holds exactly when the residual is 0. It is implied
     when lines.independent reduces the residual to nothing against the
@@ -201,7 +209,6 @@ def _kept_lines(closing: list[list]) -> tuple[list[list], list[list[int]]]:
     kept.
     """
     n2 = len(closing)
-    free = [i for i in range(n2) if not closing[i]]
     f = len(free)
     form: list[list[int]] = [[]] * n2
     for k, i in enumerate(free):
@@ -227,22 +234,18 @@ def _kept_lines(closing: list[list]) -> tuple[list[list], list[list[int]]]:
 
 # Bounded: a 2M-placement order-8 count fills 263 entries of 64 values.
 @lru_cache(maxsize=1024)
-def _value_order(n: int, row0: bool, seen: int, want: int) -> tuple[int, ...]:
+def _value_order(n: int, column: bool, seen: int, want: int) -> tuple[int, ...]:
     """Every value 1..n² in (penalty, v) order, for a row-0 cell or a
-    column cell; seen is a bitmask of the blocks placed earlier in row 0
-    or of the offsets placed earlier in column 0, and want the wanted
-    offset (row 0, -1 for none) or block (column 0). See
-    _candidate_order."""
-    if row0:
-        block_penalty = [2 * (seen >> b & 1) for b in range(n)]
-        offset_penalty = [int(want >= 0 and x != want) for x in range(n)]
-    else:
-        offset_penalty = [2 * (seen >> x & 1) for x in range(n)]
-        block_penalty = [int(b != want) for b in range(n)]
+    column cell. v-1 splits base n into (major, minor): (block, offset)
+    in row 0 and (offset, block) in a column. seen is a bitmask of the
+    majors placed earlier in that row or column, and want the wanted
+    minor, -1 for none. See _candidate_order."""
 
     def penalty(v):
-        block, offset = divmod(v - 1, n)
-        return block_penalty[block] + offset_penalty[offset]
+        major, minor = divmod(v - 1, n)
+        if column:
+            major, minor = minor, major
+        return 2 * (seen >> major & 1) + (minor != want)
 
     # sorted is stable: values of equal penalty stay in ascending order.
     return tuple(sorted(range(1, n * n + 1), key=penalty))
@@ -251,29 +254,28 @@ def _value_order(n: int, row0: bool, seen: int, want: int) -> tuple[int, ...]:
 def _candidate_order(grid: list[int], used: list[bool], i: int, n: int) -> list[int]:
     # Free cells sit in row 0 and column 0 (everything else is closed
     # by a completing line). Candidates are tried structured-first:
-    # split v-1 into (block, offset) base n. The corpus squares all
-    # decompose into alternating auxiliaries, which in grid terms
-    # means rows use each block once with offsets alternating
-    # x <-> n-1-x, and the first column keeps offsets distinct while
-    # blocks alternate. Preferring such candidates finds a witness
-    # early; the order stays exhaustive, so nothing is ever skipped.
-    # The full order depends only on the blocks or offsets seen and one
-    # wanted value, so _value_order caches it per those, and the used
-    # values are filtered out here.
+    # split v-1 into (block, offset) base n, the quotient and remainder
+    # of M = n·Q + R + 1. The corpus squares all decompose into
+    # alternating auxiliaries, which in grid terms means row 0 uses
+    # each block once with offsets alternating x <-> n-1-x; column 0 is
+    # row 0 with block and offset swapped. Preferring such candidates
+    # finds a witness early; the order stays exhaustive, so nothing is
+    # ever skipped. A cell below row 0 (an interior one too, in the
+    # unpruned walk) reads column 0 above it. The full order depends
+    # only on the majors seen and one wanted minor, so _value_order
+    # caches it per those, and the used values are filtered out here.
     r, c = divmod(i, n)
+    column = r > 0
     seen = 0
+    for v in grid[0:i - c:n] if column else grid[:c]:
+        seen |= 1 << divmod(v - 1, n)[column]
     if r == 0:
-        for j in range(c):
-            seen |= 1 << (grid[j] - 1) // n
         want = n - 1 - (grid[i - 1] - 1) % n if c >= 1 else -1
+    elif r >= 2:
+        want = (grid[i - c - 2 * n] - 1) // n
     else:
-        for k in range(0, i - c, n):
-            seen |= 1 << (grid[k] - 1) % n
-        if r >= 2:
-            want = (grid[i - c - 2 * n] - 1) // n
-        else:
-            want = n - 1 - (grid[0] - 1) // n
-    return list(filterfalse(used.__getitem__, _value_order(n, r == 0, seen, want)))
+        want = n - 1 - (grid[0] - 1) // n
+    return list(filterfalse(used.__getitem__, _value_order(n, column, seen, want)))
 
 
 def _run_tree(opts: SearchOptions, plan) -> SearchOutcome:

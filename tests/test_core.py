@@ -27,6 +27,12 @@ def test_aux_constant(n, expected):
     assert aux_constant(n) == expected
 
 
+@pytest.mark.parametrize("constant", [magic_constant, aux_constant])
+def test_line_sum_constants_reject_order_0(constant):
+    with pytest.raises(ValueError, match="order must be >= 1, got 0"):
+        constant(0)
+
+
 def test_square_accessors():
     sq = Square.from_rows([[1, 2], [3, 4]])
     assert sq.order == 2

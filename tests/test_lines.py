@@ -173,6 +173,12 @@ def test_line_descriptor_rejects_values_outside_its_types(family, shift, cells):
         LineDescriptor(family, shift, cells)
 
 
+def test_family_lines_rejects_an_unknown_family():
+    # A family name is not a LineFamily: no geometry matches it.
+    with pytest.raises(ValueError, match="unknown family: ROW"):
+        family_lines(8, "ROW")
+
+
 def test_odd_order_rejected_for_even_only_families():
     with pytest.raises(ValueError):
         family_lines(5, LineFamily.BENT_DOWN)

@@ -273,6 +273,16 @@ def test_generate_rejects_non_orthogonal_seeds():
         generate(qp, qp)
 
 
+def test_generate_rejects_an_unbalanced_expansion():
+    # Block pair (0, 0, 0, 0) fills column 0 with 0s: its sum is not 28.
+    flat = SeedPattern(Archetype.BLOCK_PAIR, 8, (0, 0, 0, 0))
+    qp, rp = SEEDED_PRESETS["f8_1769"]
+    with pytest.raises(ValueError, match="remainder expansion is not balanced"):
+        generate(qp, flat)
+    with pytest.raises(ValueError, match="quotient expansion is not balanced"):
+        generate(flat, rp)
+
+
 def test_generated_square_decomposes_back_to_the_expansions():
     qp, rp = SEEDED_PRESETS["f16_pandiagonal"]
     result = generate(qp, rp)
@@ -534,10 +544,11 @@ def test_remainder_seed_search_every_result_generates_franklin():
 
 def test_remainder_seed_search_limit():
     quotient = expand_quotient(canonical_row_seed(8), 8)
-    assert (
-        find_remainder_seeds(8, quotient, limit=5)
-        == find_remainder_seeds(8, quotient)[:5]
-    )
+    first5 = find_remainder_seeds(8, quotient, limit=5)
+    assert first5 == find_remainder_seeds(8, quotient)[:5]
+    assert first5 == find_remainder_seeds(8, quotient, limit=5, pruned=False)
+    assert find_remainder_seeds(8, quotient, limit=0) == []
+    assert find_remainder_seeds(8, quotient, limit=-1) == []
 
 
 @pytest.mark.parametrize("n,limit", [(8, 2.5), (8, True), (8.0, None)])

@@ -81,7 +81,7 @@ def test_budget_counts_the_square_its_last_placement_completes():
     )
     assert (edge.count, edge.nodes_visited, edge.exhausted) == (1, 100, False)
     assert edge.witnesses == search_natural_franklin(
-        SearchOptions(order=8, mode=SearchMode.FIRST)
+        SearchOptions(order=8, mode=SearchMode.FIRST, node_budget=200_000)
     ).witnesses
 
 
@@ -167,8 +167,11 @@ def test_options_reject_a_progress_that_is_not_callable(progress):
 
 def test_walk_outcomes_are_pinned():
     # Exact outcomes of the walk: any change to the candidate order, the
-    # pruning or the budget and progress checks moves at least one.
-    first = search_natural_franklin(SearchOptions(order=8, mode=SearchMode.FIRST))
+    # pruning or the budget and progress checks moves at least one. The
+    # budget only bounds a broken walk: FIRST stops at placement 100.
+    first = search_natural_franklin(
+        SearchOptions(order=8, mode=SearchMode.FIRST, node_budget=200_000)
+    )
     assert first.nodes_visited == 100
     digest = hashlib.sha256(square_to_csv(first.witnesses[0]).encode()).hexdigest()
     assert digest == "164b6619bff991ff7e3bc67ff11ab3e5cb412585ac11244c07d71618e6974495"

@@ -124,6 +124,20 @@ def test_check_lines_doubled_comparison():
     assert [a for _, a in cond.failures] == [1, 3]
 
 
+def test_check_lines_rejects_a_line_off_the_grid():
+    # An order-16 row runs past column 7 of an order-8 square.
+    sq = fixtures.load_square("f8_1769")
+    with pytest.raises(ValueError, match="line ROW #0 does not fit order 8"):
+        check_lines(sq, family_lines(16, LineFamily.ROW), 260)
+
+
+def test_report_condition_rejects_an_unknown_name():
+    report = verify(fixtures.load_square("f8_1769"), IndexTargets.natural(8))
+    assert report.condition("rows").condition == "rows"
+    with pytest.raises(KeyError):
+        report.condition("nope")
+
+
 @st.composite
 def natural_or_small_valued_squares(draw):
     """A natural square, or one of small values whose classify target is
