@@ -34,7 +34,9 @@ the required property):
 A path flag is given whenever it appears, even with an empty value: an
 empty path is a file that cannot be written (BAD_FILE), and ``-`` is
 stdout. Two path flags that name the same file are USAGE. A command
-writes all of its files or none of them. main() maps
+writes all of its files or none of them, with one limit: when a write
+fails after every file opened (a full disk), an existing file rewritten
+before it keeps its new bytes. main() maps
 each library ValueError and each MemoryError to PRECONDITION and each
 fixtures.FixtureError to BAD_FILE; a command maps only the faults that
 take another code.
@@ -114,7 +116,7 @@ def _read_square(path: str) -> Square:
     text = _read_text(path)
     looks_json = path.endswith(".json") or text.lstrip().startswith("{")
     try:
-        return parse_square_json(text)[0] if looks_json else parse_square_csv(text)
+        return parse_square_json(text) if looks_json else parse_square_csv(text)
     except FormatError as exc:
         raise _CliError("BAD_FORMAT", f"{path}: {exc}")
 
@@ -125,6 +127,8 @@ def _write_outputs(*outputs: tuple[str, str | None]) -> None:
     Every file is opened for append (no truncation, no need to exist)
     before anything is written, so a path that fails, or two paths that
     name the same file, leave no new file, no changed file and no stdout.
+    A write that fails after that removes the files this call created; an
+    existing file written before it keeps its new bytes.
     """
     files = [(text, path) for text, path in outputs if path not in (None, "-")]
     created = []
@@ -150,7 +154,7 @@ def _write_outputs(*outputs: tuple[str, str | None]) -> None:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise _CliError("BAD_FILE", f"cannot write {path}: {exc}")
+            fail("BAD_FILE", f"cannot write {path}: {exc}")
     for text, path in outputs:
         if path in (None, "-"):
             sys.stdout.write(text)
@@ -303,8 +307,6 @@ def _cmd_generate(args: argparse.Namespace) -> None:
             _write_pair(obj)
             return
         square = obj
-        outcome = classify(square)
-        report, inferred = outcome.report, outcome.target_inferred
     elif missing:
         raise _CliError(
             "USAGE",
@@ -313,15 +315,14 @@ def _cmd_generate(args: argparse.Namespace) -> None:
         )
     else:
         q_arch, r_arch = _parse_archetypes(args.archetypes)
-        q_seed = _parse_seed(args.q_seed, "--q-seed")
-        q_pattern = patterns.SeedPattern(q_arch, args.order, q_seed)
-        r_seed = _parse_seed(args.r_seed, "--r-seed")
-        r_pattern = patterns.SeedPattern(r_arch, args.order, r_seed)
-        result = patterns.generate(q_pattern, r_pattern)
-        square, report, inferred = result.square, result.report, False
+        q = patterns.SeedPattern(q_arch, args.order, _parse_seed(args.q_seed, "--q-seed"))
+        r = patterns.SeedPattern(r_arch, args.order, _parse_seed(args.r_seed, "--r-seed"))
+        square = patterns.generate(q, r).square
     outputs = [(square_to_csv(square), args.out)]
     if args.report is not None:
-        outputs.append((report_to_json(report, inferred) + "\n", args.report))
+        outcome = classify(square)
+        text = report_to_json(outcome.report, outcome.target_inferred)
+        outputs.append((text + "\n", args.report))
     _write_outputs(*outputs)
 
 
@@ -527,7 +528,9 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # The reader closed stdout. Point stdout at devnull so that the
         # flush at interpreter exit cannot fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return _BROKEN_PIPE
     if error is None:
         return 0

@@ -4,7 +4,8 @@ Canonical CSV is one grid row per line, comma-separated decimal integers,
 no header, LF line endings, exactly one trailing newline. Parsing a
 canonical file and emitting it again is byte-identical.
 
-JSON squares are {"order": n, "cells": [row-major ints], "name"?: str}.
+JSON squares are {"order": n, "cells": [row-major ints]}; on input an
+optional "name" must be a string or null, and is ignored.
 Reports serialize a PropertyReport with a schema_version field and a fixed
 key order; failures are already sorted by (family, shift). report_to_json
 writes ``json.dumps(report_to_dict(...), indent=2)`` byte for byte from the
@@ -61,10 +62,14 @@ def square_to_csv(sq: Square) -> str:
     return "".join(",".join(str(v) for v in row) + "\n" for row in sq.cells)
 
 
-def parse_square_json(text: str) -> tuple[Square, str | None]:
+def parse_square_json(text: str) -> Square:
+    """The square in a JSON square's text; an optional "name" must be a
+    string or null, and is not kept."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # ValueError: a JSONDecodeError, or an integer over the digit limit;
+    # RecursionError: arrays nested too deep for the decoder.
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise FormatError("JSON square must be an object")
@@ -76,18 +81,18 @@ def parse_square_json(text: str) -> tuple[Square, str | None]:
         raise FormatError(f"'cells' must hold exactly {order}*{order} values")
     if not all(isinstance(v, int) and not isinstance(v, bool) for v in cells):
         raise FormatError("'cells' values must be integers")
-    rows = [cells[r * order:(r + 1) * order] for r in range(order)]
     name = obj.get("name")
     if name is not None and not isinstance(name, str):
         raise FormatError("'name' must be a string")
-    return Square.from_rows(rows), name
+    return Square.from_rows(cells[r * order:(r + 1) * order] for r in range(order))
 
 
-def square_to_json(sq: Square, name: str | None = None) -> str:
-    obj: dict = {"order": sq.order, "cells": [v for row in sq.cells for v in row]}
-    if name is not None:
-        obj["name"] = name
-    return json.dumps(obj)
+def _square_dict(sq: Square) -> dict:
+    return {"order": sq.order, "cells": [v for row in sq.cells for v in row]}
+
+
+def square_to_json(sq: Square) -> str:
+    return json.dumps(_square_dict(sq))
 
 
 def _condition_to_dict(result: ConditionResult) -> dict:
@@ -201,8 +206,5 @@ def outcome_to_dict(
         "nodes_visited": outcome.nodes_visited,
     }
     if include_witnesses:
-        obj["witnesses"] = [
-            {"order": w.order, "cells": [v for row in w.cells for v in row]}
-            for w in outcome.witnesses
-        ]
+        obj["witnesses"] = [_square_dict(w) for w in outcome.witnesses]
     return obj

@@ -60,7 +60,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from itertools import filterfalse
 from operator import itemgetter
 
 from .core import IndexTargets, Square, _require, magic_constant
@@ -251,7 +250,7 @@ def _value_order(n: int, column: bool, seen: int, want: int) -> tuple[int, ...]:
     return tuple(sorted(range(1, n * n + 1), key=penalty))
 
 
-def _candidate_order(grid: list[int], used: list[bool], i: int, n: int) -> list[int]:
+def _candidate_order(grid: list[int], i: int, n: int) -> tuple[int, ...]:
     # Free cells sit in row 0 and column 0 (everything else is closed
     # by a completing line). Candidates are tried structured-first:
     # split v-1 into (block, offset) base n, the quotient and remainder
@@ -261,9 +260,9 @@ def _candidate_order(grid: list[int], used: list[bool], i: int, n: int) -> list[
     # row 0 with block and offset swapped. Preferring such candidates
     # finds a witness early; the order stays exhaustive, so nothing is
     # ever skipped. A cell below row 0 (an interior one too, in the
-    # unpruned walk) reads column 0 above it. The full order depends
-    # only on the majors seen and one wanted minor, so _value_order
-    # caches it per those, and the used values are filtered out here.
+    # unpruned walk) reads column 0 above it. The order lists every
+    # value and depends only on the majors seen and one wanted minor, so
+    # _value_order caches it per those; the walk skips used values.
     r, c = divmod(i, n)
     column = r > 0
     seen = 0
@@ -275,7 +274,7 @@ def _candidate_order(grid: list[int], used: list[bool], i: int, n: int) -> list[
         want = (grid[i - c - 2 * n] - 1) // n
     else:
         want = n - 1 - (grid[0] - 1) // n
-    return list(filterfalse(used.__getitem__, _value_order(n, column, seen, want)))
+    return _value_order(n, column, seen, want)
 
 
 def _run_tree(opts: SearchOptions, plan) -> SearchOutcome:
@@ -348,7 +347,9 @@ def _run_tree(opts: SearchOptions, plan) -> SearchOutcome:
         if run:
             first = base[i + 1]
             coef = coef_at[i + 1]
-        for x in _candidate_order(grid, used, i, n):
+        for x in _candidate_order(grid, i, n):
+            if used[x]:
+                continue
             if run:
                 v = first + coef * x
                 if not 0 < v <= n2 or used[v] or v == x:

@@ -155,6 +155,37 @@ def test_verify_rejects_boolean_json_order(capsys, monkeypatch):
     assert "code=BAD_FORMAT" in err
     assert ERROR_LINE.match(err)
 
+
+# Past the JSON decoder's limits: a cell of more digits than int() takes
+# (4300 by default) and arrays nested deeper than the recursion limit.
+OVERSIZED_JSON = {
+    "5000-digit cell": '{"order": 1, "cells": [' + "9" * 5000 + "]}",
+    "100000-deep cells": '{"order": 1, "cells": ' + "[" * 100_000 + "]" * 100_000 + "}",
+}
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize("payload", list(OVERSIZED_JSON))
+def test_json_past_the_decoder_limits_is_bad_format(
+    capsys, monkeypatch, tmp_path, payload, source
+):
+    import io
+
+    digit_limit = getattr(sys, "get_int_max_str_digits", int)()
+    if payload == "5000-digit cell" and not 0 < digit_limit < 5000:
+        pytest.skip("int() takes 5000 digits here")
+    text = OVERSIZED_JSON[payload]
+    path = tmp_path / "sq.json"
+    path.write_text(text)
+    if source == "stdin":
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
+        path = "-"
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: code=BAD_FORMAT {path}: invalid JSON: ")
+    assert ERROR_LINE.match(err)
+
+
 def test_verify_json_input(capsys, tmp_path):
     grid = tmp_path / "sq.json"
     grid.write_text('{"order": 2, "cells": [5, 4, 4, 5]}')
@@ -1168,6 +1199,26 @@ def test_two_file_command_writes_both_or_neither(capsys, tmp_path, argv, existed
         assert first.read_text() == "old bytes\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("existed", [False, True])
+def test_write_that_fails_removes_the_files_it_created(capsys, tmp_path, existed):
+    # Both files open; the report's write then fails on a full device.
+    square = tmp_path / "out.csv"
+    if existed:
+        square.write_text("old bytes\n")
+    argv = ("generate", "--preset", "f8_1769", "--out", str(square), "--report", "/dev/full")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: code=BAD_FILE cannot write /dev/full: [Errno 28] No space left on device\n"
+    )
+    if existed:
+        # Rewritten before the failing write, so it keeps its new bytes.
+        assert square.read_text() == (fixtures._BUNDLED_DIR / "f8_1769.csv").read_text()
+    else:
+        assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("existed", [False, True])
 @pytest.mark.parametrize(
     "argv",
@@ -1336,3 +1387,16 @@ def test_closed_stdout_exits_141_quietly(argv):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (141, "")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+def test_closed_stdout_in_process_leaks_no_descriptor(capsys):
+    from unittest import mock
+
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as stdout, mock.patch.object(sys, "stdout", stdout):
+        open_fds = len(os.listdir("/proc/self/fd"))
+        code = main(["verify", bundled("f40.csv"), "--json"])
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+    assert (code, capsys.readouterr().err) == (141, "")

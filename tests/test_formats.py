@@ -68,13 +68,13 @@ def test_csv_error_reports_line_number():
 
 def test_json_square_roundtrip():
     sq = Square.from_rows([[4, 1], [1, 4]])
-    text = square_to_json(sq, name="demo")
-    back, name = parse_square_json(text)
-    assert back.cells == sq.cells
-    assert name == "demo"
-    back2, name2 = parse_square_json(square_to_json(sq))
-    assert back2.cells == sq.cells
-    assert name2 is None
+    text = square_to_json(sq)
+    assert json.loads(text) == {"order": 2, "cells": [4, 1, 1, 4]}
+    assert parse_square_json(text) == sq
+    # An input name, a string or null, is accepted and not kept.
+    for name in ("demo", None):
+        named = json.dumps({"order": 2, "cells": [4, 1, 1, 4], "name": name})
+        assert parse_square_json(named) == sq
 
 
 MALFORMED_JSON = {
