@@ -19,24 +19,28 @@ the required property):
 
     1  REQUIRE_FAILED     a --require property does not hold
     2  USAGE              bad or conflicting flags and flag values
-       BAD_FILE           a file cannot be read or written, or a fixture
-                          file is missing, corrupted, does not parse or
-                          does not hold its registered grid
+       BAD_FILE           a file cannot be read or written, stdin is
+                          closed (``<&-``), or a fixture file is missing,
+                          corrupted, does not parse or does not hold its
+                          registered grid
        BAD_FORMAT         a square file is not UTF-8, or not valid CSV or JSON
     3  PRECONDITION       wrong order, out-of-range values, odd search order,
                           an input too large to hold in memory
        UNKNOWN_NAME       unknown preset, fixture or archetype name
        LONG_RUN_REQUIRED  an unbudgeted search at order >= 8 without
-                          --long-run, but for FIRST at order 8
+                          --long-run, but for FIRST at order 8 and for an
+                          order whose line table admits no square
   141                     stdout was closed before all output was written
-                          (``| head``); nothing is printed to stderr
+                          (``| head``) or from the start (``>&-``); nothing
+                          is printed to stderr
 
 A path flag is given whenever it appears, even with an empty value: an
 empty path is a file that cannot be written (BAD_FILE), and ``-`` is
 stdout. Two path flags that name the same file are USAGE. A command
 writes all of its files or none of them, with one limit: when a write
 fails after every file opened (a full disk), an existing file rewritten
-before it keeps its new bytes. main() maps
+before it keeps its new bytes. With stderr closed (``2>&-``) an error
+gives its exit status alone. main() maps
 each library ValueError and each MemoryError to PRECONDITION and each
 fixtures.FixtureError to BAD_FILE; a command maps only the faults that
 take another code.
@@ -52,7 +56,7 @@ import sys
 
 from . import fixtures, patterns
 from .composition import compose, decompose
-from .core import AuxPair, IndexTargets, Square
+from .core import AuxPair, IndexTargets, Square, magic_constant
 from .formats import (
     FormatError,
     outcome_to_dict,
@@ -62,7 +66,8 @@ from .formats import (
     square_to_csv,
     square_to_json,
 )
-from .search import SearchMode, SearchOptions, _plan, search_natural_franklin
+from .lines import franklin_checks
+from .search import SearchMode, SearchOptions, search_natural_franklin
 from .verify import LABELS, PropertyReport, classify, verify
 
 _EXIT = {
@@ -100,6 +105,8 @@ def _read_text(path: str) -> str:
     """Read a file, or stdin for '-', as strict UTF-8 with any newlines."""
     try:
         if path == "-":
+            if sys.stdin is None:  # the process started with stdin closed
+                raise OSError("stdin is closed")
             data = sys.stdin.buffer.read()
         else:
             with open(path, "rb") as fh:
@@ -119,6 +126,14 @@ def _read_square(path: str) -> Square:
         return parse_square_json(text) if looks_json else parse_square_csv(text)
     except FormatError as exc:
         raise _CliError("BAD_FORMAT", f"{path}: {exc}")
+
+
+def _out(text: str) -> None:
+    """Write text to stdout. A process started with stdout closed has
+    none, and a write fails as one to a pipe whose reader has closed."""
+    if sys.stdout is None:
+        raise BrokenPipeError("stdout is closed")
+    sys.stdout.write(text)
 
 
 def _write_outputs(*outputs: tuple[str, str | None]) -> None:
@@ -157,12 +172,12 @@ def _write_outputs(*outputs: tuple[str, str | None]) -> None:
             fail("BAD_FILE", f"cannot write {path}: {exc}")
     for text, path in outputs:
         if path in (None, "-"):
-            sys.stdout.write(text)
+            _out(text)
 
 
 def _write_pair(pair: AuxPair) -> None:
-    sys.stdout.write(square_to_csv(pair.quotient) + "\n")
-    sys.stdout.write(square_to_csv(pair.remainder))
+    _out(square_to_csv(pair.quotient) + "\n")
+    _out(square_to_csv(pair.remainder))
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +228,9 @@ def _cmd_verify(args: argparse.Namespace) -> None:
         report = verify(sq, _parse_target(args.target, sq.order))
         inferred = False
     if args.json:
-        sys.stdout.write(report_to_json(report, target_inferred=inferred) + "\n")
+        _out(report_to_json(report, target_inferred=inferred) + "\n")
     else:
-        sys.stdout.write(_summary(report, inferred))
+        _out(_summary(report, inferred))
     if args.require and args.require not in report.labels:
         raise _CliError(
             "REQUIRE_FAILED",
@@ -345,18 +360,18 @@ def _cmd_search(args: argparse.Namespace) -> None:
     mode = SearchMode(args.mode)
     n = args.order
     # An unbudgeted walk at order >= 8 can run for a very long time; make
-    # the caller acknowledge that.  Budgeted runs and orders with no walk
-    # plan (no square can exist; a plan built here is the one the run
-    # walks) need no flag, and neither does FIRST at order 8, whose
-    # witness comes at placement 100.  At orders 12 and 16 FIRST finds no
-    # witness in its first 200k placements and may walk the whole tree,
-    # so larger orders are gated.
+    # the caller acknowledge that.  Budgeted runs and orders whose line
+    # table says no square can exist (the walk then has no plan and
+    # places nothing) need no flag, and neither does FIRST at order 8,
+    # whose witness comes at placement 100.  At orders 12 and 16 FIRST
+    # finds no witness in its first 200k placements and may walk the
+    # whole tree, so larger orders are gated.
     if (
         args.budget is None
         and n >= 8
         and (mode is not SearchMode.FIRST or n > 8)
         and not args.long_run
-        and _plan(n, not args.no_prune) is not None
+        and franklin_checks(n, magic_constant(n)) is not None
     ):
         raise _CliError(
             "LONG_RUN_REQUIRED",
@@ -367,11 +382,11 @@ def _cmd_search(args: argparse.Namespace) -> None:
     outcome = search_natural_franklin(opts)
     if mode is SearchMode.STREAM:
         for witness in outcome.witnesses:
-            sys.stdout.write(square_to_json(witness) + "\n")
+            _out(square_to_json(witness) + "\n")
         summary = outcome_to_dict(outcome, include_witnesses=False)
-        sys.stdout.write(json.dumps(summary) + "\n")
+        _out(json.dumps(summary) + "\n")
     else:
-        sys.stdout.write(json.dumps(outcome_to_dict(outcome), indent=2) + "\n")
+        _out(json.dumps(outcome_to_dict(outcome), indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +398,7 @@ def _cmd_fixtures(args: argparse.Namespace) -> None:
         for name in fixtures.names():
             e = fixtures.entry(name)
             claims = ", ".join(e.claims)
-            sys.stdout.write(
+            _out(
                 f"{e.name:<24} {e.kind.value:<8} order {e.order:>2}  {claims}\n"
             )
         return
@@ -407,11 +422,11 @@ def _cmd_fixtures(args: argparse.Namespace) -> None:
         rows = ", ".join(str(r) for r in e.reconstructed_quotient_rows)
         out.append(f"reconstructed_quotient_rows: {rows}")
     out.append(f"files: {', '.join(e.files)}")
-    sys.stdout.write("\n".join(out) + "\n\n")
+    _out("\n".join(out) + "\n\n")
     if isinstance(obj, AuxPair):
         _write_pair(obj)
     else:
-        sys.stdout.write(square_to_csv(obj))
+        _out(square_to_csv(obj))
 
 
 # ---------------------------------------------------------------------------
@@ -524,18 +539,23 @@ def main(argv: list[str] | None = None) -> int:
             # at once, in the first table sized n*n.
             error = _CliError("PRECONDITION", "input too large: out of memory")
         # Before any error line, so a closed stdout always exits alike.
-        sys.stdout.flush()
+        if sys.stdout is not None:
+            sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed stdout. Point stdout at devnull so that the
         # flush at interpreter exit cannot fail again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        if sys.stdout is not None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return _BROKEN_PIPE
     if error is None:
         return 0
     code, detail = error.args
-    sys.stderr.write(f"error: code={code} {detail}\n")
+    try:
+        sys.stderr.write(f"error: code={code} {detail}\n")
+    except (AttributeError, OSError):  # stderr is closed: the status alone
+        pass
     return _EXIT[code]
 
 

@@ -138,10 +138,9 @@ expand_four_row_cycle = partial(_expand, Archetype.FOUR_ROW_CYCLE)
 
 @dataclass(frozen=True)
 class GeneratedSquare:
-    """A composed square together with its auxiliary pair and report."""
+    """A composed square together with its report."""
 
     square: Square
-    pair: AuxPair
     report: PropertyReport
 
 
@@ -167,7 +166,7 @@ def generate(qseed: SeedPattern, rseed: SeedPattern) -> GeneratedSquare:
         raise ValueError("seed expansions are not orthogonal")
     square = compose(pair)
     report = verify(square, IndexTargets.natural(qseed.order))
-    return GeneratedSquare(square=square, pair=pair, report=report)
+    return GeneratedSquare(square=square, report=report)
 
 
 _PRESET_SEEDS: dict[str, tuple[SeedPattern, SeedPattern]] = {
@@ -236,7 +235,7 @@ def _leaf_passes(seed, rows, checks) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _leaf_checks(n: int) -> tuple[tuple[tuple[int, ...], int], ...] | None:
+def _leaf_checks(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """The Franklin lines of a column-alternate expansion as linear forms in
     its seed, less those the pruned seed walk meets by construction: each
     (coef, t) holds when sum(coef[r] * seed[r]) == t, and a seed of the
@@ -257,9 +256,9 @@ def _leaf_checks(n: int) -> tuple[tuple[tuple[int, ...], int], ...] | None:
     each line's form, in report order, that the forms before it do not
     imply: the bent form alone.
 
-    None when the lines cannot all hold beside those two sums, as when a
-    line whose sum does not depend on the seed misses its target: then
-    no seed passes.
+    A line whose form reduces to its constant alone, as a seed-free line
+    off its target would, is kept like any other form: it fails every
+    seed, so no seed passes. No order divisible by 4 has one.
     """
     rows = expand_remainder(range(n), n).cells
     base = rows[0]
@@ -276,8 +275,6 @@ def _leaf_checks(n: int) -> tuple[tuple[tuple[int, ...], int], ...] | None:
             coef[r] += sign[c]
             target -= base[c]
         if independent(basis, [*coef, -target]):
-            if basis[-1][0] == n:  # only the constant is left
-                return None
             forms.append((tuple(coef), target))
     return tuple(forms)
 
@@ -322,7 +319,8 @@ def find_remainder_seeds(
     expanded grid from the line table, with no shortcuts. It is only
     tractable for small orders and exists as a cross-check: the pruned
     search checks the linear forms of _leaf_checks instead, so the two
-    agreeing checks that algebra against lines.table. Both take their
+    agreeing checks that algebra against lines.table; lines that cannot
+    all hold fail every seed at either leaf. Both take their
     orthogonality masks from _remainder_masks.
 
     Seed value v puts v and n-1-v alternately across its row, so a
@@ -345,10 +343,7 @@ def find_remainder_seeds(
         rows = expand_remainder(range(n), n).cells
         checks = franklin_checks(n, aux_constant(n))
         return _seed_search_unpruned(n, masks, rows, limit, checks)
-    checks = _leaf_checks(n)
-    if checks is None:
-        return []
-    return _seed_search_pruned(n, masks, limit, checks)
+    return _seed_search_pruned(n, masks, limit, _leaf_checks(n))
 
 
 def _seed_search_unpruned(n, masks, rows, limit, checks):

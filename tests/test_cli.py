@@ -12,7 +12,12 @@ import pytest
 from franklin_squares import classify, fixtures
 from franklin_squares.cli import main
 from franklin_squares.formats import outcome_to_dict, report_to_dict, square_to_json
-from franklin_squares.search import SearchMode, SearchOptions, search_natural_franklin
+from franklin_squares.search import (
+    SearchMode,
+    SearchOptions,
+    _plan,
+    search_natural_franklin,
+)
 
 ERROR_LINE = re.compile(r"^error: code=[A-Z_]+ .+\n$")
 
@@ -1034,6 +1039,16 @@ def test_search_budget_skips_long_run_gate(capsys):
     assert out == "\n".join(want) + "\n"
 
 
+def test_refused_search_builds_no_walk_plan(capsys):
+    # The gate asks the line table whether a square can exist; the walk
+    # plan is built only by a run that goes ahead.
+    _plan.cache_clear()
+    code, out, err = run(capsys, "search", "--order", "40")
+    assert (code, out) == (3, "")
+    assert "code=LONG_RUN_REQUIRED" in err
+    assert _plan.cache_info().currsize == 0
+
+
 def test_search_order_6_runs_without_flag(capsys):
     code, out, _ = run(capsys, "search", "--order", "6", "--mode", "count")
     assert code == 0
@@ -1400,3 +1415,104 @@ def test_closed_stdout_in_process_leaks_no_descriptor(capsys):
         code = main(["verify", bundled("f40.csv"), "--json"])
         assert len(os.listdir("/proc/self/fd")) == open_fds
     assert (code, capsys.readouterr().err) == (141, "")
+
+
+# Commands run with stdout closed: (argv, status). A command with output
+# fails as on a pipe whose reader has closed; one with nothing for stdout
+# succeeds and writes its files.
+CLOSED_STDOUT_RUNS = [
+    (["fixtures", "list"], 141),
+    (["verify", "f8_1769.csv"], 141),
+    (["search", "--order", "4"], 141),
+    (["generate", "--preset", "f8_1769", "--out", "{tmp}/x.csv"], 0),
+    (["generate", "--preset", "f8_1769", "--out", "{tmp}/x.csv", "--report", "-"], 141),
+    (["decompose", "f8_1769.csv", "--out-q", "{tmp}/q.csv", "--out-r", "-"], 141),
+]
+
+
+def _files_after(tmp, argv, stdout):
+    """main's status and stderr with stdout as given, and the files it
+    leaves in the new directory tmp."""
+    from contextlib import redirect_stderr
+    from io import StringIO
+    from unittest import mock
+
+    tmp.mkdir()
+    argv = [bundled(a) if a.endswith("1769.csv") else a.format(tmp=tmp) for a in argv]
+    err = StringIO()
+    with mock.patch.object(sys, "stdout", stdout), redirect_stderr(err):
+        code = main(argv)
+    files = {p.name: p.read_bytes() for p in tmp.iterdir()}
+    return code, err.getvalue(), files
+
+
+@pytest.mark.parametrize(
+    "argv, status", CLOSED_STDOUT_RUNS, ids=[" ".join(a) for a, _ in CLOSED_STDOUT_RUNS]
+)
+def test_closed_stdout_in_process_writes_what_a_closed_pipe_does(
+    tmp_path, argv, status
+):
+    closed = _files_after(tmp_path / "closed", argv, None)
+    assert closed[:2] == (status, "")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as pipe:
+        assert _files_after(tmp_path / "pipe", argv, pipe) == closed
+    if "--out" in argv:
+        want = (fixtures._BUNDLED_DIR / "f8_1769.csv").read_bytes()
+        assert closed[2]["x.csv"] == want
+
+
+def test_closed_stdin_in_process_is_bad_file(capsys):
+    from unittest import mock
+
+    with mock.patch.object(sys, "stdin", None):
+        code, out, err = run(capsys, "verify", "-")
+    assert (code, out) == (2, "")
+    assert err == "error: code=BAD_FILE cannot read -: stdin is closed\n"
+
+
+class _UnwritableStream:
+    """A stream on a descriptor opened for reading only."""
+
+    def write(self, text):
+        raise OSError(9, "Bad file descriptor")
+
+
+@pytest.mark.parametrize("stderr", [None, _UnwritableStream()], ids=["none", "unwritable"])
+def test_closed_stderr_in_process_keeps_the_exit_status(capsys, stderr):
+    from unittest import mock
+
+    with mock.patch.object(sys, "stderr", stderr):
+        code, out, _ = run(capsys, "verify", "/nonexistent/grid.csv")
+    assert (code, out) == (2, "")
+
+
+@pytest.mark.parametrize(
+    "redirect, argv, status, err",
+    [
+        ("<&-", ["verify", "-"], 2, "error: code=BAD_FILE cannot read -: stdin is closed\n"),
+        (">&-", ["fixtures", "list"], 141, ""),
+        (">&-", ["generate", "--preset", "f8_1769", "--out", "x.csv"], 0, ""),
+        ("2>&-", ["verify", "/nonexistent/grid.csv"], 2, None),
+    ],
+    ids=["stdin", "stdout", "stdout-with-files", "stderr"],
+)
+def test_closed_descriptor_in_a_subprocess(tmp_path, redirect, argv, status, err):
+    # The shell closes the descriptor in the child before the interpreter
+    # starts, so the interpreter has no stream for it.
+    src = str(Path(fixtures.__file__).parents[1])
+    proc = subprocess.run(
+        ["sh", "-c", f'exec "$@" {redirect}', "sh",
+         sys.executable, "-m", "franklin_squares.cli", *argv],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == status
+    if err is not None:
+        assert proc.stderr == err
+    if "--out" in argv:
+        want = (fixtures._BUNDLED_DIR / "f8_1769.csv").read_bytes()
+        assert (tmp_path / "x.csv").read_bytes() == want

@@ -147,7 +147,8 @@ def _files(root: Path) -> dict:
 
 
 def _run(argv, inputs, stdin_slot, no_fixtures):
-    """Run main in a fresh directory, with {in<stdin_slot>} read from stdin.
+    """Run main in a fresh directory, with {in<stdin_slot>} read from stdin,
+    or with stdin closed when stdin_slot is None.
 
     Returns (status, stdout, stderr, the directory's files afterwards),
     with the directory's path in stderr written as {tmp} and the input
@@ -163,7 +164,7 @@ def _run(argv, inputs, stdin_slot, no_fixtures):
             paths[f"in{k}"].write_bytes(data)
         names = {key: ("-" if key == stdin_slot else str(p)) for key, p in paths.items()}
         args = [a.format(tmp=tmp, **names) for a in argv]
-        stdin = io.TextIOWrapper(io.BytesIO(inputs[0] if stdin_slot else b""))
+        stdin = io.TextIOWrapper(io.BytesIO(inputs[0])) if stdin_slot else None
         env = {fixtures.ENV_VAR: str(root / "fixtures")} if no_fixtures else {}
         before = _files(root)
         out, err = io.StringIO(), io.StringIO()
@@ -220,6 +221,8 @@ def _run(argv, inputs, stdin_slot, no_fixtures):
      (b"", b"")),
     False,
 )
+# '-' names stdin, and stdin is closed.
+@example((["verify", "-"], (b"", b"")), False)
 def test_cli_contract_on_generated_commands(command, no_fixtures):
     argv, inputs = command
     from_file = _run(argv, inputs, None, no_fixtures)

@@ -15,6 +15,7 @@ from franklin_squares import (
     Square,
     aux_constant,
     canonical_row_seed,
+    compose,
     decompose,
     find_remainder_seeds,
     generate,
@@ -251,11 +252,10 @@ def test_generate_attaches_verified_report():
     assert result.report.franklin
     assert result.report.natural
     assert result.square.cells == fixtures.load_square("f8_1769").cells
-    assert result.pair.quotient.cells == qp.expand().cells
-    # The expansion made when the pattern was built is the one composed;
-    # the cached square takes no part in equality or hashing.
-    assert result.pair.quotient is qp.expand()
-    assert result.pair.remainder is rp.expand()
+    # The square composes the two expansions, each built once when its
+    # pattern was; the cached square takes no part in equality or hashing.
+    assert result.square == compose(AuxPair(qp.expand(), rp.expand()))
+    assert qp.expand() is qp.expand()
     twin = SeedPattern(qp.archetype, qp.order, list(qp.seed))
     assert twin == qp and hash(twin) == hash(qp)
 
@@ -382,8 +382,13 @@ def test_a_seed_free_line_that_misses_admits_no_seed(monkeypatch):
     monkeypatch.setattr(patterns, "franklin_checks", lambda n, m: missed)
     _leaf_checks.cache_clear()
     try:
-        assert _leaf_checks(n) is None
-        assert find_remainder_seeds(n, expand_quotient(canonical_row_seed(n), n)) == []
+        # The row's form is left with its constant alone: kept, it fails
+        # every seed.
+        _whole, bent, _upper, _lower = _statement_forms(n)
+        assert _leaf_checks(n) == (bent, ((0,) * n, 1))
+        quotient = expand_quotient(canonical_row_seed(n), n)
+        assert find_remainder_seeds(n, quotient) == []
+        assert find_remainder_seeds(n, quotient, pruned=False) == []
     finally:
         _leaf_checks.cache_clear()
 
@@ -400,11 +405,7 @@ def _leaf_verdicts(seed):
     read the forms."""
     n = len(seed)
     checks = _leaf_checks(n)
-    by_forms = (
-        checks is not None
-        and _meets(seed, checks)
-        and sum(seed[: n // 2]) == n * (n - 1) // 4
-    )
+    by_forms = _meets(seed, checks) and sum(seed[: n // 2]) == n * (n - 1) // 4
     report = verify(expand_remainder(seed, n), IndexTargets.balanced(n))
     return by_forms, report.franklin
 
