@@ -96,6 +96,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _CliError("USAGE", message)
 
+    def print_help(self, file=None) -> None:
+        # Help is output like any other: with stdout closed or its reader
+        # gone, main() exits 141 with nothing on stderr. argparse would
+        # write it to stderr when there is no stdout.
+        _out(self.format_help())
+        sys.stdout.flush()
+
 
 # ---------------------------------------------------------------------------
 # file I/O

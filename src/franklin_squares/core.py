@@ -13,8 +13,10 @@ their own 1-based formatting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
+
+# Stores a field past the frozen __setattr__, as each __init__ does.
+_set = object.__setattr__
 
 
 def _require(name: str, value, kind: type = int):
@@ -22,6 +24,45 @@ def _require(name: str, value, kind: type = int):
     if isinstance(value, kind) and not (kind is int and isinstance(value, bool)):
         return value
     raise ValueError(f"{name} must be {kind.__name__}, got {value!r}")
+
+
+class _Value:
+    """Base of the immutable value types.
+
+    Each subclass lists its fields, in signature order, in __match_args__
+    and stores them in __init__ with _set. repr shows them as a dataclass
+    does; == holds between instances of one class whose fields compare
+    equal, and hash is the hash of the fields' tuple. Assigning or
+    deleting an attribute raises AttributeError. These are plain classes
+    rather than dataclasses because importing dataclasses and building
+    each class by exec is a large share of the CLI's start-up time.
+    """
+
+    __match_args__: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        """The values == and hash compare."""
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__match_args__
+        )
+        return f"{type(self).__qualname__}({fields})"
 
 
 def magic_constant(n: int) -> int:
@@ -38,17 +79,17 @@ def aux_constant(n: int) -> int:
     return n * (n - 1) // 2
 
 
-@dataclass(frozen=True)
-class Square:
+class Square(_Value):
     """Immutable order-n grid, row-major, indexed cells[r][c]."""
 
+    __match_args__ = ("cells",)
     cells: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        n = len(self.cells)
+    def __init__(self, cells: tuple[tuple[int, ...], ...]) -> None:
+        n = len(cells)
         if n < 1:
             raise ValueError("square must have at least one row")
-        for row in self.cells:
+        for row in cells:
             if len(row) != n:
                 raise ValueError(
                     f"ragged square: expected {n} columns, got {len(row)}"
@@ -56,6 +97,7 @@ class Square:
             for v in row:
                 if type(v) is not int:
                     _require("cell value", v)
+        _set(self, "cells", cells)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]]) -> "Square":
@@ -69,34 +111,35 @@ class Square:
         return [list(row) for row in self.cells]
 
 
-@dataclass(frozen=True)
-class AuxPair:
+class AuxPair(_Value):
     """A quotient/remainder pair of equal order with values in 0..n-1."""
 
+    __match_args__ = ("quotient", "remainder")
     quotient: Square
     remainder: Square
 
-    def __post_init__(self) -> None:
-        n = self.quotient.order
-        if self.remainder.order != n:
+    def __init__(self, quotient: Square, remainder: Square) -> None:
+        n = quotient.order
+        if remainder.order != n:
             raise ValueError(
-                f"order mismatch: quotient {n}, remainder {self.remainder.order}"
+                f"order mismatch: quotient {n}, remainder {remainder.order}"
             )
-        for name, sq in (("quotient", self.quotient), ("remainder", self.remainder)):
+        for name, sq in (("quotient", quotient), ("remainder", remainder)):
             for row in sq.cells:
                 for v in row:
                     if not 0 <= v < n:
                         raise ValueError(
                             f"{name} value {v} outside 0..{n - 1}"
                         )
+        _set(self, "quotient", quotient)
+        _set(self, "remainder", remainder)
 
     @property
     def order(self) -> int:
         return self.quotient.order
 
 
-@dataclass(frozen=True)
-class IndexTargets:
+class IndexTargets(_Value):
     """A line-sum target m for one order, both ints (a bool is not).
 
     The half-line and subsquare conditions compare 2*sum == m and
@@ -104,13 +147,15 @@ class IndexTargets:
     integer arithmetic.
     """
 
+    __match_args__ = ("order", "line_sum")
     order: int
     line_sum: int
 
-    def __post_init__(self) -> None:
-        if _require("order", self.order) < 1:
-            raise ValueError(f"order must be >= 1, got {self.order}")
-        _require("line_sum", self.line_sum)
+    def __init__(self, order: int, line_sum: int) -> None:
+        if _require("order", order) < 1:
+            raise ValueError(f"order must be >= 1, got {order}")
+        _set(self, "order", order)
+        _set(self, "line_sum", _require("line_sum", line_sum))
 
     @classmethod
     def natural(cls, n: int) -> "IndexTargets":

@@ -16,13 +16,11 @@ checks them at any root).
 
 from __future__ import annotations
 
-import hashlib
 import os
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .core import AuxPair, Square
+from .core import AuxPair, Square, _set, _Value
 from .formats import parse_square_csv
 
 ENV_VAR = "FRANKLIN_SQUARES_FIXTURES"
@@ -40,8 +38,7 @@ class FixtureError(Exception):
     corrupted, does not parse or does not hold its registered grid."""
 
 
-@dataclass(frozen=True)
-class FixtureEntry:
+class FixtureEntry(_Value):
     """Registry row: where a grid comes from and what is known about it.
 
     ``files`` maps each CSV name to the SHA-256 of its canonical bytes,
@@ -56,14 +53,44 @@ class FixtureEntry:
     periodic row pattern.
     """
 
+    __match_args__ = (
+        "name",
+        "order",
+        "provenance",
+        "files",
+        "claims",
+        "claims_known_false",
+        "notes",
+        "reconstructed_quotient_rows",
+    )
     name: str
     order: int
     provenance: str
     files: dict[str, str]
     claims: tuple[str, ...]
-    claims_known_false: tuple[str, ...] = ()
-    notes: str = ""
-    reconstructed_quotient_rows: tuple[int, ...] = ()
+    claims_known_false: tuple[str, ...]
+    notes: str
+    reconstructed_quotient_rows: tuple[int, ...]
+
+    def __init__(
+        self,
+        name: str,
+        order: int,
+        provenance: str,
+        files: dict[str, str],
+        claims: tuple[str, ...],
+        claims_known_false: tuple[str, ...] = (),
+        notes: str = "",
+        reconstructed_quotient_rows: tuple[int, ...] = (),
+    ) -> None:
+        _set(self, "name", name)
+        _set(self, "order", order)
+        _set(self, "provenance", provenance)
+        _set(self, "files", files)
+        _set(self, "claims", claims)
+        _set(self, "claims_known_false", claims_known_false)
+        _set(self, "notes", notes)
+        _set(self, "reconstructed_quotient_rows", reconstructed_quotient_rows)
 
     @property
     def kind(self) -> FixtureKind:
@@ -389,6 +416,11 @@ def _read_grid(filename: str, order: int, root: Path, digest: str | None) -> Squ
     except OSError as exc:
         raise FixtureError(f"cannot read fixture file {path}: {exc}") from None
     if digest is not None:
+        # Imported here: loading hashlib (and OpenSSL) would lengthen every
+        # CLI command's start-up, and only reads of bundled files check a
+        # digest.
+        import hashlib
+
         actual = hashlib.sha256(data).hexdigest()
         if actual != digest:
             raise FixtureError(

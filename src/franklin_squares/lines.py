@@ -39,12 +39,11 @@ the table.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from math import gcd
 
-from .core import _require
+from .core import _require, _set, _Value
 
 
 class LineFamily(Enum):
@@ -80,31 +79,35 @@ HALF_LINE_FAMILIES = (
 )
 
 
-@dataclass(frozen=True)
-class LineDescriptor:
+class LineDescriptor(_Value):
     """One concrete line: its family, its shift within the family and its
     cells, frozen into (row, column) tuples so that it hashes. Anything but
     a LineFamily, an int shift and a sequence of distinct int pairs raises
     ValueError."""
 
+    __match_args__ = ("family", "shift", "cells")
     family: LineFamily
     shift: int
     cells: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        _require("family", self.family, LineFamily)
-        _require("shift", self.shift)
+    def __init__(
+        self, family: LineFamily, shift: int, cells: Sequence[Sequence[int]]
+    ) -> None:
+        _require("family", family, LineFamily)
+        _require("shift", shift)
         cells = tuple(
             cell if type(cell) is tuple else tuple(_require("cell", cell, Sequence))
-            for cell in _require("cells", self.cells, Sequence)
+            for cell in _require("cells", cells, Sequence)
         )
         for r, c in cells:  # a cell that is not a pair fails to unpack
             if type(r) is not int or type(c) is not int:
                 _require("row", r)
                 _require("column", c)
         if len(set(cells)) != len(cells):
-            raise ValueError(f"duplicate cells in line {self.family} #{self.shift}")
-        object.__setattr__(self, "cells", cells)
+            raise ValueError(f"duplicate cells in line {family} #{shift}")
+        _set(self, "family", family)
+        _set(self, "shift", shift)
+        _set(self, "cells", cells)
 
 
 def _geometry(n: int, family: LineFamily) -> list[list[tuple[int, int]]]:
@@ -163,8 +166,7 @@ def family_lines(n: int, family: LineFamily) -> tuple[LineDescriptor, ...]:
     return tuple(LineDescriptor(family, shift, cells) for shift, cells in geometry)
 
 
-@dataclass(frozen=True, eq=False)
-class Condition:
+class Condition(_Value):
     """One report section at one order: its lines and its target rule.
 
     ``lines`` holds (family, shift, flat cell indexes) in (family, shift)
@@ -181,16 +183,33 @@ class Condition:
     table(n) holds one per section, and verify keys shared results by it.
     """
 
+    __match_args__ = ("name", "lines", "scale", "mult", "doubled", "franklin")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
     name: str
     lines: tuple[tuple[LineFamily, int, tuple[int, ...]], ...]
-    scale: int = 1
-    mult: int = 1
-    doubled: bool = False
-    franklin: bool = False
-    _descriptors: list[LineDescriptor | None] = field(init=False, repr=False)
+    scale: int
+    mult: int
+    doubled: bool
+    franklin: bool
+    _descriptors: list[LineDescriptor | None]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_descriptors", [None] * len(self.lines))
+    def __init__(
+        self,
+        name: str,
+        lines: tuple[tuple[LineFamily, int, tuple[int, ...]], ...],
+        scale: int = 1,
+        mult: int = 1,
+        doubled: bool = False,
+        franklin: bool = False,
+    ) -> None:
+        _set(self, "name", name)
+        _set(self, "lines", lines)
+        _set(self, "scale", scale)
+        _set(self, "mult", mult)
+        _set(self, "doubled", doubled)
+        _set(self, "franklin", franklin)
+        _set(self, "_descriptors", [None] * len(lines))
 
     def satisfiable(self, m: int) -> bool:
         return (self.mult * m) % self.scale == 0

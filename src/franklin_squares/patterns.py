@@ -27,14 +27,22 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
 from operator import mul
 
 from . import fixtures
 from .composition import compose, is_orthogonal
-from .core import AuxPair, IndexTargets, Square, _require, aux_constant, is_balanced
+from .core import (
+    AuxPair,
+    IndexTargets,
+    Square,
+    _require,
+    _set,
+    _Value,
+    aux_constant,
+    is_balanced,
+)
 from .lines import franklin_checks, independent
 from .verify import PropertyReport, verify
 
@@ -99,19 +107,22 @@ def _expand(archetype: Archetype, seed, n: int) -> Square:
     return Square.from_rows(rows)
 
 
-@dataclass(frozen=True)
-class SeedPattern:
+class SeedPattern(_Value):
     """An archetype tag plus the seed vector that expands under it."""
 
+    __match_args__ = ("archetype", "order", "seed")
     archetype: Archetype
     order: int
     seed: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "seed", tuple(_require("seed", self.seed, Iterable)))
+    def __init__(self, archetype: Archetype, order: int, seed: Iterable[int]) -> None:
+        seed = tuple(_require("seed", seed, Iterable))
         # Expanding validates the seed: an invalid one raises here.
-        square = _expand(self.archetype, self.seed, self.order)
-        object.__setattr__(self, "_square", square)
+        square = _expand(archetype, seed, order)
+        _set(self, "archetype", archetype)
+        _set(self, "order", order)
+        _set(self, "seed", seed)
+        _set(self, "_square", square)
 
     def expand(self) -> Square:
         """The square the seed expands to, built once per pattern."""
@@ -136,12 +147,16 @@ expand_block_pair = partial(_expand, Archetype.BLOCK_PAIR)
 expand_four_row_cycle = partial(_expand, Archetype.FOUR_ROW_CYCLE)
 
 
-@dataclass(frozen=True)
-class GeneratedSquare:
+class GeneratedSquare(_Value):
     """A composed square together with its report."""
 
+    __match_args__ = ("square", "report")
     square: Square
     report: PropertyReport
+
+    def __init__(self, square: Square, report: PropertyReport) -> None:
+        _set(self, "square", square)
+        _set(self, "report", report)
 
 
 def generate(qseed: SeedPattern, rseed: SeedPattern) -> GeneratedSquare:

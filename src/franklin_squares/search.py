@@ -57,12 +57,11 @@ square of that order exists.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from operator import itemgetter
 
-from .core import IndexTargets, Square, _require, magic_constant
+from .core import IndexTargets, Square, _require, _set, _Value, magic_constant
 from .lines import franklin_checks, independent
 from .verify import verify
 
@@ -73,8 +72,7 @@ class SearchMode(Enum):
     STREAM = "stream"
 
 
-@dataclass(frozen=True)
-class SearchOptions:
+class SearchOptions(_Value):
     """Search parameters; each int field rejects a bool or a non-int,
     ``mode`` anything but a SearchMode, ``prune`` anything but a bool
     and ``progress`` anything but None or a callable.
@@ -83,32 +81,52 @@ class SearchOptions:
     assignment, forced or free); the leaf that the budget-th placement
     completes is re-verified and counted. ``progress`` is called with
     (nodes_visited, fill_depth) every ``progress_interval`` placements.
+    ``progress`` takes no part in == or hash.
     """
 
-    order: int
-    mode: SearchMode = SearchMode.COUNT
-    node_budget: int | None = None
-    prune: bool = True
-    progress: Callable[[int, int], None] | None = field(
-        default=None, compare=False
+    __match_args__ = (
+        "order", "mode", "node_budget", "prune", "progress", "progress_interval"
     )
-    progress_interval: int = 100_000
+    order: int
+    mode: SearchMode
+    node_budget: int | None
+    prune: bool
+    progress: Callable[[int, int], None] | None
+    progress_interval: int
 
-    def __post_init__(self):
-        if _require("order", self.order) < 2 or self.order % 2:
-            raise ValueError(f"search order must be even and >= 2, got {self.order}")
-        _require("mode", self.mode, SearchMode)
-        _require("prune", self.prune, bool)
-        if self.node_budget is not None and _require("node_budget", self.node_budget) < 1:
+    def __init__(
+        self,
+        order: int,
+        mode: SearchMode = SearchMode.COUNT,
+        node_budget: int | None = None,
+        prune: bool = True,
+        progress: Callable[[int, int], None] | None = None,
+        progress_interval: int = 100_000,
+    ) -> None:
+        if _require("order", order) < 2 or order % 2:
+            raise ValueError(f"search order must be even and >= 2, got {order}")
+        _require("mode", mode, SearchMode)
+        _require("prune", prune, bool)
+        if node_budget is not None and _require("node_budget", node_budget) < 1:
             raise ValueError("node_budget must be positive")
-        if _require("progress_interval", self.progress_interval) < 1:
+        if _require("progress_interval", progress_interval) < 1:
             raise ValueError("progress_interval must be positive")
-        if self.progress is not None:
-            _require("progress", self.progress, Callable)
+        if progress is not None:
+            _require("progress", progress, Callable)
+        _set(self, "order", order)
+        _set(self, "mode", mode)
+        _set(self, "node_budget", node_budget)
+        _set(self, "prune", prune)
+        _set(self, "progress", progress)
+        _set(self, "progress_interval", progress_interval)
+
+    def _key(self) -> tuple:
+        return (
+            self.order, self.mode, self.node_budget, self.prune, self.progress_interval
+        )
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(_Value):
     """What a run established.
 
     ``exhausted`` is true only when the whole tree was covered (no budget
@@ -119,10 +137,23 @@ class SearchOutcome:
     (all, in discovery order); COUNT leaves it empty.
     """
 
+    __match_args__ = ("count", "exhausted", "witnesses", "nodes_visited")
     count: int
     exhausted: bool
     witnesses: tuple[Square, ...]
     nodes_visited: int
+
+    def __init__(
+        self,
+        count: int,
+        exhausted: bool,
+        witnesses: tuple[Square, ...],
+        nodes_visited: int,
+    ) -> None:
+        _set(self, "count", count)
+        _set(self, "exhausted", exhausted)
+        _set(self, "witnesses", witnesses)
+        _set(self, "nodes_visited", nodes_visited)
 
 
 @lru_cache(maxsize=None)

@@ -34,11 +34,10 @@ sections.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .core import IndexTargets, Square, _require, is_balanced, is_natural
+from .core import IndexTargets, Square, _require, _set, _Value, is_balanced, is_natural
 from .lines import Condition, LineDescriptor, LineFamily, table
 
 # Labels a square can carry, in report order; each names the
@@ -64,10 +63,12 @@ class ConditionStatus(Enum):
 _FAMILY_ORDER = {family: i for i, family in enumerate(LineFamily)}
 
 
-@dataclass(frozen=True)
-class ConditionResult:
+class ConditionResult(_Value):
     """Outcome of one condition: which lines were checked, which failed."""
 
+    __match_args__ = (
+        "condition", "status", "target", "doubled", "lines_checked", "failures"
+    )
     condition: str
     status: ConditionStatus
     target: int | None
@@ -75,15 +76,42 @@ class ConditionResult:
     lines_checked: int
     failures: tuple[tuple[LineDescriptor, int], ...]
 
+    def __init__(
+        self,
+        condition: str,
+        status: ConditionStatus,
+        target: int | None,
+        doubled: bool,
+        lines_checked: int,
+        failures: tuple[tuple[LineDescriptor, int], ...],
+    ) -> None:
+        _set(self, "condition", condition)
+        _set(self, "status", status)
+        _set(self, "target", target)
+        _set(self, "doubled", doubled)
+        _set(self, "lines_checked", lines_checked)
+        _set(self, "failures", failures)
+
     @property
     def passed(self) -> bool:
         return self.status is ConditionStatus.PASSED
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(_Value):
     """Full verification report for one square at one target."""
 
+    __match_args__ = (
+        "order",
+        "targets",
+        "conditions",
+        "semi_magic",
+        "magic",
+        "pandiagonal",
+        "franklin",
+        "pandiagonal_franklin",
+        "natural",
+        "balanced",
+    )
     order: int
     targets: IndexTargets
     conditions: tuple[ConditionResult, ...]
@@ -94,6 +122,30 @@ class PropertyReport:
     pandiagonal_franklin: bool
     natural: bool
     balanced: bool
+
+    def __init__(
+        self,
+        order: int,
+        targets: IndexTargets,
+        conditions: tuple[ConditionResult, ...],
+        semi_magic: bool,
+        magic: bool,
+        pandiagonal: bool,
+        franklin: bool,
+        pandiagonal_franklin: bool,
+        natural: bool,
+        balanced: bool,
+    ) -> None:
+        _set(self, "order", order)
+        _set(self, "targets", targets)
+        _set(self, "conditions", conditions)
+        _set(self, "semi_magic", semi_magic)
+        _set(self, "magic", magic)
+        _set(self, "pandiagonal", pandiagonal)
+        _set(self, "franklin", franklin)
+        _set(self, "pandiagonal_franklin", pandiagonal_franklin)
+        _set(self, "natural", natural)
+        _set(self, "balanced", balanced)
 
     def condition(self, name: str) -> ConditionResult:
         for result in self.conditions:
@@ -275,13 +327,20 @@ def verify(sq: Square, targets: IndexTargets) -> PropertyReport:
     )
 
 
-@dataclass(frozen=True)
-class ClassifyOutcome:
+class ClassifyOutcome(_Value):
     """Labels a square earns at its automatically chosen target."""
 
+    __match_args__ = ("labels", "target_inferred", "report")
     labels: frozenset[str]
     target_inferred: bool
     report: PropertyReport
+
+    def __init__(
+        self, labels: frozenset[str], target_inferred: bool, report: PropertyReport
+    ) -> None:
+        _set(self, "labels", labels)
+        _set(self, "target_inferred", target_inferred)
+        _set(self, "report", report)
 
 
 def classify(sq: Square) -> ClassifyOutcome:

@@ -1427,6 +1427,8 @@ CLOSED_STDOUT_RUNS = [
     (["generate", "--preset", "f8_1769", "--out", "{tmp}/x.csv"], 0),
     (["generate", "--preset", "f8_1769", "--out", "{tmp}/x.csv", "--report", "-"], 141),
     (["decompose", "f8_1769.csv", "--out-q", "{tmp}/q.csv", "--out-r", "-"], 141),
+    (["--help"], 141),
+    (["verify", "--help"], 141),
 ]
 
 
@@ -1463,6 +1465,38 @@ def test_closed_stdout_in_process_writes_what_a_closed_pipe_does(
         assert closed[2]["x.csv"] == want
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]], ids=" ".join)
+def test_help_is_written_to_stdout(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, err) == (0, "")
+    assert out.startswith("usage: franklin-squares ")
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_hashlib():
+    # A new interpreter: pytest itself has loaded all three. Each would
+    # lengthen every command's start-up; hashlib loads where a digest is
+    # checked.
+    src = str(Path(fixtures.__file__).parents[1])
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import franklin_squares.cli\n"
+        "print(*set(sys.modules) - before)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    loaded = set(proc.stdout.split())
+    assert "franklin_squares.cli" in loaded
+    assert loaded & {"dataclasses", "inspect", "hashlib"} == set()
+
+
 def test_closed_stdin_in_process_is_bad_file(capsys):
     from unittest import mock
 
@@ -1495,8 +1529,10 @@ def test_closed_stderr_in_process_keeps_the_exit_status(capsys, stderr):
         (">&-", ["fixtures", "list"], 141, ""),
         (">&-", ["generate", "--preset", "f8_1769", "--out", "x.csv"], 0, ""),
         ("2>&-", ["verify", "/nonexistent/grid.csv"], 2, None),
+        (">&-", ["--help"], 141, ""),
+        (">&-", ["verify", "--help"], 141, ""),
     ],
-    ids=["stdin", "stdout", "stdout-with-files", "stderr"],
+    ids=["stdin", "stdout", "stdout-with-files", "stderr", "help", "verify-help"],
 )
 def test_closed_descriptor_in_a_subprocess(tmp_path, redirect, argv, status, err):
     # The shell closes the descriptor in the child before the interpreter

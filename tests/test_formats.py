@@ -1,12 +1,18 @@
 import json
 import re
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from franklin_squares import IndexTargets, Square, check_lines, classify, verify
+from franklin_squares import (
+    IndexTargets,
+    PropertyReport,
+    Square,
+    check_lines,
+    classify,
+    verify,
+)
 from franklin_squares import fixtures, formats
 from franklin_squares.formats import (
     FormatError,
@@ -221,6 +227,23 @@ def test_cached_line_text_carries_no_sum():
     assert '"actual": 12' in text and '"actual": 4' not in text
 
 
+def _report_of(result):
+    """The report verify gives Square.from_rows([[1, 2], [3, 4]]) at its
+    natural target, with result as its one condition."""
+    return PropertyReport(
+        order=2,
+        targets=IndexTargets.natural(2),
+        conditions=(result,),
+        semi_magic=False,
+        magic=False,
+        pandiagonal=True,
+        franklin=False,
+        pandiagonal_franklin=False,
+        natural=True,
+        balanced=False,
+    )
+
+
 def test_check_lines_list_cells_are_frozen_into_a_hashable_descriptor():
     sq = Square.from_rows([[1, 2], [3, 4]])
     pairs = [(0, 0), [0, 1]]
@@ -228,7 +251,7 @@ def test_check_lines_list_cells_are_frozen_into_a_hashable_descriptor():
     assert line.cells == ((0, 0), (0, 1))
     assert hash(line) == hash(LineDescriptor(LineFamily.ROW, 0, ((0, 0), (0, 1))))
     result = check_lines(sq, (line,), 5, condition='caf\u00e9 "rows"')
-    report = replace(verify(sq, IndexTargets.natural(2)), conditions=(result,))
+    report = _report_of(result)
     text = _assert_stdlib_text(report)
     assert '"condition": "caf\\u00e9 \\"rows\\"",' in text
     # Later edits to the caller's list do not reach the descriptor.
@@ -259,6 +282,6 @@ def test_line_text_cache_is_bounded():
     sq = Square.from_rows([[1, 2], [3, 4]])
     lines = tuple(LineDescriptor(LineFamily.ROW, k, ((0, 0),)) for k in range(600))
     result = check_lines(sq, lines, 5)
-    report = replace(verify(sq, IndexTargets.natural(2)), conditions=(result,))
+    report = _report_of(result)
     _assert_stdlib_text(report)
     assert 0 < len(formats._line_texts) <= formats._SHARED_LINES
