@@ -32,8 +32,9 @@ class _Value:
     Each subclass lists its fields, in signature order, in __match_args__
     and stores them in __init__ with _set. repr shows them as a dataclass
     does; == holds between instances of one class whose fields compare
-    equal, and hash is the hash of the fields' tuple. Assigning or
-    deleting an attribute raises AttributeError. These are plain classes
+    equal, and hash is the hash of the fields' tuple; a subclass may
+    compare fewer fields by its own _key, or compare by identity. Assigning
+    or deleting an attribute raises AttributeError. These are plain classes
     rather than dataclasses because importing dataclasses and building
     each class by exec is a large share of the CLI's start-up time.
     """

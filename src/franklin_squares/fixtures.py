@@ -54,14 +54,8 @@ class FixtureEntry(_Value):
     """
 
     __match_args__ = (
-        "name",
-        "order",
-        "provenance",
-        "files",
-        "claims",
-        "claims_known_false",
-        "notes",
-        "reconstructed_quotient_rows",
+        "name", "order", "provenance", "files", "claims", "claims_known_false",
+        "notes", "reconstructed_quotient_rows",
     )
     name: str
     order: int

@@ -101,16 +101,8 @@ class PropertyReport(_Value):
     """Full verification report for one square at one target."""
 
     __match_args__ = (
-        "order",
-        "targets",
-        "conditions",
-        "semi_magic",
-        "magic",
-        "pandiagonal",
-        "franklin",
-        "pandiagonal_franklin",
-        "natural",
-        "balanced",
+        "order", "targets", "conditions", "semi_magic", "magic", "pandiagonal",
+        "franklin", "pandiagonal_franklin", "natural", "balanced",
     )
     order: int
     targets: IndexTargets
