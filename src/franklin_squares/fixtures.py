@@ -38,12 +38,32 @@ class FixtureError(Exception):
     corrupted, does not parse or does not hold its registered grid."""
 
 
+class _FrozenDict(dict):
+    """A dict that cannot change after it is built, and so hashes: by its
+    items, as == compares them. It reprs as a dict does, and a pickle or
+    copy of it is another _FrozenDict."""
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.items()))
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 class FixtureEntry(_Value):
     """Registry row: where a grid comes from and what is known about it.
 
     ``files`` maps each CSV name to the SHA-256 of its canonical bytes,
     frozen at transcription time: one file for a square, quotient then
-    remainder for an auxiliary pair, which is all that ``kind`` reads.
+    remainder for an auxiliary pair, which is all that ``kind`` reads. It
+    is stored as a read-only dict, so a row's digests cannot change in
+    place and the row hashes.
     ``claims`` use the classification vocabulary
     (natural/balanced/semi-magic/magic/pandiagonal/franklin/
     pandiagonal-franklin) plus ``orthogonal`` for pairs; pair-level claims
@@ -60,7 +80,7 @@ class FixtureEntry(_Value):
     name: str
     order: int
     provenance: str
-    files: dict[str, str]
+    files: _FrozenDict
     claims: tuple[str, ...]
     claims_known_false: tuple[str, ...]
     notes: str
@@ -80,7 +100,7 @@ class FixtureEntry(_Value):
         _set(self, "name", name)
         _set(self, "order", order)
         _set(self, "provenance", provenance)
-        _set(self, "files", files)
+        _set(self, "files", _FrozenDict(files))
         _set(self, "claims", claims)
         _set(self, "claims_known_false", claims_known_false)
         _set(self, "notes", notes)

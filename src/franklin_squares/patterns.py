@@ -389,22 +389,28 @@ def _seed_search_pruned(n, masks, limit, checks):
     half-column sum: the first n/2 seed values must sum to n(n-1)/4. Both
     prunes reject only prefixes no completion of which could be emitted.
 
-    Row n-1 takes the one value left, so the frame for row n-2 checks that
-    value's mask and the leaf itself rather than recursing. A full seed,
-    a permutation that passed the half bound, passes when it meets every
-    form of _leaf_checks, that is, exactly when its expansion meets every
-    Franklin line: the result matches the unpruned scan exactly.
+    The seed prefix lives in one list, written row by row, and the walk
+    carries the first form of _leaf_checks (the bent form at every order
+    the search takes) as a running sum: acc is sum(coef[i] * seed[i])
+    over the rows placed so far. Row n-1 takes the one value left, so the
+    frame for row n-2 checks that value's mask and completes the sum
+    itself rather than recursing; any further form is summed over the full
+    seed. A full seed, a permutation that passed the half bound, passes
+    when it meets every form of _leaf_checks, that is, exactly when its
+    expansion meets every Franklin line: the result matches the unpruned
+    scan exactly.
     """
     half = n // 2
     half_target = n * (n - 1) // 4
     last_row = masks[n - 1]
+    (coef, t), *more = checks
+    last_coef = coef[n - 1]
+    seed = [0] * n
     results: list[tuple[int, ...]] = []
 
-    def walk(
-        seed: tuple[int, ...], free: tuple[int, ...], taken: int, total: int
-    ) -> bool:
-        r = len(seed)
+    def walk(r: int, free: tuple[int, ...], taken: int, total: int, acc: int) -> bool:
         row = masks[r]
+        weight = coef[r]
         for k, v in enumerate(free):
             mask = row[v]
             if mask is None or mask & taken:
@@ -416,16 +422,21 @@ def _seed_search_pruned(n, masks, limit, checks):
                 need = half_target - total - v
                 if not sum(rest[:slots]) <= need <= sum(rest[len(rest) - slots:]):
                     continue
+            seed[r] = v
             if len(rest) > 1:
-                if walk(seed + (v,), rest, taken | mask, total + v):
+                if walk(r + 1, rest, taken | mask, total + v, acc + weight * v):
                     return True
                 continue
-            last = last_row[rest[0]]
-            if last is None or last & (taken | mask):
+            last = rest[0]
+            if acc + weight * v + last_coef * last != t:
                 continue
-            full = seed + (v,) + rest
-            for coef, t in checks:
-                if sum(map(mul, coef, full)) != t:
+            last_mask = last_row[last]
+            if last_mask is None or last_mask & (taken | mask):
+                continue
+            seed[n - 1] = last
+            full = tuple(seed)
+            for other, u in more:
+                if sum(map(mul, other, full)) != u:
                     break
             else:
                 results.append(full)
@@ -433,5 +444,5 @@ def _seed_search_pruned(n, masks, limit, checks):
                     return True
         return False
 
-    walk((), tuple(range(n)), 0, 0)
+    walk(0, tuple(range(n)), 0, 0, 0)
     return results

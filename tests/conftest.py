@@ -3,11 +3,16 @@
 A walk that loses its FIRST witness would otherwise run on for hours
 and the suite would hang instead of failing. The limit needs SIGALRM,
 so on platforms without it tests run unlimited.
+
+The ``swap_fixture_files`` fixture gives a test a fixture registry row
+with other file digests for the test's duration.
 """
 
 import signal
 
 import pytest
+
+from franklin_squares import FixtureEntry, fixtures
 
 # Seconds one test may take; the slowest test takes about 6 s.
 TEST_TIME_LIMIT_S = 120
@@ -31,3 +36,17 @@ def _time_limit(request):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def swap_fixture_files(monkeypatch):
+    """swap(name, files) replaces fixture name's registry row by one with
+    these files, every other field kept; the row is restored afterwards."""
+
+    def swap(name, files):
+        e = fixtures.entry(name)
+        fields = {field: getattr(e, field) for field in FixtureEntry.__match_args__}
+        row = FixtureEntry(**{**fields, "files": files})
+        monkeypatch.setitem(fixtures.REGISTRY, name, row)
+
+    return swap

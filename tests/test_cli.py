@@ -1313,8 +1313,8 @@ def test_fixture_pair_fault_is_bad_file(capsys, tmp_path, monkeypatch, argv):
 @pytest.mark.parametrize(
     "argv", [("fixtures", "show", "m6_euler"), ("generate", "--preset", "m6_euler")]
 )
-def test_corrupted_bundled_fixture_is_bad_file(capsys, monkeypatch, argv):
-    monkeypatch.setitem(fixtures.entry("m6_euler").files, "m6_euler.csv", "0" * 64)
+def test_corrupted_bundled_fixture_is_bad_file(capsys, swap_fixture_files, argv):
+    swap_fixture_files("m6_euler", {"m6_euler.csv": "0" * 64})
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert ERROR_LINE.match(err)

@@ -31,6 +31,25 @@ def test_entry_metadata():
     assert fixtures.entry("f40").kind is fixtures.FixtureKind.SQUARE
 
 
+def test_registry_digests_cannot_be_edited_in_place():
+    e = fixtures.entry("f8_1769")
+    digest = e.files["f8_1769.csv"]
+    edits = [
+        lambda f: f.__setitem__("f8_1769.csv", "0" * 64),
+        lambda f: f.update({"f8_1769.csv": "0" * 64}),
+        lambda f: f.setdefault("extra.csv", "0" * 64),
+        lambda f: f.__delitem__("f8_1769.csv"),
+        lambda f: f.pop("f8_1769.csv"),
+        lambda f: f.popitem(),
+        lambda f: f.clear(),
+        lambda f: f.__ior__({"extra.csv": "0" * 64}),
+    ]
+    for edit in edits:
+        with pytest.raises(TypeError, match="read-only"):
+            edit(e.files)
+    assert e.files == {"f8_1769.csv": digest}
+
+
 def test_entry_unknown_name():
     with pytest.raises(fixtures.FixtureError):
         fixtures.entry("missing")
@@ -97,22 +116,20 @@ def test_verify_corpus_flags_missing_and_tampered_files(tmp_path):
     assert all(p.startswith(e) for p, e in zip(problems, expected))
 
 
-def test_verify_corpus_reports_wrong_order_file(tmp_path, monkeypatch):
+def test_verify_corpus_reports_wrong_order_file(tmp_path, swap_fixture_files):
     for e in fixtures.REGISTRY.values():
         for filename in e.files:
             shutil.copy(fixtures._BUNDLED_DIR / filename, tmp_path / filename)
     data = b"1,2\n3,4\n"
     (tmp_path / "m6_xian.csv").write_bytes(data)
-    monkeypatch.setitem(
-        fixtures.entry("m6_xian").files, "m6_xian.csv", hashlib.sha256(data).hexdigest()
-    )
+    swap_fixture_files("m6_xian", {"m6_xian.csv": hashlib.sha256(data).hexdigest()})
     assert fixtures.verify_corpus(tmp_path) == [
         f"fixture file {tmp_path / 'm6_xian.csv'} has order 2, not 6"
     ]
 
 
-def test_corrupted_bundled_file_is_rejected_on_load(monkeypatch):
-    monkeypatch.setitem(fixtures.entry("f8_1769").files, "f8_1769.csv", "0" * 64)
+def test_corrupted_bundled_file_is_rejected_on_load(swap_fixture_files):
+    swap_fixture_files("f8_1769", {"f8_1769.csv": "0" * 64})
     with pytest.raises(fixtures.FixtureError, match="corrupted"):
         fixtures.load_square("f8_1769")
 

@@ -334,6 +334,31 @@ def test_remainder_seed_search_pruned_equals_exhaustive_other_quotients(qseed):
     assert (pruned == canonical) == (count == 384)
 
 
+@settings(max_examples=10, deadline=None)
+@given(st.permutations(range(8)))
+def test_remainder_seed_search_pruned_equals_exhaustive_random_quotients(qseed):
+    quotient = expand_quotient(qseed, 8)
+    pruned = find_remainder_seeds(8, quotient)
+    assert pruned == find_remainder_seeds(8, quotient, pruned=False)
+
+
+@pytest.mark.parametrize("extra_first", [True, False], ids=["extra_first", "extra_last"])
+def test_pruned_walk_checks_a_second_form_in_either_place(monkeypatch, extra_first):
+    # Every seed of the walk meets the whole sum, so adding its form keeps
+    # every result. Put first, it is the walk's running sum and the bent
+    # form is summed over the full seed at the leaf; put last, the reverse.
+    n = 8
+    (bent,) = _leaf_checks(n)
+    whole = ((1,) * n, n * (n - 1) // 2)
+    forms = (whole, bent) if extra_first else (bent, whole)
+    monkeypatch.setattr(patterns, "_leaf_checks", lambda order: forms)
+    for qseed, count in ORDER8_QUOTIENT_SEEDS.items():
+        quotient = expand_quotient(qseed, n)
+        pruned = find_remainder_seeds(n, quotient)
+        assert pruned == find_remainder_seeds(n, quotient, pruned=False)
+        assert len(pruned) == count
+
+
 def test_first_1000_order16_seeds_are_pinned():
     # SHA-256 of repr([list(seed), ...]), recorded from a leaf that summed
     # all 416 Franklin lines of each expanded grid. A leaf that rejected

@@ -106,11 +106,7 @@ def test_equal_values_compare_and_hash_alike(i):
         assert a != b and a == a
         return
     assert a == b and not a != b
-    if isinstance(a, FixtureEntry):  # its files are a dict
-        with pytest.raises(TypeError):
-            hash(a)
-    else:
-        assert hash(a) == hash(b)
+    assert hash(a) == hash(b)
 
 
 def test_values_of_different_types_are_not_equal():
