@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-# Stores a field past the frozen __setattr__, as each __init__ does.
+# Stores a field past the frozen __setattr__, as a validating __init__ does.
 _set = object.__setattr__
 
 
@@ -26,20 +26,92 @@ def _require(name: str, value, kind: type = int):
     raise ValueError(f"{name} must be {kind.__name__}, got {value!r}")
 
 
+class _Signature:
+    """A _Value class's __signature__: for a class whose __init__ takes
+    *args, as the shared one does, its fields as the parameters of a def
+    that stores them, each with its annotation and class-level default;
+    None for a class with its own parameters, so inspect reads its
+    __init__. It is built only when inspect or help asks, so importing the
+    package does not load inspect."""
+
+    def __get__(self, obj, cls):
+        import inspect
+
+        if not cls.__init__.__code__.co_flags & inspect.CO_VARARGS:
+            return None
+        notes = {}
+        for klass in reversed(cls.__mro__):
+            notes.update(getattr(klass, "__annotations__", {}))
+        P = inspect.Parameter
+        kind = P.POSITIONAL_OR_KEYWORD
+        params = [
+            P(name, kind, default=getattr(cls, name, P.empty), annotation=notes[name])
+            for name in cls.__match_args__
+        ]
+        return inspect.Signature(params, return_annotation="None")
+
+
 class _Value:
     """Base of the immutable value types.
 
-    Each subclass lists its fields, in signature order, in __match_args__
-    and stores them in __init__ with _set. repr shows them as a dataclass
-    does; == holds between instances of one class whose fields compare
-    equal, and hash is the hash of the fields' tuple; a subclass may
-    compare fewer fields by its own _key, or compare by identity. Assigning
-    or deleting an attribute raises AttributeError. These are plain classes
-    rather than dataclasses because importing dataclasses and building
-    each class by exec is a large share of the CLI's start-up time.
+    A subclass declares each field once, as a class annotation; names
+    that start with "_" are not fields. __match_args__ lists the fields
+    in declaration order, a base class's first. The shared __init__ binds
+    its arguments to the fields as a def with those parameters would, a
+    class-level value (``scale: int = 1``) being the field's default, and
+    raises TypeError for a missing, unknown, repeated or surplus
+    argument; __signature__ shows those parameters to inspect and help. A
+    type that checks or converts its arguments writes its own __init__
+    and stores each field with _set.
+
+    repr shows the fields as a dataclass does; == holds between instances
+    of one class whose fields compare equal, and hash is the hash of the
+    fields' tuple; a subclass may compare fewer fields by its own _key, or
+    compare by identity. Assigning or deleting an attribute raises
+    AttributeError. These are plain classes rather than dataclasses
+    because importing dataclasses and building each class by exec is a
+    large share of the CLI's start-up time.
     """
 
     __match_args__: tuple[str, ...] = ()
+    __signature__ = _Signature()
+
+    def __init_subclass__(cls) -> None:
+        """Lists the class's own annotated fields after its base's in
+        __match_args__, and all of them as a set in _names."""
+        cls.__match_args__ += tuple(
+            name for name in cls.__annotations__ if not name.startswith("_")
+        )
+        cls._names = frozenset(cls.__match_args__)
+
+    def __init__(self, *args, **kwargs) -> None:
+        # One value per field, all by position or all by name, is stored
+        # in one step; any other call is bound field by field.
+        if not kwargs and len(args) == len(self.__match_args__):
+            kwargs = dict(zip(self.__match_args__, args))
+        elif args or kwargs.keys() != self._names:
+            kwargs = self._bind(args, kwargs)
+        self.__dict__.update(kwargs)
+
+    def _bind(self, args: tuple, kwargs: dict) -> dict:
+        """Each field's value, in field order, from any other call."""
+        cls = type(self)
+        fields, name = cls.__match_args__, cls.__qualname__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments, got {len(args)}")
+        given = dict(zip(fields, args))
+        for key, value in kwargs.items():
+            if key not in cls._names:
+                raise TypeError(f"{name}() got an unexpected argument {key!r}")
+            if key in given:
+                raise TypeError(f"{name}() got multiple values for {key!r}")
+            given[key] = value
+        for field in fields:
+            if field not in given:
+                if not hasattr(cls, field):
+                    raise TypeError(f"{name}() missing argument {field!r}")
+                given[field] = getattr(cls, field)
+        return {field: given[field] for field in fields}
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -81,24 +153,27 @@ def aux_constant(n: int) -> int:
 
 
 class Square(_Value):
-    """Immutable order-n grid, row-major, indexed cells[r][c]."""
+    """Immutable order-n grid, row-major, indexed cells[r][c]. Rows given
+    as lists or other sequences are stored as tuples."""
 
-    __match_args__ = ("cells",)
     cells: tuple[tuple[int, ...], ...]
 
     def __init__(self, cells: tuple[tuple[int, ...], ...]) -> None:
         n = len(cells)
         if n < 1:
             raise ValueError("square must have at least one row")
+        frozen = type(cells) is tuple
         for row in cells:
             if len(row) != n:
                 raise ValueError(
                     f"ragged square: expected {n} columns, got {len(row)}"
                 )
+            if type(row) is not tuple:
+                frozen = False
             for v in row:
                 if type(v) is not int:
                     _require("cell value", v)
-        _set(self, "cells", cells)
+        _set(self, "cells", cells if frozen else tuple(map(tuple, cells)))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]]) -> "Square":
@@ -115,7 +190,6 @@ class Square(_Value):
 class AuxPair(_Value):
     """A quotient/remainder pair of equal order with values in 0..n-1."""
 
-    __match_args__ = ("quotient", "remainder")
     quotient: Square
     remainder: Square
 
@@ -148,7 +222,6 @@ class IndexTargets(_Value):
     integer arithmetic.
     """
 
-    __match_args__ = ("order", "line_sum")
     order: int
     line_sum: int
 

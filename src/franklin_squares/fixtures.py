@@ -73,38 +73,18 @@ class FixtureEntry(_Value):
     periodic row pattern.
     """
 
-    __match_args__ = (
-        "name", "order", "provenance", "files", "claims", "claims_known_false",
-        "notes", "reconstructed_quotient_rows",
-    )
     name: str
     order: int
     provenance: str
-    files: _FrozenDict
+    files: dict[str, str]
     claims: tuple[str, ...]
-    claims_known_false: tuple[str, ...]
-    notes: str
-    reconstructed_quotient_rows: tuple[int, ...]
+    claims_known_false: tuple[str, ...] = ()
+    notes: str = ""
+    reconstructed_quotient_rows: tuple[int, ...] = ()
 
-    def __init__(
-        self,
-        name: str,
-        order: int,
-        provenance: str,
-        files: dict[str, str],
-        claims: tuple[str, ...],
-        claims_known_false: tuple[str, ...] = (),
-        notes: str = "",
-        reconstructed_quotient_rows: tuple[int, ...] = (),
-    ) -> None:
-        _set(self, "name", name)
-        _set(self, "order", order)
-        _set(self, "provenance", provenance)
-        _set(self, "files", _FrozenDict(files))
-        _set(self, "claims", claims)
-        _set(self, "claims_known_false", claims_known_false)
-        _set(self, "notes", notes)
-        _set(self, "reconstructed_quotient_rows", reconstructed_quotient_rows)
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        _set(self, "files", _FrozenDict(self.files))
 
     @property
     def kind(self) -> FixtureKind:

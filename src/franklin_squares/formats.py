@@ -2,7 +2,8 @@
 
 Canonical CSV is one grid row per line, comma-separated decimal integers,
 no header, LF line endings, exactly one trailing newline. Parsing a
-canonical file and emitting it again is byte-identical.
+canonical file and emitting it again is byte-identical. On input a value
+is an optional sign and ASCII digits, with blanks around it allowed.
 
 JSON squares are {"order": n, "cells": [row-major ints]}; on input an
 optional "name" must be a string or null, and is ignored.
@@ -32,15 +33,26 @@ class FormatError(ValueError):
     """Malformed input text (bad CSV/JSON grid)."""
 
 
+def _is_decimal(tok: str) -> bool:
+    """An optional sign, then ASCII digits."""
+    digits = tok[1:] if tok[:1] in ("+", "-") else tok
+    return digits.isascii() and digits.isdigit()
+
+
 def parse_square_csv(text: str) -> Square:
     rows: dict[int, list[int]] = {}  # file line number -> values
     for lineno, line in enumerate(text.split("\n"), start=1):
         if line == "":
             continue
         cells = []
+        # int() also takes "1_6" and non-ASCII digits; an ASCII line with
+        # no "_" holds neither, so only other lines are checked by token.
+        plain = line.isascii() and "_" not in line
         for tok in line.split(","):
             tok = tok.strip()
             try:
+                if not (plain or _is_decimal(tok)):
+                    raise ValueError
                 cells.append(int(tok))
             except ValueError:
                 raise FormatError(

@@ -85,7 +85,6 @@ class LineDescriptor(_Value):
     a LineFamily, an int shift and a sequence of distinct int pairs raises
     ValueError."""
 
-    __match_args__ = ("family", "shift", "cells")
     family: LineFamily
     shift: int
     cells: tuple[tuple[int, int], ...]
@@ -183,33 +182,19 @@ class Condition(_Value):
     table(n) holds one per section, and verify keys shared results by it.
     """
 
-    __match_args__ = ("name", "lines", "scale", "mult", "doubled", "franklin")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
     name: str
     lines: tuple[tuple[LineFamily, int, tuple[int, ...]], ...]
-    scale: int
-    mult: int
-    doubled: bool
-    franklin: bool
+    scale: int = 1
+    mult: int = 1
+    doubled: bool = False
+    franklin: bool = False
     _descriptors: list[LineDescriptor | None]
 
-    def __init__(
-        self,
-        name: str,
-        lines: tuple[tuple[LineFamily, int, tuple[int, ...]], ...],
-        scale: int = 1,
-        mult: int = 1,
-        doubled: bool = False,
-        franklin: bool = False,
-    ) -> None:
-        _set(self, "name", name)
-        _set(self, "lines", lines)
-        _set(self, "scale", scale)
-        _set(self, "mult", mult)
-        _set(self, "doubled", doubled)
-        _set(self, "franklin", franklin)
-        _set(self, "_descriptors", [None] * len(lines))
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        _set(self, "_descriptors", [None] * len(self.lines))
 
     def satisfiable(self, m: int) -> bool:
         return (self.mult * m) % self.scale == 0

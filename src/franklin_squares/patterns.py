@@ -110,7 +110,6 @@ def _expand(archetype: Archetype, seed, n: int) -> Square:
 class SeedPattern(_Value):
     """An archetype tag plus the seed vector that expands under it."""
 
-    __match_args__ = ("archetype", "order", "seed")
     archetype: Archetype
     order: int
     seed: tuple[int, ...]
@@ -150,13 +149,8 @@ expand_four_row_cycle = partial(_expand, Archetype.FOUR_ROW_CYCLE)
 class GeneratedSquare(_Value):
     """A composed square together with its report."""
 
-    __match_args__ = ("square", "report")
     square: Square
     report: PropertyReport
-
-    def __init__(self, square: Square, report: PropertyReport) -> None:
-        _set(self, "square", square)
-        _set(self, "report", report)
 
 
 def generate(qseed: SeedPattern, rseed: SeedPattern) -> GeneratedSquare:

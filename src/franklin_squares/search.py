@@ -84,9 +84,6 @@ class SearchOptions(_Value):
     ``progress`` takes no part in == or hash.
     """
 
-    __match_args__ = (
-        "order", "mode", "node_budget", "prune", "progress", "progress_interval"
-    )
     order: int
     mode: SearchMode
     node_budget: int | None
@@ -137,23 +134,10 @@ class SearchOutcome(_Value):
     (all, in discovery order); COUNT leaves it empty.
     """
 
-    __match_args__ = ("count", "exhausted", "witnesses", "nodes_visited")
     count: int
     exhausted: bool
     witnesses: tuple[Square, ...]
     nodes_visited: int
-
-    def __init__(
-        self,
-        count: int,
-        exhausted: bool,
-        witnesses: tuple[Square, ...],
-        nodes_visited: int,
-    ) -> None:
-        _set(self, "count", count)
-        _set(self, "exhausted", exhausted)
-        _set(self, "witnesses", witnesses)
-        _set(self, "nodes_visited", nodes_visited)
 
 
 @lru_cache(maxsize=None)

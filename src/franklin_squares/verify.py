@@ -37,7 +37,7 @@ from __future__ import annotations
 from enum import Enum
 from functools import lru_cache
 
-from .core import IndexTargets, Square, _require, _set, _Value, is_balanced, is_natural
+from .core import IndexTargets, Square, _require, _Value, is_balanced, is_natural
 from .lines import Condition, LineDescriptor, LineFamily, table
 
 # Labels a square can carry, in report order; each names the
@@ -66,31 +66,12 @@ _FAMILY_ORDER = {family: i for i, family in enumerate(LineFamily)}
 class ConditionResult(_Value):
     """Outcome of one condition: which lines were checked, which failed."""
 
-    __match_args__ = (
-        "condition", "status", "target", "doubled", "lines_checked", "failures"
-    )
     condition: str
     status: ConditionStatus
     target: int | None
     doubled: bool
     lines_checked: int
     failures: tuple[tuple[LineDescriptor, int], ...]
-
-    def __init__(
-        self,
-        condition: str,
-        status: ConditionStatus,
-        target: int | None,
-        doubled: bool,
-        lines_checked: int,
-        failures: tuple[tuple[LineDescriptor, int], ...],
-    ) -> None:
-        _set(self, "condition", condition)
-        _set(self, "status", status)
-        _set(self, "target", target)
-        _set(self, "doubled", doubled)
-        _set(self, "lines_checked", lines_checked)
-        _set(self, "failures", failures)
 
     @property
     def passed(self) -> bool:
@@ -100,10 +81,6 @@ class ConditionResult(_Value):
 class PropertyReport(_Value):
     """Full verification report for one square at one target."""
 
-    __match_args__ = (
-        "order", "targets", "conditions", "semi_magic", "magic", "pandiagonal",
-        "franklin", "pandiagonal_franklin", "natural", "balanced",
-    )
     order: int
     targets: IndexTargets
     conditions: tuple[ConditionResult, ...]
@@ -114,30 +91,6 @@ class PropertyReport(_Value):
     pandiagonal_franklin: bool
     natural: bool
     balanced: bool
-
-    def __init__(
-        self,
-        order: int,
-        targets: IndexTargets,
-        conditions: tuple[ConditionResult, ...],
-        semi_magic: bool,
-        magic: bool,
-        pandiagonal: bool,
-        franklin: bool,
-        pandiagonal_franklin: bool,
-        natural: bool,
-        balanced: bool,
-    ) -> None:
-        _set(self, "order", order)
-        _set(self, "targets", targets)
-        _set(self, "conditions", conditions)
-        _set(self, "semi_magic", semi_magic)
-        _set(self, "magic", magic)
-        _set(self, "pandiagonal", pandiagonal)
-        _set(self, "franklin", franklin)
-        _set(self, "pandiagonal_franklin", pandiagonal_franklin)
-        _set(self, "natural", natural)
-        _set(self, "balanced", balanced)
 
     def condition(self, name: str) -> ConditionResult:
         for result in self.conditions:
@@ -322,17 +275,9 @@ def verify(sq: Square, targets: IndexTargets) -> PropertyReport:
 class ClassifyOutcome(_Value):
     """Labels a square earns at its automatically chosen target."""
 
-    __match_args__ = ("labels", "target_inferred", "report")
     labels: frozenset[str]
     target_inferred: bool
     report: PropertyReport
-
-    def __init__(
-        self, labels: frozenset[str], target_inferred: bool, report: PropertyReport
-    ) -> None:
-        _set(self, "labels", labels)
-        _set(self, "target_inferred", target_inferred)
-        _set(self, "report", report)
 
 
 def classify(sq: Square) -> ClassifyOutcome:

@@ -149,6 +149,18 @@ def test_stdin_reads_like_a_file(capsys, monkeypatch, tmp_path, data):
     assert run(capsys, "verify", "-") == (code, out, err.replace(str(grid), "-"))
 
 
+@pytest.mark.parametrize("text", ["1_6,2\n3,4\n", "1,2\n3,\u0664\n"])
+def test_verify_stdin_rejects_a_non_decimal_cell(capsys, monkeypatch, text):
+    import io
+
+    stdin = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, err = run(capsys, "verify", "-")
+    assert (code, out) == (2, "")
+    assert "code=BAD_FORMAT" in err and "is not an integer" in err
+    assert ERROR_LINE.match(err)
+
+
 def test_verify_rejects_boolean_json_order(capsys, monkeypatch):
     import io
 

@@ -41,6 +41,8 @@ def test_parse_square_csv_basic():
     assert sq.cells == ((1, 2), (3, 4))
     # a missing trailing newline is accepted on input
     assert parse_square_csv("1,2\n3,4").cells == ((1, 2), (3, 4))
+    # a sign and blanks around a value are accepted
+    assert parse_square_csv("-1, +2\n 3 ,04\n").cells == ((-1, 2), (3, 4))
 
 
 def test_square_to_csv_canonical_form():
@@ -57,6 +59,10 @@ def test_square_to_csv_canonical_form():
         "1,a\n3,4\n",
         "1,2.5\n3,4\n",
         "1,,2\n3,4,5\n1,2,3\n",
+        "1_6,2\n3,4\n",
+        "1,2\n3,\u0664\n",
+        "1,2\n3,+-4\n",
+        "1,2\n3,-\n",
     ],
 )
 def test_parse_square_csv_rejects_malformed(text):

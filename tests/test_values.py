@@ -1,7 +1,8 @@
-"""The public value types: equality, hashing, repr, immutability, pickling
-and copying."""
+"""The public value types: fields, signatures, equality, hashing, repr,
+immutability, pickling and copying."""
 
 import copy
+import inspect
 import pickle
 
 import pytest
@@ -184,3 +185,183 @@ def test_table_conditions_compare_by_identity(n):
         assert cond == cond and cond != twin and cond != copy.copy(cond)
         assert hash(cond) == object.__hash__(cond)
     assert table(n) == table(n)
+
+
+# Each sample's fields, in _samples() order.
+MATCH_ARGS = [
+    ("cells",),
+    ("quotient", "remainder"),
+    ("order", "line_sum"),
+    (
+        "name", "order", "provenance", "files", "claims", "claims_known_false",
+        "notes", "reconstructed_quotient_rows",
+    ),
+    ("family", "shift", "cells"),
+    ("name", "lines", "scale", "mult", "doubled", "franklin"),
+    ("archetype", "order", "seed"),
+    ("square", "report"),
+    ("order", "mode", "node_budget", "prune", "progress", "progress_interval"),
+    ("count", "exhausted", "witnesses", "nodes_visited"),
+    ("condition", "status", "target", "doubled", "lines_checked", "failures"),
+    (
+        "order", "targets", "conditions", "semi_magic", "magic", "pandiagonal",
+        "franklin", "pandiagonal_franklin", "natural", "balanced",
+    ),
+    ("labels", "target_inferred", "report"),
+]
+
+# inspect.signature of each sample's type, as the hand-written __init__
+# methods these types once had gave it.
+SIGNATURES = [
+    "(cells: 'tuple[tuple[int, ...], ...]') -> 'None'",
+    "(quotient: 'Square', remainder: 'Square') -> 'None'",
+    "(order: 'int', line_sum: 'int') -> 'None'",
+    "(name: 'str', order: 'int', provenance: 'str', files: 'dict[str, str]', "
+    "claims: 'tuple[str, ...]', claims_known_false: 'tuple[str, ...]' = (), "
+    "notes: 'str' = '', reconstructed_quotient_rows: 'tuple[int, ...]' = ()) "
+    "-> 'None'",
+    "(family: 'LineFamily', shift: 'int', cells: 'Sequence[Sequence[int]]') "
+    "-> 'None'",
+    "(name: 'str', lines: 'tuple[tuple[LineFamily, int, tuple[int, ...]], ...]', "
+    "scale: 'int' = 1, mult: 'int' = 1, doubled: 'bool' = False, "
+    "franklin: 'bool' = False) -> 'None'",
+    "(archetype: 'Archetype', order: 'int', seed: 'Iterable[int]') -> 'None'",
+    "(square: 'Square', report: 'PropertyReport') -> 'None'",
+    "(order: 'int', mode: 'SearchMode' = <SearchMode.COUNT: 'count'>, "
+    "node_budget: 'int | None' = None, prune: 'bool' = True, "
+    "progress: 'Callable[[int, int], None] | None' = None, "
+    "progress_interval: 'int' = 100000) -> 'None'",
+    "(count: 'int', exhausted: 'bool', witnesses: 'tuple[Square, ...]', "
+    "nodes_visited: 'int') -> 'None'",
+    "(condition: 'str', status: 'ConditionStatus', target: 'int | None', "
+    "doubled: 'bool', lines_checked: 'int', "
+    "failures: 'tuple[tuple[LineDescriptor, int], ...]') -> 'None'",
+    "(order: 'int', targets: 'IndexTargets', "
+    "conditions: 'tuple[ConditionResult, ...]', semi_magic: 'bool', "
+    "magic: 'bool', pandiagonal: 'bool', franklin: 'bool', "
+    "pandiagonal_franklin: 'bool', natural: 'bool', balanced: 'bool') -> 'None'",
+    "(labels: 'frozenset[str]', target_inferred: 'bool', "
+    "report: 'PropertyReport') -> 'None'",
+]
+
+# The types built by the shared __init__, by their sample's index.
+SHARED_INIT = [
+    i for i, value in enumerate(_samples())
+    if type(value).__init__.__code__.co_flags & inspect.CO_VARARGS
+]
+
+
+@pytest.mark.parametrize("i", range(len(REPRS)), ids=_NAMES)
+def test_fields_are_the_declared_annotations(i):
+    cls = type(_samples()[i])
+    assert cls.__match_args__ == MATCH_ARGS[i]
+
+
+@pytest.mark.parametrize("i", range(len(REPRS)), ids=_NAMES)
+def test_signature_lists_the_fields(i):
+    sig = inspect.signature(type(_samples()[i]))
+    assert str(sig) == SIGNATURES[i]
+    assert [p.name for p in sig.parameters.values()] == list(MATCH_ARGS[i])
+    kinds = {p.kind for p in sig.parameters.values()}
+    assert kinds == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
+
+
+def test_store_only_types_have_no_init_of_their_own():
+    assert [_NAMES[i] for i in SHARED_INIT] == [
+        "FixtureEntry",
+        "Condition",
+        "GeneratedSquare",
+        "SearchOutcome",
+        "ConditionResult",
+        "PropertyReport",
+        "ClassifyOutcome",
+    ]
+    for cls in (
+        GeneratedSquare, SearchOutcome, ConditionResult, PropertyReport, ClassifyOutcome
+    ):
+        assert "__init__" not in vars(cls)
+
+
+@pytest.mark.parametrize("i", SHARED_INIT, ids=[_NAMES[i] for i in SHARED_INIT])
+def test_shared_init_binds_like_a_def(i):
+    value = _samples()[i]
+    cls, fields = type(value), type(value).__match_args__
+    args = [getattr(value, name) for name in fields]
+    kwargs = dict(zip(fields, args))
+    text = repr(value)
+    assert repr(cls(*args)) == text
+    assert repr(cls(**kwargs)) == text
+    assert repr(cls(**dict(reversed(kwargs.items())))) == text
+    assert repr(cls(*args[:2], **dict(list(kwargs.items())[2:]))) == text
+    first = fields[0]
+    with pytest.raises(TypeError, match=f"missing argument '{first}'"):
+        cls(**{name: v for name, v in kwargs.items() if name != first})
+    with pytest.raises(TypeError, match="unexpected argument 'extra'"):
+        cls(*args, extra=1)
+    with pytest.raises(TypeError, match=f"multiple values for '{first}'"):
+        cls(*args, **{first: args[0]})
+    surplus = f"takes {len(fields)} arguments, got {len(fields) + 1}"
+    with pytest.raises(TypeError, match=surplus):
+        cls(*args, None)
+    with pytest.raises(TypeError):
+        cls()
+
+
+def test_condition_and_fixture_entry_fill_in_their_defaults():
+    cond = Condition("rows", ((LineFamily.ROW, 0, (0, 1)),))
+    assert (cond.scale, cond.mult, cond.doubled, cond.franklin) == (1, 1, False, False)
+    assert cond._descriptors == [None]
+    cond = Condition("half", (), mult=1, scale=2)
+    assert (cond.scale, cond.mult, cond._descriptors) == (2, 1, [])
+    row = FixtureEntry("x", 2, "p", {"x.csv": "ab"}, ("natural",))
+    assert (row.claims_known_false, row.notes, row.reconstructed_quotient_rows) == (
+        (),
+        "",
+        (),
+    )
+    assert type(row.files).__name__ == "_FrozenDict"
+    assert row == FixtureEntry(
+        name="x", order=2, provenance="p", files={"x.csv": "ab"}, claims=("natural",)
+    )
+
+
+def test_a_subclass_adds_its_fields_after_its_bases():
+    class Tagged(GeneratedSquare):
+        tag: str = ""
+        _note: str = "not a field"
+
+    class Sub(Square):
+        pass
+
+    sample = _samples()[7]
+    tagged = Tagged(sample.square, sample.report)
+    assert Tagged.__match_args__ == ("square", "report", "tag")
+    assert str(inspect.signature(Tagged)).endswith("tag: str = '') -> 'None'")
+    assert repr(tagged).endswith(repr(sample)[len("GeneratedSquare("):-1] + ", tag='')")
+    assert tagged == Tagged(sample.square, sample.report, "")
+    assert tagged != Tagged(sample.square, sample.report, "x")
+    assert Sub.__match_args__ == ("cells",)
+    assert repr(Sub(((1,),))).endswith(".Sub(cells=((1,),))")
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [[[1, 2], [3, 4]], ([1, 2], [3, 4]), [(1, 2), (3, 4)], ((1, 2), [3, 4])],
+    ids=["lists", "tuple-of-lists", "list-of-tuples", "mixed"],
+)
+def test_a_square_stores_its_rows_as_tuples(cells):
+    sq = Square(cells)
+    assert sq.cells == ((1, 2), (3, 4))
+    assert type(sq.cells) is tuple and all(type(row) is tuple for row in sq.cells)
+    assert sq == Square.from_rows([[1, 2], [3, 4]])
+    assert hash(sq) == hash(Square.from_rows([[1, 2], [3, 4]]))
+    if isinstance(cells[0], list):
+        cells[0][0] = 9
+    assert sq.cells[0][0] == 1
+
+
+def test_a_square_keeps_tuple_rows_as_given():
+    rows = ((1, 2), (3, 4))
+    sq = Square(rows)
+    assert sq.cells is rows
+    assert Square([rows[0], rows[1]]).cells[0] is rows[0]
