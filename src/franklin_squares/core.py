@@ -39,9 +39,7 @@ class _Signature:
 
         if not cls.__init__.__code__.co_flags & inspect.CO_VARARGS:
             return None
-        notes = {}
-        for klass in reversed(cls.__mro__):
-            notes.update(getattr(klass, "__annotations__", {}))
+        notes = cls.__annotations__
         P = inspect.Parameter
         kind = P.POSITIONAL_OR_KEYWORD
         params = [
@@ -56,13 +54,13 @@ class _Value:
 
     A subclass declares each field once, as a class annotation; names
     that start with "_" are not fields. __match_args__ lists the fields
-    in declaration order, a base class's first. The shared __init__ binds
-    its arguments to the fields as a def with those parameters would, a
-    class-level value (``scale: int = 1``) being the field's default, and
-    raises TypeError for a missing, unknown, repeated or surplus
-    argument; __signature__ shows those parameters to inspect and help. A
-    type that checks or converts its arguments writes its own __init__
-    and stores each field with _set.
+    in declaration order; a subclass that declares none keeps its base's.
+    The shared __init__ binds its arguments to the fields as a def with
+    those parameters would, a class-level value (``scale: int = 1``)
+    being the field's default, and raises TypeError for a missing,
+    unknown, repeated or surplus argument; __signature__ shows those
+    parameters to inspect and help. A type that checks or converts its
+    arguments writes its own __init__ and stores each field with _set.
 
     repr shows the fields as a dataclass does; == holds between instances
     of one class whose fields compare equal, and hash is the hash of the
@@ -77,19 +75,17 @@ class _Value:
     __signature__ = _Signature()
 
     def __init_subclass__(cls) -> None:
-        """Lists the class's own annotated fields after its base's in
-        __match_args__, and all of them as a set in _names."""
-        cls.__match_args__ += tuple(
-            name for name in cls.__annotations__ if not name.startswith("_")
-        )
-        cls._names = frozenset(cls.__match_args__)
+        """Lists the class's annotated fields in __match_args__, and as a
+        set in _names."""
+        fields = tuple(n for n in cls.__annotations__ if not n.startswith("_"))
+        if fields:
+            cls.__match_args__ = fields
+            cls._names = frozenset(fields)
 
     def __init__(self, *args, **kwargs) -> None:
-        # One value per field, all by position or all by name, is stored
-        # in one step; any other call is bound field by field.
-        if not kwargs and len(args) == len(self.__match_args__):
-            kwargs = dict(zip(self.__match_args__, args))
-        elif args or kwargs.keys() != self._names:
+        # One value per field, all by name, is stored in one step; any
+        # other call is bound field by field.
+        if args or kwargs.keys() != self._names:
             kwargs = self._bind(args, kwargs)
         self.__dict__.update(kwargs)
 

@@ -325,21 +325,10 @@ def test_condition_and_fixture_entry_fill_in_their_defaults():
     )
 
 
-def test_a_subclass_adds_its_fields_after_its_bases():
-    class Tagged(GeneratedSquare):
-        tag: str = ""
-        _note: str = "not a field"
-
+def test_a_subclass_that_declares_no_fields_keeps_its_bases():
     class Sub(Square):
         pass
 
-    sample = _samples()[7]
-    tagged = Tagged(sample.square, sample.report)
-    assert Tagged.__match_args__ == ("square", "report", "tag")
-    assert str(inspect.signature(Tagged)).endswith("tag: str = '') -> 'None'")
-    assert repr(tagged).endswith(repr(sample)[len("GeneratedSquare("):-1] + ", tag='')")
-    assert tagged == Tagged(sample.square, sample.report, "")
-    assert tagged != Tagged(sample.square, sample.report, "x")
     assert Sub.__match_args__ == ("cells",)
     assert repr(Sub(((1,),))).endswith(".Sub(cells=((1,),))")
 
