@@ -59,6 +59,7 @@ from .composition import compose, decompose
 from .core import AuxPair, IndexTargets, Square, magic_constant
 from .formats import (
     FormatError,
+    _decimal,
     outcome_to_dict,
     parse_square_csv,
     parse_square_json,
@@ -109,7 +110,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_text(path: str) -> str:
-    """Read a file, or stdin for '-', as strict UTF-8 with any newlines."""
+    """Read a file, or stdin for '-', as strict UTF-8."""
     try:
         if path == "-":
             if sys.stdin is None:  # the process started with stdin closed
@@ -118,12 +119,11 @@ def _read_text(path: str) -> str:
         else:
             with open(path, "rb") as fh:
                 data = fh.read()
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise _CliError("BAD_FORMAT", f"{path}: {exc}")
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise _CliError("BAD_FILE", f"cannot read {path}: {exc}")
-    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _read_square(path: str) -> Square:
@@ -197,7 +197,7 @@ def _parse_target(raw: str, n: int) -> IndexTargets:
     if raw == "balanced":
         return IndexTargets.balanced(n)
     try:
-        line_sum = int(raw)
+        line_sum = _decimal(raw)
     except ValueError:
         raise _CliError(
             "USAGE",
@@ -275,7 +275,7 @@ def _cmd_compose(args: argparse.Namespace) -> None:
 
 def _parse_seed(raw: str, flag: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in raw.split(","))
+        return tuple(_decimal(part) for part in raw.split(","))
     except ValueError:
         raise _CliError("USAGE", f"{flag} must be comma-separated integers")
 
@@ -352,12 +352,18 @@ def _cmd_generate(args: argparse.Namespace) -> None:
 # search
 
 
-def _positive_int(raw: str) -> int:
-    """argparse type for counts: a bad value is USAGE and names its flag."""
+def _int(raw: str) -> int:
+    """argparse type for integers, read as the CSV reader reads a value: a
+    bad value is USAGE and names its flag."""
     try:
-        value = int(raw)
+        return _decimal(raw)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}")
+
+
+def _positive_int(raw: str) -> int:
+    """argparse type for counts."""
+    value = _int(raw)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be positive, got {value}")
     return value
@@ -484,7 +490,7 @@ def _build_parser() -> _Parser:
 
     p_gen = sub.add_parser("generate", help="expand seed patterns into a square")
     p_gen.add_argument("--preset", help="named preset (see `fixtures list`)")
-    p_gen.add_argument("--order", type=int, help="square order for seeded generation")
+    p_gen.add_argument("--order", type=_int, help="square order for seeded generation")
     p_gen.add_argument("--q-seed", help="comma-separated quotient seed values")
     p_gen.add_argument("--r-seed", help="comma-separated remainder seed values")
     p_gen.add_argument(
@@ -497,7 +503,7 @@ def _build_parser() -> _Parser:
     p_gen.set_defaults(run=_cmd_generate)
 
     p_sea = sub.add_parser("search", help="enumerate natural Franklin squares")
-    p_sea.add_argument("--order", type=int, required=True)
+    p_sea.add_argument("--order", type=_int, required=True)
     p_sea.add_argument(
         "--mode", choices=[m.value for m in SearchMode], default="count"
     )

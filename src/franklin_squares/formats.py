@@ -3,14 +3,16 @@
 Canonical CSV is one grid row per line, comma-separated decimal integers,
 no header, LF line endings, exactly one trailing newline. Parsing a
 canonical file and emitting it again is byte-identical. On input a value
-is an optional sign and ASCII digits, with blanks around it allowed.
+is an optional sign and ASCII digits, with blanks around it allowed, and
+a line may end in LF, CRLF or a lone CR.
 
 JSON squares are {"order": n, "cells": [row-major ints]}; on input an
 optional "name" must be a string or null, and is ignored.
 Reports serialize a PropertyReport with a schema_version field and a fixed
 key order; failures are already sorted by (family, shift). report_to_json
 writes ``json.dumps(report_to_dict(...), indent=2)`` byte for byte from the
-report, and renders each failing line's text once per process.
+report. A failing line's text is rendered the first time a report shows
+it and kept on its LineDescriptor, so it lives as long as the line does.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import json
 from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING
 
-from .core import Square
+from .core import Square, _set
 from .verify import ConditionResult, PropertyReport
 
 if TYPE_CHECKING:
@@ -33,30 +35,37 @@ class FormatError(ValueError):
     """Malformed input text (bad CSV/JSON grid)."""
 
 
-def _is_decimal(tok: str) -> bool:
-    """An optional sign, then ASCII digits."""
+def _decimal(text: str) -> int:
+    """The int text spells as an optional sign and ASCII digits, with
+    blanks around them; anything else raises ValueError. int() alone also
+    takes "1_000" and non-ASCII digits."""
+    tok = text.strip()
     digits = tok[1:] if tok[:1] in ("+", "-") else tok
-    return digits.isascii() and digits.isdigit()
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(tok)
+
+
+def _lf(text: str) -> str:
+    """text with each CRLF or lone CR read as LF."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def parse_square_csv(text: str) -> Square:
     rows: dict[int, list[int]] = {}  # file line number -> values
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, line in enumerate(_lf(text).split("\n"), start=1):
         if line == "":
             continue
         cells = []
         # int() also takes "1_6" and non-ASCII digits; an ASCII line with
-        # no "_" holds neither, so only other lines are checked by token.
-        plain = line.isascii() and "_" not in line
+        # no "_" holds neither, so only other lines need _decimal.
+        number = int if line.isascii() and "_" not in line else _decimal
         for tok in line.split(","):
-            tok = tok.strip()
             try:
-                if not (plain or _is_decimal(tok)):
-                    raise ValueError
-                cells.append(int(tok))
+                cells.append(number(tok))
             except ValueError:
                 raise FormatError(
-                    f"line {lineno}: {tok!r} is not an integer"
+                    f"line {lineno}: {tok.strip()!r} is not an integer"
                 ) from None
         rows[lineno] = cells
     if not rows:
@@ -78,7 +87,7 @@ def parse_square_json(text: str) -> Square:
     """The square in a JSON square's text; an optional "name" must be a
     string or null, and is not kept."""
     try:
-        obj = json.loads(text)
+        obj = json.loads(_lf(text))
     # ValueError: a JSONDecodeError, or an integer over the digit limit;
     # RecursionError: arrays nested too deep for the decoder.
     except (ValueError, RecursionError) as exc:
@@ -165,8 +174,6 @@ _REPORT, _CONDITION, _FAILURE = (
 )
 _FAILURE, _END = _FAILURE.rsplit("%s", 1)
 _FLAGS = "semi_magic magic pandiagonal franklin pandiagonal_franklin natural balanced"
-_SHARED_LINES = 512  # cached failing lines; a corpus benchmark pass renders 350
-_line_texts: dict[int, tuple[LineDescriptor, str]] = {}
 
 
 def _scalar(value) -> str:
@@ -178,16 +185,13 @@ def _scalar(value) -> str:
 
 
 def _line_json(line: LineDescriptor) -> str:
-    """_FAILURE filled in for a line, cached by its shared descriptor's id."""
-    hit = _line_texts.get(id(line))
-    if hit is not None and hit[0] is line:  # the entry holds line: its id is unique
-        return hit[1]
-    flat = tuple([v for cell in line.cells for v in cell])
-    array = _array([_array(["%d", "%d"], 6)] * len(line.cells), 5) % flat
-    text = _FAILURE % (_quote(line.family.value), "%d" % line.shift, array)
-    if len(_line_texts) >= _SHARED_LINES:
-        _line_texts.clear()
-    _line_texts[id(line)] = line, text
+    """_FAILURE filled in for a line, kept on the line as ``_json``."""
+    text = line.__dict__.get("_json")
+    if text is None:
+        flat = tuple([v for cell in line.cells for v in cell])
+        array = _array([_array(["%d", "%d"], 6)] * len(line.cells), 5) % flat
+        text = _FAILURE % (_quote(line.family.value), "%d" % line.shift, array)
+        _set(line, "_json", text)
     return text
 
 

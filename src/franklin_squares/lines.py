@@ -83,7 +83,11 @@ class LineDescriptor(_Value):
     """One concrete line: its family, its shift within the family and its
     cells, frozen into (row, column) tuples so that it hashes. Anything but
     a LineFamily, an int shift and a sequence of distinct int pairs raises
-    ValueError."""
+    ValueError.
+
+    ``_json`` is not a field: formats sets it the first time a report
+    shows the line as failing, to the line's JSON text. That text is a
+    pure function of the fields under report schema version 1."""
 
     family: LineFamily
     shift: int

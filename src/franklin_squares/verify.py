@@ -172,7 +172,7 @@ def _result(
 
 # Bound on the shared failure-free results, one per table condition (an
 # order and section) and line sum, least recently used evicted first;
-# one pass of the benchmark's corpus workload uses 79.
+# one pass of the benchmark's corpus workload uses 71.
 _SHARED_RESULTS = 256
 
 

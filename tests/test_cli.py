@@ -731,6 +731,45 @@ COMMAND_DIGESTS = {
         "6450ddeccc45f4f961558f9fd8e79c4ea8fef0ac5d2a313305ee4cf006c53bf4",
         {},
     ),
+    # Integer flags read a value as the CSV reader does: an optional sign
+    # and ASCII digits. A value int() refuses keeps its message.
+    "search --order x": (
+        2,
+        EMPTY,
+        "1ccc6dbb4bb1806d40305f3d1faf1bcd9e0cf4a45341e2923c5fa5efdc3edc5b",
+        {},
+    ),
+    "verify {data}/f8_1769.csv --target x": (
+        2,
+        EMPTY,
+        "13bd6fa18603ff612d03ac89a921cbad9e73fd3cba14e4a1360eaf115bf4b84c",
+        {},
+    ),
+    # int() takes these, the flags do not.
+    "search --order ٨ --mode first": (
+        2,
+        EMPTY,
+        "9f3f62cc91be2a49bf4324bafbb7c8f6da95765e0099253489e512638c776f53",
+        {},
+    ),
+    "search --order 8 --mode first --budget ١_000": (
+        2,
+        EMPTY,
+        "4f4945555b658c1fbb9c0a40cdfeed8bb62f354443e1526e02e0a21ddf608e85",
+        {},
+    ),
+    "verify {data}/f8_1769.csv --target 2_60 --require franklin": (
+        2,
+        EMPTY,
+        "46a6aeb29522ede18928ca7db5c55542a1dcf859ac9710830bf2face0271525c",
+        {},
+    ),
+    "generate --order 8 --q-seed 6,7,0,1,2,3,4,5 --r-seed 3,5,4,2,6,0,1,٧ --archetypes row_alternate,column_alternate": (
+        2,
+        EMPTY,
+        "72fe451fc8626f323801354986bf106da5542c3bc9e62c855fc92343e2357904",
+        {},
+    ),
 }
 
 

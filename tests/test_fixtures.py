@@ -93,6 +93,16 @@ def test_env_override_redirects_loading(tmp_path, monkeypatch):
     assert fixtures.load_square("m6_franklin_1769").cells == other.cells
 
 
+def test_override_files_with_cr_line_ends_load_as_bundled(tmp_path, monkeypatch):
+    # A fixture file reads as the CLI reads a square file: LF, CRLF and a
+    # lone CR all end a line.
+    for path in fixtures._BUNDLED_DIR.glob("*.csv"):
+        (tmp_path / path.name).write_bytes(path.read_bytes().replace(b"\n", b"\r"))
+    bundled = {name: fixtures.load(name) for name in fixtures.names()}
+    monkeypatch.setenv(fixtures.ENV_VAR, str(tmp_path))
+    assert {name: fixtures.load(name) for name in fixtures.names()} == bundled
+
+
 def test_verify_corpus_flags_missing_and_tampered_files(tmp_path):
     root = fixtures._BUNDLED_DIR
     for e in (fixtures.entry("m6_euler"), fixtures.entry("m6_xian")):

@@ -13,7 +13,7 @@ from franklin_squares import (
     classify,
     verify,
 )
-from franklin_squares import fixtures, formats
+from franklin_squares import fixtures
 from franklin_squares.formats import (
     FormatError,
     outcome_to_dict,
@@ -99,6 +99,10 @@ MALFORMED_JSON = {
     '{"order": 2, "cells": [1, 2, 3, 4], "name": 7}': "'name' must be a string",
     '{"order": true, "cells": [1]}': "JSON square needs a positive integer 'order'",
     "not json at all": "invalid JSON: ",
+    # A CR or CRLF ends a line as LF does, in the place the decoder names.
+    '{"order": 2,\r "cells": [1,2,\r\n3 4]}': (
+        "invalid JSON: Expecting ',' delimiter: line 3 column 3 (char 31)"
+    ),
 }
 
 
@@ -284,10 +288,17 @@ def test_check_lines_values_outside_the_report_schema_raise():
             build()
 
 
-def test_line_text_cache_is_bounded():
+def test_line_text_lives_as_long_as_its_line():
+    import gc
+    import weakref
+
     sq = Square.from_rows([[1, 2], [3, 4]])
     lines = tuple(LineDescriptor(LineFamily.ROW, k, ((0, 0),)) for k in range(600))
-    result = check_lines(sq, lines, 5)
-    report = _report_of(result)
+    report = _report_of(check_lines(sq, lines, 5))
     _assert_stdlib_text(report)
-    assert 0 < len(formats._line_texts) <= formats._SHARED_LINES
+    assert all("_json" in vars(line) for line in lines)
+    # The text hangs on its line, so dropping the caller's objects frees both.
+    last = weakref.ref(lines[-1])
+    del report, lines
+    gc.collect()
+    assert last() is None

@@ -87,6 +87,23 @@ def test_presets_reproduce_stored_squares(name):
     assert preset(name).cells == fixtures.load_square(name).cells
 
 
+@pytest.mark.parametrize("name", sorted(patterns._PRESET_SEEDS))
+def test_seeded_presets_build_no_report(monkeypatch, name):
+    # A seeded preset is its seeds' composition, as generate builds it,
+    # without the report that generate's verify would add.
+    want = generate(*patterns._PRESET_SEEDS[name]).square
+    if name == "f24":  # stored only as its auxiliary pair
+        assert want == compose(fixtures.load_aux_pair("q24_r24"))
+    else:
+        assert want == fixtures.load_square(name)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a preset was verified")
+
+    monkeypatch.setattr(patterns, "verify", refuse)
+    assert preset(name) == want
+
+
 def test_f24_preset_composes_the_order24_pair():
     from franklin_squares import compose
 
