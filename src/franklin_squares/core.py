@@ -14,6 +14,7 @@ their own 1-based formatting.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from itertools import chain
 
 # Stores a field past the frozen __setattr__, as a validating __init__ does.
 _set = object.__setattr__
@@ -239,7 +240,7 @@ class IndexTargets(_Value):
 def is_natural(sq: Square) -> bool:
     """True iff the cells are exactly the multiset {1, 2, ..., n^2}."""
     n = sq.order
-    return sorted(v for row in sq.cells for v in row) == list(range(1, n * n + 1))
+    return sorted(chain.from_iterable(sq.cells)) == list(range(1, n * n + 1))
 
 
 def is_balanced(sq: Square) -> bool:

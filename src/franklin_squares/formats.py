@@ -11,8 +11,10 @@ optional "name" must be a string or null, and is ignored.
 Reports serialize a PropertyReport with a schema_version field and a fixed
 key order; failures are already sorted by (family, shift). report_to_json
 writes ``json.dumps(report_to_dict(...), indent=2)`` byte for byte from the
-report. A failing line's text is rendered the first time a report shows
-it and kept on its LineDescriptor, so it lives as long as the line does.
+report, as a list of pieces joined once. A failing line's text is
+rendered the first time a report shows it and kept on its
+LineDescriptor, so it lives as long as the line does, and only that one
+join copies it.
 """
 
 from __future__ import annotations
@@ -165,15 +167,21 @@ def _array(items: list[str], depth: int, brackets: str = "[]") -> str:
     return f"{brackets[0]}{pad}  " + f",{pad}  ".join(items) + pad + brackets[1]
 
 
-# %-templates of the report's objects; a failure is _FAILURE, actual, _END.
-_REPORT, _CONDITION, _FAILURE = (
-    _array([f'"{key}": %s' for key in keys.split()], depth, "{}") for depth, keys in (
+# %-templates of the report's objects, each cut before its last value
+# (an object's text goes on after that value with its _END); a failure is
+# a line's _line_json text, its actual sum and _END.
+(_REPORT, _REPORT_END), (_CONDITION, _CONDITION_END), (_FAILURE, _END) = (
+    _array([f'"{key}": %s' for key in keys.split()], depth, "{}").rsplit("%s", 1)
+    for depth, keys in (
         (0, "schema_version order line_sum target_inferred flags conditions"),
         (2, "condition status passed target doubled lines_checked failures"),
         (4, "family shift cells actual"))
 )
-_FAILURE, _END = _FAILURE.rsplit("%s", 1)
 _FLAGS = "semi_magic magic pandiagonal franklin pandiagonal_franklin natural balanced"
+# The conditions array and a failures array: the line start of each item,
+# and the array's close.
+_CONDITION_ITEM, _CONDITIONS_CLOSE = "\n    ", "\n  ]"
+_FAILURE_ITEM, _FAILURES_CLOSE = "\n        ", "\n      ]"
 
 
 def _scalar(value) -> str:
@@ -195,21 +203,33 @@ def _line_json(line: LineDescriptor) -> str:
     return text
 
 
+def _close(parts: list[str], close: str) -> None:
+    """End the array that parts end in: the comma after its last item
+    becomes close, and an array with no items is []."""
+    parts[-1] = "[]" if parts[-1] == "[" else close
+
+
 def report_to_json(report: PropertyReport, target_inferred: bool = False) -> str:
-    """``json.dumps(report_to_dict(report, target_inferred), indent=2)``."""
-    conditions = [
-        _CONDITION % (
+    """``json.dumps(report_to_dict(report, target_inferred), indent=2)``,
+    as pieces joined once: the largest, each failing line's kept text, is
+    not copied before that join."""
+    flags = [f'"{key}": {_scalar(getattr(report, key))}' for key in _FLAGS.split()]
+    parts = [_REPORT % (
+        SCHEMA_VERSION, _scalar(report.order), _scalar(report.targets.line_sum),
+        _scalar(target_inferred), _array(flags, 1, "{}"),
+    ), "["]
+    for c in report.conditions:
+        parts += (_CONDITION_ITEM, _CONDITION % (
             _scalar(c.condition), _quote(c.status.value), _scalar(c.passed),
             _scalar(c.target), _scalar(c.doubled), _scalar(c.lines_checked),
-            _array([f"{_line_json(line)}{actual}{_END}" for line, actual in c.failures], 3),
-        )
-        for c in report.conditions
-    ]
-    flags = [f'"{key}": {_scalar(getattr(report, key))}' for key in _FLAGS.split()]
-    return _REPORT % (
-        SCHEMA_VERSION, _scalar(report.order), _scalar(report.targets.line_sum),
-        _scalar(target_inferred), _array(flags, 1, "{}"), _array(conditions, 1),
-    )
+        ), "[")
+        for line, actual in c.failures:
+            parts += (_FAILURE_ITEM, _line_json(line), str(actual), _END, ",")
+        _close(parts, _FAILURES_CLOSE)
+        parts += (_CONDITION_END, ",")
+    _close(parts, _CONDITIONS_CLOSE)
+    parts.append(_REPORT_END)
+    return "".join(parts)
 
 
 def outcome_to_dict(

@@ -206,7 +206,11 @@ class Condition(_Value):
 
 @lru_cache(maxsize=None)
 def table(n: int) -> tuple[Condition, ...]:
-    """Every condition on an order-n grid, in report order, built once."""
+    """Every condition on an order-n grid, in report order, built once.
+
+    Each condition's lines all have one width. verify builds one gather
+    per order over the cells of every line here, in this order, and it
+    gives every line sum of a square in one pass."""
     # One int object per cell index, shared by every line through it.
     index = tuple(range(n * n))
 

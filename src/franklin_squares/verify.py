@@ -2,11 +2,17 @@
 
 verify() produces a PropertyReport: one ConditionResult per condition
 family (rows, columns, both main diagonals, wraparound diagonals, the four
-bent families, half-lines, 2x2 subsquares) plus derived flags. It walks
+bent families, half-lines, 2x2 subsquares) plus derived flags. It reads
 lines.table(n), where each condition's lines pass at line sum m when
-scale*sum == mult*m. Every failing line is reported with its actual sum,
-sorted by (family, shift), so claims about exactly which lines fail are
-checkable.
+scale*sum == mult*m. One gather, built once per order, gives every line
+sum of the table in one pass: an itemgetter over the cells of every line
+in table order, its values summed a run of equal-width lines at a time,
+and each condition takes its slice of the sums. A condition passes when
+mult*m % scale == 0 and each of its sums is mult*m // scale; only one
+that misses is scanned for its failing lines. Every failing line is
+reported with its actual sum, sorted by (family, shift), so claims about
+exactly which lines fail are checkable. check_lines sums its lines the
+same way.
 
 Reports share every part that depends only on the order, the line and the
 target. A failing line's LineDescriptor is built once per line per
@@ -34,8 +40,11 @@ sections.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from enum import Enum
 from functools import lru_cache
+from itertools import accumulate, chain, groupby, islice
+from operator import itemgetter
 
 from .core import IndexTargets, Square, _require, _Value, is_balanced, is_natural
 from .lines import Condition, LineDescriptor, LineFamily, table
@@ -106,15 +115,53 @@ class PropertyReport(_Value):
         )
 
 
+def _summer(lines: list[tuple[int, ...]]) -> Callable[[Sequence[int]], list[int]]:
+    """The function from a row-major cell sequence to the sum of each of
+    lines (tuples of flat cell indexes), in order.
+
+    One itemgetter gathers the cells of every line at once; each run of
+    lines of one width w is then summed w gathered values at a time.
+    """
+    cells = list(chain.from_iterable(lines))
+    runs = [(width, len(list(run))) for width, run in groupby(map(len, lines))]
+    # A getter of one cell returns a bare value and one of none raises,
+    # so those read a slice, which is a list either way.
+    if len(cells) < 2:
+        cells = [slice(cells[0], cells[0] + 1) if cells else slice(0)]
+    get = itemgetter(*cells)
+
+    def sums(flat: Sequence[int]) -> list[int]:
+        values = iter(get(flat))
+        out: list[int] = []
+        for width, count in runs:
+            # zip() of no iterables yields nothing: a line of no cells sums to 0.
+            out += map(sum, islice(zip(*[values] * width), count)) if width else [0] * count
+        return out
+
+    return sums
+
+
+@lru_cache(maxsize=None)
+def _gather(n: int, first: int = 0):
+    """The summer of every line of table(n)[first:], in table order, and
+    each of those conditions' (start, end) among its sums; built once per
+    order."""
+    conds = table(n)[first:]
+    ends = list(accumulate(len(cond.lines) for cond in conds))
+    bounds = tuple(zip([0, *ends], ends))
+    return _summer([cells for cond in conds for _f, _s, cells in cond.lines]), bounds
+
+
 def _failures(
-    flat: list[int],
+    sums: list[int],
     n: int,
     lines: tuple[tuple[LineFamily, int, tuple[int, ...]], ...],
     descriptors: list[LineDescriptor | None] | tuple[LineDescriptor, ...],
     scale: int,
     rhs: int,
 ) -> tuple[tuple[LineDescriptor, int], ...]:
-    """Each line whose scale*sum differs from rhs, with its plain sum.
+    """Each line whose scale*sum differs from rhs, with its plain sum;
+    sums[k] is the sum of lines[k].
 
     descriptors[k] describes lines[k]. A None entry is filled in the first
     time its line fails, so descriptors are built once per line per
@@ -122,13 +169,11 @@ def _failures(
     that fail a new line at once may each build it; the values are equal.)
     """
     failures = []
-    for k, (family, shift, cells) in enumerate(lines):
-        actual = 0
-        for i in cells:
-            actual += flat[i]
+    for k, actual in enumerate(sums):
         if scale * actual != rhs:
             line = descriptors[k]
             if line is None:
+                family, shift, cells = lines[k]
                 pairs = [divmod(i, n) for i in cells]
                 line = descriptors[k] = LineDescriptor(family, shift, pairs)
             failures.append((line, actual))
@@ -183,16 +228,19 @@ def _clean_result(cond: Condition, m: int) -> ConditionResult:
     return _result(cond, m, ())
 
 
-def _evaluate(flat: list[int], n: int, cond: Condition, m: int) -> ConditionResult:
-    """One table condition at line sum m."""
-    failures = _failures(
-        flat, n, cond.lines, cond._descriptors, cond.scale, cond.mult * m
-    )
-    return _result(cond, m, failures) if failures else _clean_result(cond, m)
+def _evaluate(n: int, cond: Condition, m: int, sums: list[int]) -> ConditionResult:
+    """One table condition at line sum m, given its lines' sums. Only a
+    condition some line misses is scanned for its failing lines."""
+    rhs = cond.mult * m
+    if rhs % cond.scale or sums.count(rhs // cond.scale) != len(sums):
+        failures = _failures(sums, n, cond.lines, cond._descriptors, cond.scale, rhs)
+        if failures:
+            return _result(cond, m, failures)
+    return _clean_result(cond, m)
 
 
 def _flat(sq: Square) -> list[int]:
-    return [v for row in sq.cells for v in row]
+    return list(chain.from_iterable(sq.cells))
 
 
 def check_lines(
@@ -218,8 +266,9 @@ def check_lines(
                 f"line {line.family.value} #{line.shift} does not fit order {n}"
             )
         flat_lines.append((line.family, line.shift, flat))
+    sums = _summer([cells for _f, _s, cells in flat_lines])(_flat(sq))
     failures = sorted(
-        _failures(_flat(sq), n, flat_lines, lines, 2 if doubled else 1, target),
+        _failures(sums, n, flat_lines, lines, 2 if doubled else 1, target),
         key=lambda f: (_FAMILY_ORDER[f[0].family], f[0].shift),
     )
     return ConditionResult(
@@ -234,7 +283,9 @@ def check_lines(
 
 def _subsquare_result(sq: Square, targets: IndexTargets) -> ConditionResult:
     """The subsquares section of verify(sq, targets)."""
-    return _evaluate(_flat(sq), sq.order, table(sq.order)[-1], targets.line_sum)
+    n = sq.order
+    sums, _bounds = _gather(n, -1)
+    return _evaluate(n, table(n)[-1], targets.line_sum, sums(_flat(sq)))
 
 
 def verify(sq: Square, targets: IndexTargets) -> PropertyReport:
@@ -243,9 +294,13 @@ def verify(sq: Square, targets: IndexTargets) -> PropertyReport:
     if targets.order != n:
         raise ValueError(f"targets are for order {targets.order}, square is {n}")
     m = targets.line_sum
-    flat = _flat(sq)
     conds = table(n)
-    conditions = tuple(_evaluate(flat, n, cond, m) for cond in conds)
+    sums, bounds = _gather(n)
+    values = sums(_flat(sq))
+    conditions = tuple(
+        _evaluate(n, cond, m, values[start:end])
+        for cond, (start, end) in zip(conds, bounds)
+    )
 
     by_name = {c.condition: c for c in conditions}
     semi_magic = by_name["rows"].passed and by_name["columns"].passed

@@ -228,6 +228,13 @@ def test_odd_target_report_has_unsatisfiable_sections_and_null_target():
     assert '"target": null' in text
 
 
+def test_report_with_no_conditions_matches_stdlib():
+    report = verify(fixtures.load_square("f8_1769"), IndexTargets.natural(8))
+    fields = {name: getattr(report, name) for name in PropertyReport.__match_args__}
+    text = _assert_stdlib_text(PropertyReport(**{**fields, "conditions": ()}))
+    assert '"conditions": []' in text
+
+
 def test_cached_line_text_carries_no_sum():
     # Both reports fail every line at order 4; only the sums differ.
     ones = verify(Square.from_rows([[1] * 4] * 4), IndexTargets(4, 5))

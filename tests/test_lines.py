@@ -298,11 +298,12 @@ def test_importing_the_package_builds_no_table():
     code = (
         "import sys, franklin_squares.cli, franklin_squares.lines as lines; "
         "from franklin_squares import patterns, search; "
-        "from franklin_squares.verify import _clean_result; "
+        "from franklin_squares.verify import _clean_result, _gather; "
         # Failing-line descriptors and their report texts hang on the
         # table, so none exist either.
         "assert lines.table.cache_info().currsize == 0; "
         "assert _clean_result.cache_info().currsize == 0; "
+        "assert _gather.cache_info().currsize == 0; "
         "assert patterns._leaf_checks.cache_info().currsize == 0; "
         "assert search._plan.cache_info().currsize == 0; "
         "assert 'concurrent.futures' not in sys.modules"

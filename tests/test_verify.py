@@ -12,8 +12,15 @@ from franklin_squares import (
     verify,
 )
 from franklin_squares import fixtures
-from franklin_squares.lines import LineFamily, family_lines, table
-from franklin_squares.verify import _clean_result
+from franklin_squares.lines import (
+    BENT_FAMILIES,
+    HALF_LINE_FAMILIES,
+    LineDescriptor,
+    LineFamily,
+    family_lines,
+    table,
+)
+from franklin_squares.verify import _clean_result, _gather
 
 LO_SHU = Square.from_rows([[2, 7, 6], [9, 5, 1], [4, 3, 8]])
 
@@ -176,9 +183,107 @@ def test_shared_descriptors_and_results_match_fresh_reports(a):
         assert [s for _, s in cond_b.failures] == [2 * s for _, s in cond_a.failures]
     # Rebuilt b first, so a result shared across targets would differ.
     table.cache_clear()
+    _gather.cache_clear()
     _clean_result.cache_clear()
     assert verify(b, targets_b) == report_b
     assert classify(a).report == report_a
+
+
+def _reference_rules(n):
+    """Each report condition as (name, families, scale, mult, even only): a
+    line passes at line sum m when scale*sum == mult*m. Written out here,
+    not read from lines.table."""
+    F = LineFamily
+    return [
+        ("rows", [F.ROW], 1, 1, False),
+        ("columns", [F.COLUMN], 1, 1, False),
+        ("main_diagonal", [F.MAIN_DIAGONAL], 1, 1, False),
+        ("cross_diagonal", [F.CROSS_DIAGONAL], 1, 1, False),
+        ("pandiagonals", [F.PANDIAG_DOWNRIGHT, F.PANDIAG_DOWNLEFT], 1, 1, False),
+        *((f.value.lower(), [f], 1, 1, True) for f in BENT_FAMILIES),
+        ("half_lines", list(HALF_LINE_FAMILIES), 2, 1, True),
+        ("subsquares", [F.SUBSQUARE_2x2], n, 4, True),
+    ]
+
+
+# Small values let lines pass; the wide ones are negative or pass 2**64.
+_CELLS = st.one_of(
+    st.integers(-3, 3), st.integers(-(2**70), 2**70), st.integers(2**64, 2**66)
+)
+
+
+@st.composite
+def _squares_at_targets(draw):
+    """A square at orders 1-12 and a target for it. The square is a grid
+    of any values, or one value everywhere with a few cells changed, so
+    that most lines pass and a few miss; the target is natural, inferred
+    or odd."""
+    n = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        values = draw(st.lists(_CELLS, min_size=n * n, max_size=n * n))
+    else:
+        values = [draw(_CELLS)] * (n * n)
+        for i in draw(st.lists(st.integers(0, n * n - 1), max_size=4)):
+            values[i] = draw(_CELLS)
+    sq = Square.from_rows(values[r * n:(r + 1) * n] for r in range(n))
+    kind = draw(st.sampled_from(["natural", "inferred", "odd"]))
+    if kind == "natural":
+        return sq, IndexTargets.natural(n)
+    if kind == "inferred":
+        return sq, classify(sq).report.targets
+    return sq, IndexTargets(n, 2 * draw(st.integers(-(2**66), 2**66)) + 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_squares_at_targets())
+def test_verify_lists_exactly_the_lines_a_cell_by_cell_sum_misses(drawn):
+    sq, targets = drawn
+    n, m = sq.order, targets.line_sum
+    report = verify(sq, targets)
+    rules = _reference_rules(n)
+    assert [c.condition for c in report.conditions] == [rule[0] for rule in rules]
+    for cond, (name, families, scale, mult, even_only) in zip(report.conditions, rules):
+        if even_only and n % 2:
+            assert cond.status is ConditionStatus.NOT_APPLICABLE, name
+            assert (cond.target, cond.lines_checked, cond.failures) == (None, 0, ())
+            continue
+        lines = [line for f in families for line in family_lines(n, f)]
+        sums = [sum(sq.cells[r][c] for r, c in line.cells) for line in lines]
+        missed = [(line, s) for line, s in zip(lines, sums) if scale * s != mult * m]
+        assert cond.failures == tuple(missed), name
+        assert cond.lines_checked == len(lines), name
+        if (mult * m) % scale:
+            assert cond.status is ConditionStatus.UNSATISFIABLE, name
+        else:
+            want = ConditionStatus.FAILED if missed else ConditionStatus.PASSED
+            assert cond.status is want, name
+
+
+def test_check_lines_sums_no_lines_one_cell_and_mixed_widths():
+    sq = Square.from_rows([[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12], [13, 14, 15, 16]])
+    empty = check_lines(sq, (), 7)
+    assert (empty.status, empty.lines_checked, empty.failures) == (
+        ConditionStatus.PASSED, 0, ()
+    )
+    # A getter of one cell index returns the bare value, not a tuple.
+    cell = LineDescriptor(LineFamily.ROW, 2, [(2, 1)])
+    assert check_lines(sq, (cell,), 10).status is ConditionStatus.PASSED
+    one = check_lines(sq, (cell,), 9)
+    assert (one.status, one.lines_checked, one.failures) == (
+        ConditionStatus.FAILED, 1, ((cell, 10),)
+    )
+    row = family_lines(4, LineFamily.ROW)[1]  # 5+6+7+8
+    half = family_lines(4, LineFamily.HALF_ROW_RIGHT)[2]  # 11+12
+    sub = family_lines(4, LineFamily.SUBSQUARE_2x2)[15]  # 16+13+4+1, wrapped
+    column = LineDescriptor(LineFamily.COLUMN, 0, [[0, 0], [1, 0]])  # 1+5
+    nothing = LineDescriptor(LineFamily.BENT_UP, 0, [])
+    lines = (row, half, sub, column, nothing)
+    plain = check_lines(sq, lines, 26)
+    assert (plain.status, plain.lines_checked) == (ConditionStatus.FAILED, 5)
+    # Failures come in (family, shift) order, whatever order the lines had.
+    assert plain.failures == ((column, 6), (nothing, 0), (half, 23), (sub, 34))
+    doubled = check_lines(sq, lines, 46, doubled=True)
+    assert doubled.failures == ((row, 26), (column, 6), (nothing, 0), (sub, 34))
 
 
 def test_classify_natural_square():
