@@ -17,22 +17,26 @@ from .core import AuxPair, Square
 
 
 def compose(pair: AuxPair) -> Square:
-    """M[r][c] = n*Q[r][c] + R[r][c] + 1."""
+    """M[r][c] = n*Q[r][c] + R[r][c] + 1.
+
+    The values are not checked again: AuxPair has proved them ints in
+    0..n-1, so every cell is an int in 1..n^2.
+    """
     n = pair.order
-    q, r = pair.quotient.cells, pair.remainder.cells
-    return Square(
-        tuple(
-            tuple(n * q[i][j] + r[i][j] + 1 for j in range(n))
-            for i in range(n)
-        )
-    )
+    return Square._of(tuple([
+        tuple([n * a + b + 1 for a, b in zip(q_row, r_row)])
+        for q_row, r_row in zip(pair.quotient.cells, pair.remainder.cells)
+    ]))
 
 
 def decompose(sq: Square) -> AuxPair:
-    """Invert composition: R = (M - 1) mod n, Q = (M - 1 - R) / n.
+    """Invert composition: Q = (M - 1) // n, R = M - 1 - n*Q.
 
     Raises ValueError for any cell < 1, or when a quotient falls outside
-    0..n-1 (the input is not in natural range 1..n^2).
+    0..n-1 (the input is not in natural range 1..n^2), naming the first
+    such cell in row-major order. Each cell is checked once, as it is
+    split; the quotient and remainder squares then hold ints in 0..n-1
+    and are stored without a second scan.
     """
     n = sq.order
     q_rows = []
@@ -43,17 +47,16 @@ def decompose(sq: Square) -> AuxPair:
         for j, v in enumerate(row):
             if v < 1:
                 raise ValueError(f"cell ({i}, {j}) = {v} is < 1")
-            rem = (v - 1) % n
-            quo = (v - 1 - rem) // n
-            if not 0 <= quo < n:
+            quo = (v - 1) // n
+            if quo >= n:
                 raise ValueError(
                     f"cell ({i}, {j}) = {v} has quotient {quo} outside 0..{n - 1}"
                 )
             q_row.append(quo)
-            r_row.append(rem)
+            r_row.append(v - 1 - n * quo)
         q_rows.append(tuple(q_row))
         r_rows.append(tuple(r_row))
-    return AuxPair(Square(tuple(q_rows)), Square(tuple(r_rows)))
+    return AuxPair._of(Square._of(tuple(q_rows)), Square._of(tuple(r_rows)))
 
 
 def is_orthogonal(pair: AuxPair) -> bool:

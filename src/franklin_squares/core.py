@@ -6,6 +6,11 @@ carries the line-sum target (m for natural squares, the auxiliary constant
 for quotient/remainder squares); lines.table derives every condition's
 target from it.
 
+The public constructors check every value. A Square or AuxPair the
+package builds itself, from ints it has just checked, is stored by the
+private _Value._of with no second scan. is_natural and
+is_balanced are decided once per square.
+
 Cell values are plain Python integers, so arbitrarily large orders cannot
 overflow. Indices are 0-based everywhere; reports meant for humans do
 their own 1-based formatting.
@@ -61,7 +66,9 @@ class _Value:
     being the field's default, and raises TypeError for a missing,
     unknown, repeated or surplus argument; __signature__ shows those
     parameters to inspect and help. A type that checks or converts its
-    arguments writes its own __init__ and stores each field with _set.
+    arguments writes its own __init__ and stores each field with _set;
+    _of builds an instance of such a type without its checks, for values
+    the package has just built from checked parts.
 
     repr shows the fields as a dataclass does; == holds between instances
     of one class whose fields compare equal, and hash is the hash of the
@@ -89,6 +96,14 @@ class _Value:
         if args or kwargs.keys() != self._names:
             kwargs = self._bind(args, kwargs)
         self.__dict__.update(kwargs)
+
+    @classmethod
+    def _of(cls, *values):
+        """The instance whose fields, in order, hold values, stored with no
+        check: the caller has proved all that the type's __init__ checks."""
+        obj = object.__new__(cls)
+        obj.__dict__.update(zip(cls.__match_args__, values))
+        return obj
 
     def _bind(self, args: tuple, kwargs: dict) -> dict:
         """Each field's value, in field order, from any other call."""
@@ -237,19 +252,32 @@ class IndexTargets(_Value):
         return cls(n, aux_constant(n))
 
 
+# is_natural and is_balanced keep their answer on the square, as _natural
+# and _balanced: not fields, so ==, hash and repr do not see them.
 def is_natural(sq: Square) -> bool:
-    """True iff the cells are exactly the multiset {1, 2, ..., n^2}."""
-    n = sq.order
-    return sorted(chain.from_iterable(sq.cells)) == list(range(1, n * n + 1))
+    """True iff the cells are exactly the multiset {1, 2, ..., n^2};
+    decided once per square."""
+    known = sq.__dict__.get("_natural")
+    if known is None:
+        n = sq.order
+        known = sorted(chain.from_iterable(sq.cells)) == list(range(1, n * n + 1))
+        _set(sq, "_natural", known)
+    return known
 
 
 def is_balanced(sq: Square) -> bool:
-    """True iff every value in 0..n-1 occurs exactly n times."""
-    n = sq.order
-    counts = [0] * n
-    for row in sq.cells:
-        for v in row:
+    """True iff every value in 0..n-1 occurs exactly n times; decided
+    once per square."""
+    known = sq.__dict__.get("_balanced")
+    if known is None:
+        n = sq.order
+        counts = [0] * n
+        for v in chain.from_iterable(sq.cells):
             if not 0 <= v < n:
-                return False
+                known = False
+                break
             counts[v] += 1
-    return all(c == n for c in counts)
+        else:
+            known = counts.count(n) == n
+        _set(sq, "_balanced", known)
+    return known

@@ -20,6 +20,7 @@ join copies it.
 from __future__ import annotations
 
 import json
+import sys
 from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING
 
@@ -53,23 +54,53 @@ def _lf(text: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
+def _not_an_integer(tok: str, lineno: int) -> str:
+    """The message for a CSV value int() or _decimal refused."""
+    tok = tok.strip()
+    digits = tok[1:] if tok[:1] in ("+", "-") else tok
+    if digits.isascii() and digits.isdigit():
+        # A decimal integer is refused only past the interpreter's limit
+        # on the digits int() converts.
+        return (
+            f"line {lineno}: {tok[:20]!r}... has {len(digits)} digits, "
+            f"more than the {sys.get_int_max_str_digits()}-digit limit"
+        )
+    return f"line {lineno}: {tok!r} is not an integer"
+
+
+def _line_values(line: str, lineno: int, number) -> tuple[int, ...]:
+    """The values of one CSV line, each token read by number; a token it
+    refuses raises FormatError."""
+    cells = []
+    for tok in line.split(","):
+        try:
+            cells.append(number(tok))
+        except ValueError:
+            raise FormatError(_not_an_integer(tok, lineno)) from None
+    return tuple(cells)
+
+
 def parse_square_csv(text: str) -> Square:
-    rows: dict[int, list[int]] = {}  # file line number -> values
+    """The square in CSV text.
+
+    Each value is checked once, as it is read: int() and _decimal return
+    exact ints, and the rows are counted against the row count, so the
+    square is stored with no second scan.
+    """
+    rows: dict[int, tuple[int, ...]] = {}  # file line number -> values
     for lineno, line in enumerate(_lf(text).split("\n"), start=1):
         if line == "":
             continue
-        cells = []
         # int() also takes "1_6" and non-ASCII digits; an ASCII line with
-        # no "_" holds neither, so only other lines need _decimal.
-        number = int if line.isascii() and "_" not in line else _decimal
-        for tok in line.split(","):
+        # no "_" holds neither, so it is read whole by int, and only a
+        # line int refuses is read again token by token, for the message.
+        if line.isascii() and "_" not in line:
             try:
-                cells.append(number(tok))
+                rows[lineno] = tuple(map(int, line.split(",")))
             except ValueError:
-                raise FormatError(
-                    f"line {lineno}: {tok.strip()!r} is not an integer"
-                ) from None
-        rows[lineno] = cells
+                _line_values(line, lineno, int)  # raises, naming the token
+        else:
+            rows[lineno] = _line_values(line, lineno, _decimal)
     if not rows:
         raise FormatError("empty grid")
     n = len(rows)
@@ -78,7 +109,7 @@ def parse_square_csv(text: str) -> Square:
             raise FormatError(
                 f"ragged grid: {n} rows but line {lineno} has {len(row)} values"
             )
-    return Square.from_rows(rows.values())
+    return Square._of(tuple(rows.values()))
 
 
 def square_to_csv(sq: Square) -> str:

@@ -170,7 +170,8 @@ def generate(qseed: SeedPattern, rseed: SeedPattern) -> GeneratedSquare:
         raise ValueError("quotient expansion is not balanced")
     if not is_balanced(r):
         raise ValueError("remainder expansion is not balanced")
-    pair = AuxPair(quotient=q, remainder=r)
+    # Balanced members of one order hold only values in 0..n-1.
+    pair = AuxPair._of(q, r)
     if not is_orthogonal(pair):
         raise ValueError("seed expansions are not orthogonal")
     square = compose(pair)

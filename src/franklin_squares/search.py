@@ -398,7 +398,9 @@ def _run_tree(opts: SearchOptions, plan) -> SearchOutcome:
             if nodes >= mark:
                 j = tally(j)
             if j == n2:
-                square = Square.from_rows(grid[r:r + n] for r in range(0, n2, n))
+                # The walk placed only ints in 1..n^2.
+                flat = tuple(grid)
+                square = Square._of(tuple([flat[r:r + n] for r in range(0, n2, n)]))
                 report = verify(square, natural_targets)
                 if report.franklin and report.natural:
                     count += 1

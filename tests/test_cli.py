@@ -161,6 +161,20 @@ def test_verify_stdin_rejects_a_non_decimal_cell(capsys, monkeypatch, text):
     assert ERROR_LINE.match(err)
 
 
+def test_csv_value_past_the_digit_limit_is_bad_format_on_one_short_line(capsys, tmp_path):
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if not 0 < limit < 5000:
+        pytest.skip("int() takes 5000 digits here")
+    huge = tmp_path / "huge.csv"
+    huge.write_text("1,2\n" + "4" * 5000 + ",3\n")
+    code, out, err = run(capsys, "verify", str(huge))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: code=BAD_FORMAT {huge}: line 2: '{'4' * 20}'... has 5000 digits, "
+        f"more than the {limit}-digit limit\n"
+    )
+
+
 def test_verify_rejects_boolean_json_order(capsys, monkeypatch):
     import io
 

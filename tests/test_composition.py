@@ -52,14 +52,36 @@ def test_compose_matches_stored_square(square_name, aux_name):
     assert sq.cells == fixtures.load_square(square_name).cells
 
 
+def _decompose_error(grid):
+    with pytest.raises(ValueError) as exc:
+        decompose(Square.from_rows(grid))
+    return str(exc.value)
+
+
 def test_decompose_rejects_values_below_one():
-    with pytest.raises(ValueError):
-        decompose(Square.from_rows([[0, 1], [2, 3]]))
+    assert _decompose_error([[0, 1], [2, 3]]) == "cell (0, 0) = 0 is < 1"
 
 
 def test_decompose_rejects_values_above_order_squared():
-    with pytest.raises(ValueError):
-        decompose(Square.from_rows([[1, 2], [3, 5]]))
+    assert _decompose_error([[1, 2], [3, 5]]) == (
+        "cell (1, 1) = 5 has quotient 2 outside 0..1"
+    )
+
+
+def test_decompose_names_the_first_bad_cell_in_row_major_order():
+    assert _decompose_error([[1, 5], [0, 3]]) == (
+        "cell (0, 1) = 5 has quotient 2 outside 0..1"
+    )
+    assert _decompose_error([[1, 2, 3], [4, 0, 10], [7, 8, 9]]) == (
+        "cell (1, 1) = 0 is < 1"
+    )
+
+
+def test_decompose_at_order_one():
+    assert _decompose_error([[2]]) == "cell (0, 0) = 2 has quotient 1 outside 0..0"
+    assert _decompose_error([[-7]]) == "cell (0, 0) = -7 is < 1"
+    pair = decompose(Square.from_rows([[1]]))
+    assert pair == AuxPair(Square(((0,),)), Square(((0,),)))
 
 
 def test_is_orthogonal_on_fixture_pairs():
@@ -126,3 +148,32 @@ def test_decompose_compose_roundtrip(n, data):
     back = decompose(compose(pair))
     assert back.quotient.cells == pair.quotient.cells
     assert back.remainder.cells == pair.remainder.cells
+
+
+def _grid(n, values):
+    """The order-n square of row-major values, built by the checking
+    constructor."""
+    return Square(tuple(tuple(values[r * n:(r + 1) * n]) for r in range(n)))
+
+
+def _int_rows(sq):
+    return all(type(row) is tuple for row in sq.cells) and all(
+        type(v) is int for row in sq.cells for v in row
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=12), st.data())
+def test_decompose_and_compose_follow_the_cell_formula(n, data):
+    cells = data.draw(st.lists(st.integers(1, n * n), min_size=n * n, max_size=n * n))
+    pair = decompose(_grid(n, cells))
+    assert pair == AuxPair(
+        _grid(n, [(v - 1) // n for v in cells]), _grid(n, [(v - 1) % n for v in cells])
+    )
+    assert _int_rows(pair.quotient) and _int_rows(pair.remainder)
+
+    digits = st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n)
+    q, r = data.draw(digits), data.draw(digits)
+    sq = compose(AuxPair(_grid(n, q), _grid(n, r)))
+    assert sq == _grid(n, [n * a + b + 1 for a, b in zip(q, r)])
+    assert _int_rows(sq)

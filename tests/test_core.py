@@ -119,3 +119,20 @@ def test_is_balanced():
     assert is_balanced(Square.from_rows([[0, 1], [1, 0]]))
     assert not is_balanced(Square.from_rows([[0, 0], [1, 0]]))
     assert not is_balanced(Square.from_rows([[0, 2], [2, 0]]))
+
+
+def test_classify_and_verify_sort_a_square_once(monkeypatch):
+    from franklin_squares import classify, core, fixtures
+
+    sorts = []
+
+    def counted(values):
+        sorts.append(1)
+        return sorted(values)
+
+    monkeypatch.setattr(core, "sorted", counted, raising=False)
+    sq = fixtures.load_square("f8_1769")
+    assert classify(sq).report.natural
+    verify(sq, IndexTargets.natural(8))
+    assert is_natural(sq) and not is_balanced(sq)
+    assert sorts == [1]

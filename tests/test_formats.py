@@ -1,8 +1,9 @@
 import json
 import re
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from franklin_squares import (
@@ -16,6 +17,8 @@ from franklin_squares import (
 from franklin_squares import fixtures
 from franklin_squares.formats import (
     FormatError,
+    _decimal,
+    _line_values,
     outcome_to_dict,
     parse_square_csv,
     parse_square_json,
@@ -76,6 +79,61 @@ def test_csv_error_reports_line_number():
     # Blank lines are skipped but still counted.
     with pytest.raises(FormatError, match="line 3 has 1 values"):
         parse_square_csv("1,2\n\n3\n")
+
+
+# A token of a random ASCII grid: mostly a value with blanks, a sign or
+# leading zeros, sometimes text that is not one.
+_TOKENS = st.one_of(
+    st.builds(
+        lambda pad, sign, zeros, v, tail: f"{pad}{sign}{'0' * zeros}{v}{tail}",
+        st.sampled_from(["", " ", "\t"]),
+        st.sampled_from(["", "+", "-"]),
+        st.integers(0, 3),
+        st.integers(0, 10**30),
+        st.sampled_from(["", " ", " \t"]),
+    ),
+    st.sampled_from(["", " ", "x", "1 2", "+-3", "-", "2.5", "0x1", "1e3"]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=12), st.data())
+def test_whole_line_read_matches_the_token_reader(n, data):
+    lines = [
+        ",".join(data.draw(st.lists(_TOKENS, min_size=n, max_size=n)))
+        for _ in range(n)
+    ]
+    assume("" not in lines)  # a blank line is skipped, not read
+    try:
+        want = tuple(
+            _line_values(line, lineno, _decimal)
+            for lineno, line in enumerate(lines, start=1)
+        )
+    except FormatError as exc:
+        with pytest.raises(FormatError) as got:
+            parse_square_csv("\n".join(lines))
+        assert str(got.value) == str(exc)
+    else:
+        sq = parse_square_csv("\n".join(lines))
+        assert sq == Square(want)
+        assert all(type(v) is int for row in sq.cells for v in row)
+
+
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", int)()
+
+
+@pytest.mark.skipif(not 0 < _DIGIT_LIMIT < 5000, reason="int() takes 5000 digits here")
+@pytest.mark.parametrize(
+    "line", ["4" * 5000 + ",3", " -" + "4" * 5000 + ",\u0664"], ids=["plain", "not-ascii"]
+)
+def test_csv_value_past_the_digit_limit_is_named_as_too_long(line):
+    with pytest.raises(FormatError) as exc:
+        parse_square_csv("1,2\n" + line + "\n")
+    sign = "-" if "-" in line else ""
+    assert str(exc.value) == (
+        f"line 2: '{sign}{'4' * (20 - len(sign))}'... has 5000 digits, "
+        f"more than the {_DIGIT_LIMIT}-digit limit"
+    )
 
 
 def test_json_square_roundtrip():

@@ -24,7 +24,13 @@ from franklin_squares import (
     SearchOutcome,
     SeedPattern,
     Square,
+    compose,
+    decompose,
+    is_balanced,
+    is_natural,
+    search_natural_franklin,
 )
+from franklin_squares.formats import parse_square_csv
 from franklin_squares.lines import Condition, table
 
 
@@ -354,3 +360,59 @@ def test_a_square_keeps_tuple_rows_as_given():
     sq = Square(rows)
     assert sq.cells is rows
     assert Square([rows[0], rows[1]]).cells[0] is rows[0]
+
+
+def _stored_without_a_second_scan():
+    """(value, twin) pairs: a value the package stored with no second
+    scan of its cells, and the same value built by a checking constructor."""
+    parsed = parse_square_csv("4,1\n1,4\n")
+    pair = decompose(parsed)
+    first = search_natural_franklin(SearchOptions(8, SearchMode.FIRST, 200_000))
+    witness = first.witnesses[0]
+    return [
+        (parsed, Square(((4, 1), (1, 4)))),
+        (pair, AuxPair(Square(((1, 0), (0, 1))), Square(((1, 0), (0, 1))))),
+        (compose(pair), Square([[4, 1], [1, 4]])),
+        (witness, Square(witness.to_lists())),
+    ]
+
+
+@pytest.mark.parametrize(
+    "k", range(4), ids=["parse_square_csv", "decompose", "compose", "search-leaf"]
+)
+def test_values_stored_without_a_second_scan_act_as_checked_ones(k):
+    value, twin = _stored_without_a_second_scan()[k]
+    copies = [value, copy.copy(value), copy.deepcopy(value)]
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copies.append(pickle.loads(pickle.dumps(value, protocol)))
+    for got in copies:
+        assert type(got) is type(twin)
+        assert got == twin and hash(got) == hash(twin) and repr(got) == repr(twin)
+        with pytest.raises(AttributeError):
+            got.extra = 1
+    squares = (value.quotient, value.remainder) if k == 1 else (value,)
+    for sq in squares:
+        assert type(sq.cells) is tuple
+        assert all(type(row) is tuple and len(row) == sq.order for row in sq.cells)
+        assert all(type(v) is int for row in sq.cells for v in row)
+
+
+@pytest.mark.parametrize(
+    "cells,flags",
+    [(((1, 2), (3, 4)), (True, False)), (((0, 1), (1, 0)), (False, True))],
+    ids=["natural", "balanced"],
+)
+def test_natural_and_balanced_flags_are_kept_out_of_eq_hash_and_repr(cells, flags):
+    sq, fresh = Square(cells), Square(cells)
+    assert (is_natural(sq), is_balanced(sq)) == flags
+    assert vars(sq) == {"cells": cells, "_natural": flags[0], "_balanced": flags[1]}
+    assert vars(fresh) == {"cells": cells}
+    assert sq == fresh and hash(sq) == hash(fresh) and repr(sq) == repr(fresh)
+    assert (is_natural(sq), is_balanced(sq)) == flags
+    for name in ("_natural", "_balanced"):
+        with pytest.raises(AttributeError):
+            setattr(sq, name, None)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        twin = pickle.loads(pickle.dumps(sq, protocol))
+        assert twin == fresh and repr(twin) == repr(fresh)
+        assert (is_natural(twin), is_balanced(twin)) == flags
