@@ -228,10 +228,12 @@ def preset(name: str) -> Square | AuxPair:
 
     A seeded preset is composed without generate's checks and report:
     its seeds are package constants, and tests pin each composition to
-    its stored grid."""
+    its stored grid. Its pair is stored with no second scan, since each
+    expansion was checked as its SeedPattern was built (values in
+    0..n-1) and both seeds of a preset share one order."""
     if name in _PRESET_SEEDS:
         qseed, rseed = _PRESET_SEEDS[name]
-        return compose(AuxPair(qseed.expand(), rseed.expand()))
+        return compose(AuxPair._of(qseed.expand(), rseed.expand()))
     return fixtures.load(name)
 
 

@@ -34,16 +34,29 @@ recurses once per free cell (a cell that closes no line; 2n-5 of them
 at orders 4 to 40), and one loop places the free cell's value x and
 then the forced run after it. Within a visit each run cell's value is
 base + coef·x: coef is fixed per order (±1 from order 8 on) and comes
-from the elimination, and base reads only cells before the free cell.
-As the visit starts it derives each run cell's base once, from its line
-with 0 at the free cell; every value then takes one multiply-add per
-run cell, with no line sum. A value whose forced successor is out of
+from the elimination, and base reads only cells before the free cell
+(it is the cell's line summed with 0 at the free cell).
+
+COUNT and STREAM first count a visit's values together (_run_count).
+The unused values are a bitmask; at each run cell in turn one shift of
+it keeps the values x whose base + coef·x is unused, and the visit's
+placements are the sizes of these masks. The count stops at the first
+cell that keeps no value, so a base is derived only where some value
+reaches its cell. A visit that no value gets through, with no progress
+mark or budget stop inside its count, ends there: no candidate order,
+no loop over values, no grid write. Every other visit, and every visit
+of FIRST, which stops at its first witness, goes value by value in
+candidate order on the bases derived once per visit (by the count, or
+as a FIRST visit starts): every value takes one multiply-add per run
+cell, with no line sum. There a value whose forced successor is out of
 range or used is counted as its placement by one subtraction and never
 placed. A run's placements are counted in one step, and one helper
 makes the progress calls and the budget stop that a count reaches.
+
 Without pruning the plan makes every cell free and checks every line it
-closes, 144 lines at order 8, so the same walk recurses once per cell
-and a wrong elimination would show as a difference between the walks.
+closes, 144 lines at order 8, so the same walk recurses once per cell,
+places every value alone, and a wrong elimination or a wrong count of
+values together would show as a difference between the walks.
 
 ``search_natural_franklin`` is the one entry point. It settles an order
 in one of two ways: without search when the line sum is odd (a
@@ -155,8 +168,8 @@ def _plan(n: int, prune: bool):
     than it does, so wherever those hold it holds too and checking it
     could reject nothing.
 
-    The plan is (next_free, derive_at, checks_at, coef_at), one shape
-    for both modes; a line is (a getter of its other cells, exact
+    The plan is (next_free, derive_at, checks_at, coef_at, runs), one
+    shape for both modes; a line is (a getter of its other cells, exact
     target). The free cells are listed once, here, and _kept_lines
     writes its forms over that list. next_free maps each free cell to
     the next, or to n*n; the forced cells between are the free cell's
@@ -167,10 +180,16 @@ def _plan(n: int, prune: bool):
     cells before i: coef_at holds coef, the coefficient of i in the
     cell's affine form from _kept_lines. It is ±1 at every forced cell
     at orders 8 to 40 (order 4 has two 0s) and 0 at free cells; the walk
-    derives base as each visit starts. Without pruning every cell is
-    free and checks every line it closes, with no elimination and no
-    runs, so coef_at is all 0 and the two walks agree only if
-    _kept_lines dropped nothing that could reject.
+    derives base as each visit starts. runs maps each free cell to its
+    run's rows for _run_count, one per cell j in cell order: (j, the
+    getter and target of its deriving line, coef, its kept checks), a
+    check being (getter, target, slope) with slope the check's
+    coefficient of i, read from the same forms. A run with a coef of 0
+    (two order-4 cells) has no rows and is walked value by value.
+    Without pruning every cell is free and checks every line it closes,
+    with no elimination and no runs, so coef_at is all 0, every runs
+    entry is empty and the two walks agree only if _kept_lines dropped
+    nothing that could reject.
     """
     lines = franklin_checks(n, magic_constant(n))
     if lines is None:
@@ -196,11 +215,17 @@ def _plan(n: int, prune: bool):
     next_free = dict(zip(free, free[1:] + [n2]))
     derive_at = [None] * n2
     coef_at = [0] * n2
+    runs = {}
     for k, i in enumerate(free):
+        rows = []
         for j in range(i + 1, next_free[i]):
             derive_at[j], checks_at[j] = checks_at[j][0], checks_at[j][1:]
             coef_at[j] = form[j][k]
-    return next_free, tuple(derive_at), tuple(checks_at), tuple(coef_at)
+            slopes = [sum(form[c][k] for c in cells) for cells, _ in kept[j][1:]]
+            checks = tuple((*check, s) for check, s in zip(checks_at[j], slopes))
+            rows.append((j, *derive_at[j], coef_at[j], checks))
+        runs[i] = tuple(rows) if 0 not in coef_at[i + 1:next_free[i]] else ()
+    return next_free, tuple(derive_at), tuple(checks_at), tuple(coef_at), runs
 
 
 def _kept_lines(
@@ -246,7 +271,9 @@ def _kept_lines(
     return kept, form
 
 
-# Bounded: a 2M-placement order-8 count fills 263 entries of 64 values.
+# Bounded: a 2M-placement order-8 count fills 168 entries of 64 values
+# (263 when every visit went value by value; most are now counted by
+# _run_count, which needs no order).
 @lru_cache(maxsize=1024)
 def _value_order(n: int, column: bool, seen: int, want: int) -> tuple[int, ...]:
     """Every value 1..n² in (penalty, v) order, for a row-0 cell or a
@@ -292,19 +319,78 @@ def _candidate_order(grid: list[int], i: int, n: int) -> tuple[int, ...]:
     return _value_order(n, column, seen, want)
 
 
+def _run_count(
+    rows, grid: list[int], base: list[int], free: int, mirror: int
+) -> int | None:
+    """Placements of one visit of a free cell whose forced run is rows
+    (see _plan), or None when some value completes the run.
+
+    grid holds the cells before the free cell and 0 at it. free has bit
+    v set for each unused value v, and mirror bit n²+1-v. alive holds
+    the values x whose run has been placed so far: every unused value
+    to start with, each counted as its own placement. At each run cell
+    j the value is b + coef·x, with b derived from j's line with 0 at
+    the free cell; it is written to grid[j] and base[j]. x survives j
+    when that value is unused (one shift of free, or of mirror for coef
+    -1), differs from x and from each earlier run cell's value (two
+    affine values meet at one x at most, or at every x), and meets j's
+    kept checks, each affine in x with the plan's slope. The loop stops
+    at the first cell no value survives.
+    """
+    n2 = len(grid)
+    alive = free
+    count = free.bit_count()
+    k = 2 * n2  # |b| < k at a cell where some value survives
+    # keys[1 + coef + b % 2] has bit (k - coef·b) / 2 for each cell so
+    # far, the free cell (b 0, coef 1) first: two cells of one coef meet
+    # only when their b agree, two of opposite coef at x = coef·(b2 - b)/2.
+    keys = [0, 0, 1 << n2, 0]
+    for j, get, target, coef, checks in rows:
+        b = grid[j] = base[j] = target - sum(get(grid))
+        src, s = (free, b) if coef > 0 else (mirror, n2 + 1 - b)
+        alive &= src >> s if s >= 0 else src << -s
+        if not alive:
+            return count
+        own = (k - coef * b) >> 1
+        p = b & 1
+        if keys[1 + coef + p] >> own & 1:
+            return count
+        keys[1 + coef + p] |= 1 << own
+        alive &= ~(keys[1 - coef + p] >> (k + coef * b >> 1))
+        for get, target, slope in checks:
+            a = b + sum(get(grid)) - target
+            if slope:
+                x, r = divmod(-a, slope)
+                alive &= 1 << x if not r and x > 0 else 0
+            elif a:
+                alive = 0
+        if not alive:
+            return count
+        count += alive.bit_count()
+    return None
+
+
 def _run_tree(opts: SearchOptions, plan) -> SearchOutcome:
     """Walk the tree that ``plan`` (see _plan) lays out; the outcome is
     exhausted unless the budget ran out or FIRST found its witness.
 
     base[j] is run cell j's value less coef_at[j]·x, for the free value
-    x of the visit that places it. A visit of free cell i derives the
-    bases of its whole run as it starts, in cell order with 0 at cell i,
-    and no other visit writes a cell of i's run. A value x whose forced
-    successor is out of range, used or x counts as one placement, with
-    no grid write, used mark or unwind: the full loop's net effect.
-    Placements are counted per run, with no test of ``mark`` (the next
-    node count due a progress call or the budget stop) per placement:
-    tally serves a run whose count reaches it.
+    x of the visit that places it. walk(i, free, mirror) gets the
+    unused values as _run_count reads them (FIRST and the unpruned walk
+    pass them on unchanged and never read them). In pruned COUNT and
+    STREAM a visit of free cell i with rows first takes _run_count's
+    count, which derives bases in cell order with 0 at cell i up to the
+    first cell no value survives. With no value through the run and
+    ``mark`` (the next node count due a progress call or the budget
+    stop) past the count, the visit adds the count and returns.
+    Otherwise it goes value by value on those bases: no value reaches a
+    cell past the first that no value survives. In FIRST, and for a run
+    with no rows, it derives every base of the run as the visit starts.
+    No other visit writes a cell of i's run. Value by value, a value x whose forced successor is out of
+    range, used or x counts as one placement, with no grid write, used
+    mark or unwind: the full loop's net effect. Placements are counted
+    per run, with no test of mark per placement: tally serves a run
+    whose count reaches it.
     """
     n = opts.order
     mode = opts.mode
@@ -312,8 +398,14 @@ def _run_tree(opts: SearchOptions, plan) -> SearchOutcome:
     progress = opts.progress
     progress_interval = opts.progress_interval
     n2 = n * n
-    next_free, derive_at, checks_at, coef_at = plan
+    next_free, derive_at, checks_at, coef_at, runs = plan
     natural_targets = IndexTargets.natural(n)
+    # FIRST stops at its first witness, so it goes value by value, and
+    # the unpruned plan has no runs.
+    bulk = opts.prune and mode is not SearchMode.FIRST
+    if bulk:
+        bit = [1 << v for v in range(n2 + 2)]
+        mirror_bit = bit[::-1]
 
     grid = [0] * n2
     used = [False] * (n2 + 1)
@@ -348,14 +440,23 @@ def _run_tree(opts: SearchOptions, plan) -> SearchOutcome:
             mark = next_stop(mark)
         return j
 
-    def walk(i: int) -> bool:
-        """Place each value x free cell i admits, then the forced run
-        after it, and walk on; True stops the run."""
+    def walk(i: int, free: int, mirror: int) -> bool:
+        """Count the values free cell i admits and their forced runs
+        together, or place each value x, then its forced run, and walk
+        on; True stops the run."""
         nonlocal nodes, count
         nxt = next_free[i]
         # With 0 at cell i each run cell's deriving line leaves its base.
         grid[i] = 0
-        for j in range(i + 1, nxt):
+        start = i + 1
+        if bulk and runs[i]:
+            total = _run_count(runs[i], grid, base, free, mirror)
+            if total is not None and nodes + total < mark:
+                nodes += total
+                return False
+            # No value reaches a cell whose base _run_count left.
+            start = nxt
+        for j in range(start, nxt):
             get, target = derive_at[j]
             grid[j] = base[j] = target - sum(get(grid))
         run = i + 1 < nxt
@@ -410,14 +511,23 @@ def _run_tree(opts: SearchOptions, plan) -> SearchOutcome:
                         return True
             # The budget stop follows the leaf, so the square the
             # budget-th placement completes is counted.
-            if nodes == node_budget or (j == nxt < n2 and walk(nxt)):
+            if nodes == node_budget:
                 return True
+            if j == nxt < n2:
+                free2, mirror2 = free, mirror
+                if bulk:
+                    placed = grid[i:j]
+                    free2 -= sum(map(bit.__getitem__, placed))
+                    mirror2 -= sum(map(mirror_bit.__getitem__, placed))
+                if walk(nxt, free2, mirror2):
+                    return True
             # Grid cells are rewritten before any later cell reads them.
             for k in range(i, j):
                 used[grid[k]] = False
         return False
 
-    stopped = walk(0)
+    every = (1 << n2 + 1) - 2
+    stopped = walk(0, every, every)
     return SearchOutcome(
         count=count,
         exhausted=not stopped,

@@ -104,6 +104,21 @@ def test_seeded_presets_build_no_report(monkeypatch, name):
     assert preset(name) == want
 
 
+@pytest.mark.parametrize("name", sorted(patterns._PRESET_SEEDS))
+def test_seeded_presets_check_their_pair_once(monkeypatch, name):
+    # Each expansion was checked as its SeedPattern was built, so the
+    # preset stores its pair with no second scan; the public check
+    # accepts the same pair.
+    q, r = (seed.expand() for seed in patterns._PRESET_SEEDS[name])
+    want = compose(AuxPair(q, r))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a preset pair was checked again")
+
+    monkeypatch.setattr(AuxPair, "__init__", refuse)
+    assert preset(name) == want
+
+
 def test_f24_preset_composes_the_order24_pair():
     from franklin_squares import compose
 

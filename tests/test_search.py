@@ -280,7 +280,7 @@ def _plan_lines(n, prune):
     """Each line the plan derives or checks at each cell, as (bitmask of
     its cells, target), asserting that it closes at the cell that reads
     it."""
-    _, derive_at, checks_at, _ = search._plan(n, prune)
+    _, derive_at, checks_at, _, _ = search._plan(n, prune)
     bits = [1 << j for j in range(n * n)]
     at = []
     for i, (derive, checks) in enumerate(zip(derive_at, checks_at)):
@@ -344,7 +344,7 @@ def _check_cells(n, checks_at):
 
 @pytest.mark.parametrize("n", range(4, 41, 4))
 def test_pruned_plan_forces_all_but_2n_minus_5_cells(n):
-    next_free, derive_at, checks_at, _ = search._plan(n, True)
+    next_free, derive_at, checks_at, _, _ = search._plan(n, True)
     free = sorted(next_free)
     assert len(free) == 2 * n - 5
     assert [next_free[i] for i in free] == free[1:] + [n * n]
@@ -389,7 +389,7 @@ def test_unpruned_plan_frees_every_cell_and_checks_every_line(n):
     # No elimination: each Franklin line is checked at the cell where it
     # closes (_plan_lines asserts that), so the unpruned walk shares
     # nothing with the pruned plan's choice of lines.
-    next_free, derive_at, checks_at, _ = search._plan(n, False)
+    next_free, derive_at, checks_at, _, _ = search._plan(n, False)
     assert next_free == {i: i + 1 for i in range(n * n)}
     assert set(derive_at) == {None}
     checked = [line for lines in _plan_lines(n, False) for line in lines]
@@ -400,7 +400,7 @@ def _substituted_coefficients(n):
     """Each cell's coef by substitution: each free cell's run derived
     cell by cell with 1 at the free cell, 0 at every other cell and the
     targets dropped."""
-    next_free, derive_at, _, _ = search._plan(n, True)
+    next_free, derive_at, _, _, _ = search._plan(n, True)
     coef_at = [0] * (n * n)
     for i in next_free:
         x = [0] * (n * n)
@@ -417,7 +417,7 @@ def test_run_coefficients_are_0_at_free_cells_and_unit_at_forced_cells(n):
     # coef is 0 at free cells, ±1 at forced ones but for two order-4
     # cells whose lines miss the run's free cell, and 0 everywhere
     # without pruning, where there are no runs.
-    next_free, derive_at, _, coef_at = search._plan(n, True)
+    next_free, derive_at, _, coef_at, _ = search._plan(n, True)
     # _plan reads coef from the elimination's affine forms.
     assert list(coef_at) == _substituted_coefficients(n)
     for j, coef in enumerate(coef_at):
@@ -448,7 +448,7 @@ def test_run_cells_are_their_base_plus_coef_times_the_free_value(data):
     # of the visit then takes base_j + coef_j·x. Deriving the run cell
     # by cell from x must agree, whatever the cells before i hold.
     n = data.draw(st.sampled_from([4, 8, 12, 16]))
-    next_free, derive_at, _, coef_at = search._plan(n, True)
+    next_free, derive_at, _, coef_at, _ = search._plan(n, True)
     grid = data.draw(st.lists(st.integers(-n**4, n**4), min_size=n * n, max_size=n * n))
     i = data.draw(st.sampled_from([i for i in sorted(next_free) if i + 1 < next_free[i]]))
 
@@ -463,6 +463,178 @@ def test_run_cells_are_their_base_plus_coef_times_the_free_value(data):
     bases = run(0)
     x = data.draw(st.integers(1, n * n))
     assert run(x) == [b + coef * x for b, coef in zip(bases, coefs)]
+
+
+@pytest.mark.parametrize("n", range(4, 41, 4))
+def test_run_rows_restate_the_plan_with_check_slopes_by_substitution(n):
+    # _run_count reads each run from its rows: the deriving line, coef
+    # and kept checks of each run cell, in cell order, each check with
+    # its coefficient of the free value. Substituting 1 at the free cell
+    # and 0 before it gives each slope.
+    next_free, derive_at, checks_at, coef_at, runs = search._plan(n, True)
+    assert sorted(runs) == sorted(next_free)
+    slopes = 0
+    for i, rows in runs.items():
+        if n == 4 and 0 in coef_at[i + 1:next_free[i]]:
+            assert rows == ()
+            continue
+        assert [row[0] for row in rows] == list(range(i + 1, next_free[i]))
+        x = [0] * (n * n)
+        x[i] = 1
+        for j, get, target, coef, checks in rows:
+            assert ((get, target), coef) == (derive_at[j], coef_at[j])
+            x[j] = coef
+            assert [check[:2] for check in checks] == list(checks_at[j])
+            for get, _, slope in checks:
+                assert slope == coef + sum(get(x))
+                slopes += 1
+    # Both kept checks sit in runs; at order 4 one sits in a run with a
+    # coef of 0, which has no rows.
+    assert slopes == (1 if n == 4 else 2)
+    assert set(search._plan(n, False)[4].values()) == {()}
+
+
+def _placed_value_by_value(rows, grid, i, free):
+    """A visit's placements, placing each unused value x at cell i and
+    deriving each run cell from its line as the unpruned walk would
+    check it, or None when some value completes the run; and how many
+    run cells some value reaches."""
+    n2 = len(grid)
+    total = reached = 0
+    through = False
+    for x in range(1, n2 + 1):
+        if not free >> x & 1:
+            continue
+        g = list(grid)
+        g[i] = x
+        placed = {x}
+        total += 1
+        for m, (j, get, target, _, checks) in enumerate(rows):
+            reached = max(reached, m + 1)
+            v = target - sum(get(g))
+            if not (0 < v <= n2 and free >> v & 1) or v in placed:
+                break
+            if any(v + sum(cget(g)) != ctarget for cget, ctarget, _ in checks):
+                break
+            g[j] = v
+            placed.add(v)
+            total += 1
+        else:
+            through = True
+    return None if through else total, reached
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_a_visit_counted_together_places_what_each_value_places(data):
+    # One visit of a free cell with a run, on a random prefix, against
+    # placing each value alone. Each run cell's base is drawn (through
+    # its line's target) to hit what each exclusion rule must catch: a
+    # base of 0 (a +1 cell equal to x), bases that put a cell on x or on
+    # an earlier run cell's value at one x (a -1 cell at x = base/2,
+    # opposite coefs with bases an even distance apart), a repeated
+    # base, out-of-range and negative bases, and bases that keep some
+    # value alive. One value, star, is kept alive through the first
+    # depth cells, so the count reaches deep cells and their kept
+    # checks. Each check is drawn to pass at star there or at another
+    # value elsewhere, or to miss it by 1: with slope 0, at every value
+    # or at none.
+    n = data.draw(st.sampled_from([4, 8, 12, 16]))
+    n2 = n * n
+    runs = search._plan(n, True)[4]
+    checked = [i for i in sorted(runs) if any(row[4] for row in runs[i])]
+    i = data.draw(
+        st.one_of(
+            st.sampled_from([i for i in sorted(runs) if runs[i]]),
+            st.sampled_from(checked),
+        )
+    )
+    prefix = data.draw(st.randoms(use_true_random=False))
+    grid = [prefix.randint(1, n2) for _ in range(i)] + [0] * (n2 - i)
+    free = data.draw(
+        st.one_of(
+            st.sets(st.integers(1, n2), min_size=1).map(
+                lambda values: sum(1 << v for v in values)
+            ),
+            st.integers(1, (1 << n2) - 1).map(lambda mask: mask << 1),
+            st.just((1 << n2 + 1) - 2),
+        )
+    )
+    values = [v for v in range(1, n2 + 1) if free >> v & 1]
+    star = data.draw(st.sampled_from(values))
+    star_run = {star}
+    depth = data.draw(st.one_of(st.integers(0, len(runs[i])), st.just(len(runs[i]))))
+    x_any = st.integers(1, n2)
+    rows, cells = [], [(0, 1)]  # (base, coef) of the free cell, then each run cell
+    for m, (j, get, _, coef, checks) in enumerate(runs[i]):
+        b2, c2 = data.draw(st.sampled_from(cells))
+        spare = [v for v in values if v not in star_run]
+        if m < depth and spare:
+            v = data.draw(st.sampled_from(spare))
+            star_run.add(v)
+            b = v - coef * star
+        else:
+            b = data.draw(
+                st.one_of(
+                    st.integers(-n2 - 2, 2 * n2 + 2),
+                    st.just(0),
+                    st.just(b2),
+                    # meets cell (b2, c2) at x: b + coef·x == b2 + c2·x
+                    x_any.map(lambda x: b2 + (c2 - coef) * x),
+                    # keeps x alive at cell j: b + coef·x is an unused value
+                    st.tuples(st.sampled_from(values), x_any).map(
+                        lambda vx: vx[0] - coef * vx[1]
+                    ),
+                )
+            )
+        grid[j] = b
+        target = b + sum(get(grid))
+        kept = []
+        for cget, _, slope in checks:
+            a = b + sum(cget(grid))
+            at = star if m < depth else data.draw(st.integers(-n2, 3 * n2))
+            kept.append((cget, a + slope * at + data.draw(st.booleans()), slope))
+        rows.append((j, get, target, coef, tuple(kept)))
+        cells.append((b, coef))
+    want, reached = _placed_value_by_value(rows, grid, i, free)
+    mirror = sum(1 << (n2 + 1 - v) for v in values)
+    got_grid, base = list(grid), [None] * n2
+    assert search._run_count(tuple(rows), got_grid, base, free, mirror) == want
+    # The walk goes on value by value from base, so each run cell that
+    # some value reaches has its base there: its line with 0 at cell i.
+    derived = [j for j, b in enumerate(base) if b is not None]
+    assert derived == [row[0] for row in rows][:reached]
+    assert all(base[j] == got_grid[j] == grid[j] for j in derived)
+
+
+@pytest.mark.parametrize("n", [12, 16])
+def test_count_counts_visits_together_as_first_places_them_value_by_value(n):
+    # COUNT counts most visits in one step and FIRST goes value by
+    # value; neither finds a witness in these placements, so both must
+    # report the same progress, cell for cell.
+    runs = []
+    for mode in (SearchMode.COUNT, SearchMode.FIRST):
+        calls = []
+        outcome = search_natural_franklin(
+            SearchOptions(
+                order=n,
+                mode=mode,
+                node_budget=1_000_000,
+                progress=lambda nodes, depth: calls.append((nodes, depth)),
+                progress_interval=9_973,
+            )
+        )
+        runs.append((outcome.count, outcome.nodes_visited, outcome.exhausted, calls))
+    assert runs[0] == runs[1]
+    assert runs[0][:3] == (0, 1_000_000, False)
+    assert len(runs[0][3]) == 1_000_000 // 9_973
+
+
+def test_order_12_stream_counted_together_matches_the_unpruned_walk():
+    # The unpruned walk has no runs, so it places every value alone.
+    pruned = _walk_with_progress(12, 50_000, True, 4_999)
+    assert pruned == _walk_with_progress(12, 50_000, False, 4_999)
+    assert pruned[0].nodes_visited == 50_000
 
 
 def test_budgets_and_marks_on_rejected_values_match_the_unpruned_walk():
